@@ -213,8 +213,8 @@ def homogeneous_norm(g: GroupSpec, x: npt.NDArray) -> float:
 def gauge_distance(g: GroupSpec, x: npt.NDArray, y: npt.NDArray) -> float:
     """Left-invariant gauge distance d(x, y) = ||x^{-1} o y||.
 
-    Note the group is non-commutative, so this distance is deliberately
-    not symmetric in its arguments.
+    Symmetric although the group is non-commutative: y^{-1} o x is
+    -(x^{-1} o y) and the gauge is even.
     """
     return homogeneous_norm(g, compose(g, inverse(x), y))
 

@@ -24,14 +24,21 @@ eigenvalue of t(sigma) sigma over the grid; crude, but stability is what is
 wanted at these grid sizes.
 
 Updates at distinct nodes are independent (one immutable input slab, one
-fresh output slab), so the interior is computed in contiguous chunks along
-axis 0, optionally on a thread pool (CARNOTFLOW_WORKERS); every chunk
-performs the same arithmetic on the same inputs, so results are
-bit-identical for any worker count.
+fresh output slab), so the interior is computed in chunks of rows along
+axis 0, each small enough for its temporaries to stay in cache.  Per chunk,
+one derivative pass computes the central differences and the horizontal
+quantities tr A, |q|^2, q^T A q and A, and a short tail per scheme turns them
+into operator values, so a step that needs all three schemes differentiates
+once.  Chunks run in order with one worker, or on a thread pool over chunks
+with more (CARNOTFLOW_WORKERS, default 1); every chunk performs the same
+arithmetic on the same inputs, so results are bit-identical for any worker
+count.
 """
 from __future__ import annotations
 
+import math
 import os
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -97,9 +104,18 @@ class GridField:
         )
 
     def axis_coords(self, a: int) -> npt.NDArray:
-        lo, hi = self.box[a]
-        h = (hi - lo) / self.resolution[a]
-        return lo + (np.arange(self.resolution[a]) + 0.5) * h
+        return _cell_centers(*self.box[a], self.resolution[a])
+
+
+def _cell_centers(lo: float, hi: float, count: int) -> npt.NDArray:
+    """Node coordinates lo + (i + 1/2) h along one axis, h = (hi - lo) / count."""
+    h = (hi - lo) / count
+    return lo + (np.arange(count) + 0.5) * h
+
+
+def _require_finite(name: str, value: float | None) -> None:
+    if value is not None and not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -117,6 +133,7 @@ class InitialSpec:
     relabel: str | None = None
 
     def __post_init__(self):
+        _require_finite("initial.r", self.r)
         if self.preset not in INITIAL_PRESETS:
             raise ValueError(
                 f"unknown preset {self.preset!r}; choose from {INITIAL_PRESETS}"
@@ -149,6 +166,8 @@ class SolverConfig:
         if len(box) != n or len(res) != n:
             raise ValueError(f"box and resolution must have {n} axes")
         for lo, hi in box:
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError(f"box side ({lo}, {hi}) must be finite")
             if not hi > lo:
                 raise ValueError(f"degenerate box side ({lo}, {hi})")
         for r in res:
@@ -158,6 +177,8 @@ class SolverConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
         if not 0.0 < self.cfl <= 1.0:
             raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
+        for name in ("t_end", "snapshot_every", "delta_reg", "eps_sing"):
+            _require_finite(name, getattr(self, name))
         if self.t_end < 0.0:
             raise ValueError(f"t_end must be nonnegative, got {self.t_end}")
         if self.snapshot_every < 0.0:
@@ -187,10 +208,9 @@ class SolverConfig:
         return float(np.min(self.spacing)) ** 2
 
 
-def _axis_coords(config: SolverConfig):
+def _axis_coords(config: SolverConfig) -> list[npt.NDArray]:
     return [
-        GridField(config.box, np.empty(config.resolution)).axis_coords(a)
-        for a in range(len(config.resolution))
+        _cell_centers(lo, hi, r) for (lo, hi), r in zip(config.box, config.resolution)
     ]
 
 
@@ -240,13 +260,30 @@ def init(config: SolverConfig) -> GridField:
 
 # ----------------------------------------------------------------- engine ---
 
+# Interior nodes per row chunk of the operator pass, from a sweep over chunk
+# sizes at 32^3 and 64^3 (BENCH_3.json): in three dimensions a chunk's twenty
+# or so live derivative temporaries then take about a 2 MB L2 cache.  Larger
+# chunks spill out of it; smaller ones pay numpy's per-call overhead more
+# often.
+_CHUNK_NODES = 16384
+
 
 def _env_workers() -> int:
-    raw = os.environ.get(WORKERS_ENV_VAR, "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
+    raw = os.environ.get(WORKERS_ENV_VAR, "").strip()
+    if not raw:
         return 1
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        warnings.warn(
+            f"{WORKERS_ENV_VAR}={raw!r} is not a positive integer; using 1 worker",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        return 1
+    return workers
 
 
 class Engine:
@@ -295,12 +332,13 @@ class Engine:
         self.S2 = 1.0 + gram_max
         self.dt = config.cfl * float(np.min(self.h)) ** 2 / (2.0 * g.m * self.S2)
 
+        # interior rows 1..rows of axis 0 in near-equal chunks of at most
+        # _CHUNK_NODES interior nodes each (one row if a row is larger)
         rows = config.resolution[0] - 2
-        nblocks = max(1, min(self.workers, rows))
-        bounds = np.linspace(1, config.resolution[0] - 1, nblocks + 1).astype(int)
-        self.blocks = [
-            (int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a
-        ]
+        row_nodes = int(np.prod([r - 2 for r in config.resolution[1:]]))
+        nchunks = -(-rows // max(1, _CHUNK_NODES // row_nodes))
+        bounds = np.linspace(1, rows + 1, nchunks + 1).astype(int)
+        self.chunks = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
         self._pool: ThreadPoolExecutor | None = None
 
     # -- lifecycle ---------------------------------------------------------
@@ -323,8 +361,8 @@ class Engine:
 
     # -- spatial operator ---------------------------------------------------
 
-    def _op_block(self, u: npt.NDArray, r0: int, r1: int, scheme: str) -> npt.NDArray:
-        """Operator values at global rows r0..r1-1 (interior of other axes)."""
+    def _derivatives(self, u: npt.NDArray, r0: int, r1: int):
+        """trA, |q|^2, q^T A q and A[j, l] at global rows r0..r1-1 (q = Xu, A = X2u)."""
         n, m = self.n, self.m
         sl0 = slice(r0 - 1, r1 + 1)
         ub = u[sl0]
@@ -346,15 +384,12 @@ class Engine:
         for a in range(n):
             d2[a, a] = (shifted({a: 1}) - 2.0 * center + shifted({a: -1})) / h[a] ** 2
             for c in range(a + 1, n):
-                d2[a, c] = (
+                d2[a, c] = d2[c, a] = (
                     shifted({a: 1, c: 1})
                     - shifted({a: 1, c: -1})
                     - shifted({a: -1, c: 1})
                     + shifted({a: -1, c: -1})
                 ) / (4.0 * h[a] * h[c])
-
-        def dd(a: int, c: int) -> npt.NDArray:
-            return d2[a, c] if a <= c else d2[c, a]
 
         bb = [[self.b[k][j][sl0][inner] for j in range(m)] for k in range(self.n - m)]
         nv = self.n - m
@@ -365,21 +400,21 @@ class Engine:
         A = {}
         for j in range(m):
             for l in range(j, m):
-                entry = dd(j, l)
+                entry = d2[j, l]
                 for k in range(nv):
-                    entry = entry + bb[k][l] * dd(j, m + k) + bb[k][j] * dd(l, m + k)
+                    entry = entry + bb[k][l] * d2[j, m + k] + bb[k][j] * d2[l, m + k]
                 for k in range(nv):
                     for k2 in range(nv):
-                        entry = entry + bb[k][j] * bb[k2][l] * dd(m + k, m + k2)
-                A[j, l] = entry
-
-        def aa(j: int, l: int) -> npt.NDArray:
-            return A[j, l] if j <= l else A[l, j]
+                        entry = entry + bb[k][j] * bb[k2][l] * d2[m + k, m + k2]
+                A[j, l] = A[l, j] = entry
 
         trA = sum(A[j, j] for j in range(m))
         qq = sum(qj ** 2 for qj in q)
-        qAq = sum(q[j] * aa(j, l) * q[l] for j in range(m) for l in range(m))
+        qAq = sum(q[j] * A[j, l] * q[l] for j in range(m) for l in range(m))
+        return trA, qq, qAq, A
 
+    def _tail(self, scheme: str, trA, qq, qAq, A) -> npt.NDArray:
+        """One scheme's operator values from the derivative stage."""
         if scheme == "regularized":
             return -trA + qAq / (qq + self.delta2)
 
@@ -387,44 +422,48 @@ class Engine:
         out = -trA + qAq / np.where(mask, qq, 1.0)
         sing = np.nonzero(~mask)
         if sing[0].size:
-            Amat = np.empty((sing[0].size, m, m))
-            for j in range(m):
-                for l in range(m):
-                    Amat[:, j, l] = aa(j, l)[sing]
+            Amat = np.empty((sing[0].size, self.m, self.m))
+            for j, l in A:
+                Amat[:, j, l] = A[j, l][sing]
             eig = np.linalg.eigvalsh(Amat)
             lam = eig[:, 0] if scheme == "envelope_min" else eig[:, -1]
             out[sing] = -trA[sing] + lam
         return out
 
+    def operators(self, u: npt.NDArray, schemes: Sequence[str]) -> list[npt.NDArray]:
+        """Op(u) on the interior for each scheme, from one derivative pass per chunk."""
+        for scheme in schemes:
+            if scheme not in SCHEMES:
+                raise ValueError(f"unknown scheme {scheme!r}")
+        outs = [np.empty(tuple(r - 2 for r in u.shape)) for _ in schemes]
+
+        def fill(chunk: tuple[int, int]) -> None:
+            r0, r1 = chunk
+            derivs = self._derivatives(u, r0, r1)
+            for out, scheme in zip(outs, schemes):
+                out[r0 - 1 : r1 - 1] = self._tail(scheme, *derivs)
+
+        mapper = map if self.workers == 1 else self._get_pool().map
+        list(mapper(fill, self.chunks))
+        return outs
+
     def operator(self, u: npt.NDArray, scheme: str | None = None) -> npt.NDArray:
         """Spatial operator Op(u) on the interior (shape resolution - 2)."""
         scheme = self.config.scheme if scheme is None else scheme
-        if scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {scheme!r}")
-        if len(self.blocks) == 1 or self.workers == 1:
-            r0, r1 = self.blocks[0][0], self.blocks[-1][1]
-            return self._op_block(u, r0, r1, scheme)
-        out = np.empty(tuple(r - 2 for r in u.shape))
-        pool = self._get_pool()
-        futures = [
-            pool.submit(self._block_into, out, u, r0, r1, scheme)
-            for (r0, r1) in self.blocks
-        ]
-        for f in futures:
-            f.result()
-        return out
-
-    def _block_into(self, out, u, r0: int, r1: int, scheme: str) -> None:
-        out[r0 - 1 : r1 - 1] = self._op_block(u, r0, r1, scheme)
+        return self.operators(u, (scheme,))[0]
 
     def advance(
         self, u: npt.NDArray, dt: float, scheme: str | None = None
     ) -> npt.NDArray:
         """One forward-Euler update with nearest-interior boundary fill."""
+        return self._euler(u, dt, self.operator(u, scheme))
+
+    def _euler(self, u: npt.NDArray, dt: float, op: npt.NDArray) -> npt.NDArray:
+        """u - dt * op on the interior; boundary nodes copy their neighbor."""
         n = u.ndim
         inner = (slice(1, -1),) * n
         new = np.empty_like(u)
-        new[inner] = u[inner] - dt * self.operator(u, scheme)
+        new[inner] = u[inner] - dt * op
         for a in range(n):
             idx_lo = [slice(None)] * n
             idx_hi = [slice(None)] * n
@@ -505,11 +544,10 @@ def run(
         while t < config.t_end - _TIME_SLOP * max(1.0, config.t_end):
             dt = min(eng.dt, config.t_end - t)
             if record_sandwich:
-                op_reg = eng.operator(u, "regularized")
-                op_min = eng.operator(u, "envelope_min")
-                op_max = eng.operator(u, "envelope_max")
+                op_reg, op_min, op_max = eng.operators(u, SCHEMES)
+                new = eng._euler(u, dt, op_reg)
                 base = u[inner]
-                upd = base - dt * op_reg
+                upd = new[inner]
                 hi = base - dt * op_min  # smallest operator -> largest update
                 lo = base - dt * op_max
                 violation = max(
@@ -517,7 +555,9 @@ def run(
                     float(np.max(lo - upd, initial=0.0)),
                     float(np.max(upd - hi, initial=0.0)),
                 )
-            u = eng.advance(u, dt)
+                u = new
+            else:
+                u = eng.advance(u, dt)
             t += dt
             steps += 1
             if not np.all(np.isfinite(u)):

@@ -53,6 +53,26 @@ class TestConfigErrors:
         assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "scheme.cfl" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "section, key, value, field",
+        [
+            ("run", "t_end", float("nan"), "t_end"),
+            ("initial", "r", float("nan"), "initial.r"),
+            ("run", "snapshot_every", float("nan"), "snapshot_every"),
+            ("domain", "box", [[-2, float("inf")], [-2, 2], [-2, 2]], "box side"),
+            ("scheme", "delta_reg", float("nan"), "delta_reg"),
+        ],
+    )
+    def test_nonfinite_value_refused(self, tmp_path, capsys, section, key, value, field):
+        # json writes NaN and Infinity, and json.load accepts them
+        doc = {**SMALL_RUN, section: {**SMALL_RUN.get(section, {}), key: value}}
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "o"
+        assert main(["evolve", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert field in err and "finite" in err
+        assert not out.exists()
+
     def test_invalid_group_matrices(self, tmp_path, capsys):
         doc = {"group": {"m": 2, "n": 3, "B": [[[0, 1], [1, 0]]]}}
         cfg = write_config(tmp_path, doc)

@@ -1,5 +1,8 @@
 """Grid solver: stencils, schemes, stability, fronts, and CSV output."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -69,6 +72,21 @@ class TestSolverConfig:
         with pytest.raises(ValueError, match="scheme"):
             config(scheme="upwind")
 
+    @pytest.mark.parametrize(
+        "field, build",
+        [
+            ("t_end", lambda: config(t_end=math.inf)),
+            ("snapshot_every", lambda: config(snapshot_every=math.inf)),
+            ("eps_sing", lambda: config(eps_sing=math.nan)),
+            ("delta_reg", lambda: config(delta_reg=-math.inf)),
+            ("box side", lambda: SolverConfig(HEIS, BOX[:2] + ((math.nan, 2.0),), (12,) * 3)),
+            ("initial.r", lambda: InitialSpec(r=math.inf)),
+        ],
+    )
+    def test_nonfinite_values_rejected(self, field, build):
+        with pytest.raises(ValueError, match=f"{field}.* must be finite"):
+            build()
+
     def test_default_regularization_scales_with_box(self):
         cfg = config()
         assert cfg.delta_reg_effective == pytest.approx(1e-6 * np.sqrt(48.0))
@@ -129,6 +147,20 @@ class TestEngine:
         with Engine(config()) as eng:
             assert eng.workers == 5
 
+    def test_workers_default_to_one(self, monkeypatch):
+        monkeypatch.delenv(solver.WORKERS_ENV_VAR, raising=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with Engine(config()) as eng:
+                assert eng.workers == 1
+
+    @pytest.mark.parametrize("raw", ["abc", "0", "-3"])
+    def test_invalid_worker_count_warns(self, monkeypatch, raw):
+        monkeypatch.setenv(solver.WORKERS_ENV_VAR, raw)
+        with pytest.warns(RuntimeWarning, match=solver.WORKERS_ENV_VAR):
+            with Engine(config()) as eng:
+                assert eng.workers == 1
+
     def test_operator_independent_of_worker_count(self):
         u = init(config(res=16)).values
         with Engine(config(res=16), workers=1) as one, Engine(
@@ -138,6 +170,45 @@ class TestEngine:
                 np.testing.assert_array_equal(
                     one.operator(u, scheme), five.operator(u, scheme)
                 )
+
+    @pytest.mark.parametrize("chunk_nodes", [solver._CHUNK_NODES, 1000])
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("group", ["heisenberg", "m3n5"])
+    def test_shared_pass_matches_single_schemes(
+        self, request, monkeypatch, group, workers, chunk_nodes
+    ):
+        # gauge_ball at 32^3 with this eps_sing has singular nodes near the
+        # poles; m3n5 has two vertical directions (nv = 2).
+        # A budget of 1000 nodes is below one row, so chunks are single rows.
+        monkeypatch.setattr(solver, "_CHUNK_NODES", chunk_nodes)
+        if group == "heisenberg":
+            cfg = config(res=32, eps_sing=0.05, initial=InitialSpec(preset="gauge_ball"))
+        else:
+            g = request.getfixturevalue("m3n5")
+            cfg = SolverConfig(g, ((-2.0, 2.0),) * 5, (10,) * 5,
+                               initial=InitialSpec(preset="gauge_ball"))
+        u = init(cfg).values
+        with Engine(cfg, workers=workers) as eng:
+            assert len(eng.chunks) > 1
+            shared = eng.operators(u, solver.SCHEMES)
+            for scheme, op in zip(solver.SCHEMES, shared):
+                np.testing.assert_array_equal(op, eng.operator(u, scheme))
+            if group == "heisenberg":
+                qq = eng._derivatives(u, 1, cfg.resolution[0] - 1)[1]
+                assert np.count_nonzero(qq <= eng.eps2) > 0
+
+    def test_sandwich_run_differentiates_once_per_step(self, monkeypatch):
+        rows = []
+        derivatives = Engine._derivatives
+
+        def counted(self, u, r0, r1):
+            rows.extend(range(r0, r1))
+            return derivatives(self, u, r0, r1)
+
+        monkeypatch.setattr(Engine, "_derivatives", counted)
+        res = run(config(res=12), record_sandwich=True)
+        assert res.n_steps > 1
+        assert sorted(rows) == sorted(list(range(1, 11)) * res.n_steps)
 
     def test_operator_rejects_unknown_scheme(self):
         with Engine(config()) as eng:
