@@ -49,6 +49,8 @@ from .calculus import (
     numeric_jet,
     horizontal_gradient,
     horizontal_hessian,
+    OperatorBounds,
+    operator_bounds,
     mcf_operator_F,
     envelope_lower,
     envelope_upper,

@@ -13,6 +13,9 @@ B x_h . x_h = 0 and |B x_h| = |x_h| that the closed forms rely on.  Note
 the profile gauge used here is G = |x_h|^4 + 4 |x_v|^2, with coefficient 4
 on the vertical part (not the coefficient 1 of the norm gauge N); the
 printed operator constants belong to this normalization.
+
+Closed forms and region predicates act on one point (shape (n,)) or on a
+batch (shape (P, n)), returning one value, vector or matrix per point.
 """
 from __future__ import annotations
 
@@ -23,14 +26,17 @@ import numpy as np
 import numpy.typing as npt
 
 from .calculus import (
-    Coord,
     Const,
     ScalarField,
     TimeVar,
+    horizontal_gradient,
+    horizontal_hessian,
+    operator_bounds,
+    refuse_points,
     sq_norm,
     sqrt,
 )
-from .groups import GroupSpec, homogeneous_norm, require_heisenberg_like
+from .groups import GroupSpec, homogeneous_norm, require_heisenberg_like, sigma
 
 __all__ = [
     "BarrierSpec",
@@ -83,9 +89,9 @@ class BarrierEval:
         field: exact space-time evaluator for u(x, t).
         classification: "solution", "supersolution", "subsolution", or
             "none" when the drift c certifies neither inequality.
-        region: predicate marking where the classification applies (the
-            characteristic set x_h = 0 is handled separately by the
-            point-verdict layer).
+        region: predicate marking where the classification applies, one bool
+            per point (the characteristic set x_h = 0 is handled separately
+            by the point-verdict layer).
         closed_form_operator: x -> u_t + F(Xu, X2u), defined for x_h != 0.
         closed_hgrad: x -> Xu, the closed-form horizontal gradient.
         closed_hhess: x -> X2u, the closed-form horizontal Hessian.
@@ -100,13 +106,20 @@ class BarrierEval:
     closed_hhess: Callable[[npt.NDArray], npt.NDArray]
 
 
-def _split(g: GroupSpec, x) -> tuple[npt.NDArray, npt.NDArray]:
-    return g.split(np.asarray(x, dtype=float))
+def _sq(v: npt.NDArray) -> npt.NDArray:
+    """Squared Euclidean length along the trailing axis."""
+    return np.sum(v * v, axis=-1)
 
 
-def _require_noncharacteristic(xh: npt.NDArray) -> None:
-    if float(xh @ xh) == 0.0:
-        raise ValueError("closed-form operator is undefined on the axis x_h = 0")
+def _everywhere(x) -> npt.NDArray:
+    return np.ones(np.shape(x)[:-1], dtype=bool)[()]
+
+
+def _horizontal_sq(g: GroupSpec, x) -> npt.NDArray:
+    """|x_h|^2, refusing points on the axis x_h = 0 where F is undefined."""
+    hsq = _sq(g.split(x)[0])
+    refuse_points(x, hsq == 0.0, "closed-form operator is undefined on the axis x_h = 0")
+    return hsq
 
 
 # ------------------------------------------------------------- cylinder ---
@@ -132,23 +145,20 @@ def make_cylinder(g: GroupSpec, c: float, r: float) -> BarrierEval:
     else:
         classification = "subsolution"
 
-    def operator(x) -> float:
-        xh, _ = _split(g, x)
-        _require_noncharacteristic(xh)
-        return c + 2.0 * (m - 1)
+    def operator(x):
+        return np.full(np.shape(_horizontal_sq(g, x)), c + 2.0 * (m - 1))[()]
 
     def hgrad(x) -> npt.NDArray:
-        xh, _ = _split(g, x)
-        return -2.0 * xh
+        return -2.0 * g.split(x)[0]
 
     def hhess(x) -> npt.NDArray:
-        return -2.0 * np.eye(m)
+        return np.broadcast_to(-2.0 * np.eye(m), np.shape(x)[:-1] + (m, m)).copy()
 
     return BarrierEval(
         spec=BarrierSpec("cylinder", c, r, g),
         field=field,
         classification=classification,
-        region=lambda x: True,
+        region=_everywhere,
         closed_form_operator=operator,
         closed_hgrad=hgrad,
         closed_hhess=hhess,
@@ -163,29 +173,36 @@ def _gauge_expr(g: GroupSpec):
     return sq_norm(range(g.m)) ** 2 + 4.0 * sq_norm(range(g.m, g.n))
 
 
-def gauge_profile_value(g: GroupSpec, x) -> float:
+def gauge_profile_value(g: GroupSpec, x):
     """G(x) = |x_h|^4 + 4 |x_v|^2."""
-    xh, xv = _split(g, x)
-    return float(np.dot(xh, xh) ** 2 + 4.0 * np.dot(xv, xv))
+    xh, xv = g.split(x)
+    return _sq(xh) ** 2 + 4.0 * _sq(xv)
 
 
-def gauge_profile_hgrad(g: GroupSpec, x) -> npt.NDArray:
-    """XG = 4 |x_h|^2 x_h + 8 sum_k (x_v)_k B^(k) x_h."""
-    xh, xv = _split(g, x)
-    out = 4.0 * float(xh @ xh) * xh
-    for k in range(g.nv):
-        out = out + 8.0 * xv[k] * (g.B[k] @ xh)
-    return out
+def gauge_profile_hgrad(g: GroupSpec, x, weight: float = 4.0) -> npt.NDArray:
+    """XG = 4 |x_h|^2 x_h + 8 sum_k (x_v)_k B^(k) x_h.
+
+    With weight w, the horizontal gradient of |x_h|^4 + w |x_v|^2 (the
+    vertical term becomes 2 w sum_k ...); w = 1 gives the norm gauge N.
+    """
+    xh, xv = g.split(x)
+    b = sigma(g, x)[..., g.m:, :]
+    return 4.0 * _sq(xh)[..., None] * xh + 2.0 * weight * np.einsum("...k,...ki->...i", xv, b)
 
 
-def gauge_profile_hhess(g: GroupSpec, x) -> npt.NDArray:
-    """X2G = 4 |x_h|^2 I + 8 x_h (x) x_h + 8 sum_k (B^(k) x_h) (x) (B^(k) x_h)."""
-    xh, _ = _split(g, x)
-    out = 4.0 * float(xh @ xh) * np.eye(g.m) + 8.0 * np.outer(xh, xh)
-    for k in range(g.nv):
-        b = g.B[k] @ xh
-        out += 8.0 * np.outer(b, b)
-    return out
+def gauge_profile_hhess(g: GroupSpec, x, weight: float = 4.0) -> npt.NDArray:
+    """X2G = 4 |x_h|^2 I + 8 x_h (x) x_h + 8 sum_k (B^(k) x_h) (x) (B^(k) x_h).
+
+    With weight w, the horizontal Hessian of |x_h|^4 + w |x_v|^2 (the last
+    term becomes 2 w sum_k ...); w = 1 gives the norm gauge N.
+    """
+    xh, _ = g.split(x)
+    b = sigma(g, x)[..., g.m:, :]
+    return (
+        4.0 * _sq(xh)[..., None, None] * np.eye(g.m)
+        + 8.0 * np.einsum("...i,...j->...ij", xh, xh)
+        + 2.0 * weight * np.einsum("...ki,...kj->...ij", b, b)
+    )
 
 
 def make_gauge(g: GroupSpec, c: float, r: float) -> BarrierEval:
@@ -207,19 +224,16 @@ def make_gauge(g: GroupSpec, c: float, r: float) -> BarrierEval:
 
     if c >= 0:
         classification = "supersolution"
-        region = lambda x: True  # noqa: E731
+        region = _everywhere
     else:
         classification = "subsolution"
         radius_sq = -c / (4.0 * n)
 
-        def region(x) -> bool:
-            xh, _ = _split(g, x)
-            return float(xh @ xh) < radius_sq
+        def region(x):
+            return _sq(g.split(x)[0]) < radius_sq
 
-    def operator(x) -> float:
-        xh, _ = _split(g, x)
-        _require_noncharacteristic(xh)
-        return c + 4.0 * n * float(xh @ xh)
+    def operator(x):
+        return c + 4.0 * n * _horizontal_sq(g, x)
 
     return BarrierEval(
         spec=BarrierSpec("gauge", c, r, g),
@@ -253,28 +267,26 @@ def make_euclid_ball(g: GroupSpec, c: float, r: float) -> BarrierEval:
 
     if c >= level:
         classification = "supersolution"
-        region = lambda x: True  # noqa: E731
+        region = _everywhere
     else:
         classification = "subsolution"
         eps = (-c - 2.0 * (m - 1)) / 2.0
 
-        def region(x) -> bool:
-            xh, xv = _split(g, x)
-            return float(xh @ xh) < eps * (1.0 + float(xv @ xv))
+        def region(x):
+            xh, xv = g.split(x)
+            return _sq(xh) < eps * (1.0 + _sq(xv))
 
-    def operator(x) -> float:
-        xh, xv = _split(g, x)
-        _require_noncharacteristic(xh)
-        return c + 2.0 * (m - 1) + 2.0 * float(xh @ xh) / (1.0 + float(xv @ xv))
+    def operator(x):
+        hsq = _horizontal_sq(g, x)
+        return c + 2.0 * (m - 1) + 2.0 * hsq / (1.0 + _sq(g.split(x)[1]))
 
     def hgrad(x) -> npt.NDArray:
-        xh, xv = _split(g, x)
-        return -2.0 * (xh + xv[0] * (g.B[0] @ xh))
+        xh, xv = g.split(x)
+        return -2.0 * (xh + xv[..., :1] * (xh @ g.B[0].T))
 
     def hhess(x) -> npt.NDArray:
-        xh, _ = _split(g, x)
-        b = g.B[0] @ xh
-        return -2.0 * (np.eye(m) + np.outer(b, b))
+        b = g.split(x)[0] @ g.B[0].T
+        return -2.0 * (np.eye(m) + np.einsum("...i,...j->...ij", b, b))
 
     return BarrierEval(
         spec=BarrierSpec("euclid_ball", c, r, g),
@@ -302,7 +314,7 @@ def make_sqrt_gauge(g: GroupSpec, c: float, r: float) -> BarrierEval:
     require_heisenberg_like(g)
     n = g.n
 
-    def domain(x) -> bool:
+    def domain(x):
         return homogeneous_norm(g, x) > SQRT_GAUGE_EXCLUSION
 
     field = ScalarField(
@@ -316,21 +328,18 @@ def make_sqrt_gauge(g: GroupSpec, c: float, r: float) -> BarrierEval:
     else:
         classification = "none"
 
-    def operator(x) -> float:
-        xh, _ = _split(g, x)
-        _require_noncharacteristic(xh)
-        G = gauge_profile_value(g, x)
-        return c + 2.0 * n * float(xh @ xh) / np.sqrt(G)
+    def operator(x):
+        return c + 2.0 * n * _horizontal_sq(g, x) / np.sqrt(gauge_profile_value(g, x))
 
     def hgrad(x) -> npt.NDArray:
-        G = gauge_profile_value(g, x)
+        G = gauge_profile_value(g, x)[..., None]
         return -gauge_profile_hgrad(g, x) / (2.0 * np.sqrt(G))
 
     def hhess(x) -> npt.NDArray:
-        G = gauge_profile_value(g, x)
+        G = gauge_profile_value(g, x)[..., None, None]
         XG = gauge_profile_hgrad(g, x)
         X2G = gauge_profile_hhess(g, x)
-        return -(X2G / (2.0 * np.sqrt(G)) - np.outer(XG, XG) / (4.0 * G ** 1.5))
+        return -(X2G / (2.0 * np.sqrt(G)) - np.einsum("...i,...j->...ij", XG, XG) / (4.0 * G ** 1.5))
 
     return BarrierEval(
         spec=BarrierSpec("sqrt_gauge", c, r, g),
@@ -430,42 +439,34 @@ psi_s_plus_s3 = SmoothMap1D(
 )
 
 
-def _curv_op(q: npt.NDArray, A: npt.NDArray) -> float:
-    qq = float(q @ q)
-    return float(-np.trace(A) + (q @ A @ q) / qq)
-
-
 def change_of_variables_check(
     g: GroupSpec, U: ScalarField, psi: SmoothMap1D, x, t: float = 0.0
-) -> float:
+):
     """Relative residual of curv_op(psi(U)) = psi'(U) curv_op(U) at x.
 
     curv_op is the curvature part -tr[(I - qq/|q|^2) X2(.)]; the identity
     expresses that relabeling the level-set function rescales the operator
-    by psi'(U) — the geometric invariance the flow relies on.
+    by psi'(U) — the geometric invariance the flow relies on.  x is one
+    point (a float is returned) or a batch (one residual per point).
 
     Raises:
         ValueError: at points where XU = 0, or when psi is not increasing
-            at U(x).
+            at U(x); the message names the first such point.
     """
-    from .calculus import horizontal_gradient, horizontal_hessian
-
     x = np.asarray(x, dtype=float)
     j = U.jet(x, t)
     q = horizontal_gradient(g, j, x)
     A = horizontal_hessian(g, j, x)
-    if float(q @ q) == 0.0:
-        raise ValueError("change-of-variables check needs a noncharacteristic point")
-    d1 = psi.d1(j.value)
-    if not d1 > 0.0:
-        raise ValueError(f"psi must be increasing at U(x)={j.value:.6g}; psi'={d1:.6g}")
-    d2 = psi.d2(j.value)
+    refuse_points(x, _sq(q) == 0.0, "change-of-variables check needs a noncharacteristic point")
+    zero = np.zeros(np.shape(j.value))
+    d1 = psi.d1(j.value) + zero
+    refuse_points(x, ~(d1 > 0.0), "psi must be increasing at U(x)")
+    d2 = (psi.d2(j.value) + zero)[..., None, None]
     # second-order propagation through psi o U
-    qW = d1 * q
-    AW = d1 * A + d2 * np.outer(q, q)
-    lhs = _curv_op(qW, AW)
-    rhs = d1 * _curv_op(q, A)
-    return abs(lhs - rhs) / max(1.0, abs(rhs))
+    AW = d1[..., None, None] * A + d2 * np.einsum("...i,...j->...ij", q, q)
+    lhs = operator_bounds(d1[..., None] * q, AW).lower
+    rhs = d1 * operator_bounds(q, A).lower
+    return (np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs)))[()]
 
 
 def v_convexity_witness(g: GroupSpec, U: ScalarField, samples) -> float:
@@ -476,11 +477,6 @@ def v_convexity_witness(g: GroupSpec, U: ScalarField, samples) -> float:
     c t + U + r is a supersolution for every c >= -(m-1) alpha, and bounds
     the extinction time of {U < r} by r / ((m-1) alpha).
     """
-    from .calculus import horizontal_hessian
-
-    alpha = np.inf
-    for x in samples:
-        j = U.jet(np.asarray(x, dtype=float), 0.0)
-        A = horizontal_hessian(g, j, x)
-        alpha = min(alpha, float(np.linalg.eigvalsh(A)[0]))
-    return float(alpha)
+    x = np.asarray(samples, dtype=float).reshape(-1, g.n)
+    A = horizontal_hessian(g, U.jet(x, 0.0), x)
+    return float(np.min(np.linalg.eigvalsh(A)[:, 0], initial=np.inf))

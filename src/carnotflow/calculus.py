@@ -1,10 +1,12 @@
 """Horizontal calculus: jets, exact derivative propagation, and the operator.
 
 A :class:`Jet` carries value, full spatial gradient, full spatial Hessian and
-(optionally) the time derivative of a scalar field at one space-time point.
-Closed-form fields are represented as small expression trees
-(:class:`ScalarField`) that propagate second-order derivatives exactly;
-grid data gets jets from central differences (:func:`numeric_jet`).
+(optionally) the time derivative of a scalar field at one space-time point,
+or at a batch of P points given as a (P, n) array, where each entry gains a
+leading axis of length P.  Closed-form fields are small expression trees
+(:class:`ScalarField`) that propagate second-order derivatives exactly over
+a whole batch at once; one point is a batch of one.  Grid data gets jets
+from central differences (:func:`numeric_jet`).
 
 From a jet, the horizontal gradient and Hessian are
 
@@ -15,6 +17,8 @@ which is valid in step two: sigma depends only on x_h and the first-order
 correction terms cancel in the symmetrization.  The level-set curvature
 operator is F(q, A) = -tr[(I - qq/|q|^2) A]; at q = 0 it is replaced by its
 semicontinuous envelopes  -tr A + lambda_min(A)  and  -tr A + lambda_max(A).
+:func:`operator_bounds` evaluates both over a batch; the helpers after it
+call it.
 """
 from __future__ import annotations
 
@@ -40,6 +44,8 @@ __all__ = [
     "numeric_jet",
     "horizontal_gradient",
     "horizontal_hessian",
+    "OperatorBounds",
+    "operator_bounds",
     "mcf_operator_F",
     "envelope_lower",
     "envelope_upper",
@@ -52,22 +58,23 @@ HESS_SYMMETRY_TOL = 1e-12
 
 @dataclass(frozen=True)
 class Jet:
-    """Second-order data of a scalar field at one point.
+    """Second-order data of a scalar field at one point or a batch of points.
 
     Attributes:
-        value: field value.
-        grad: full spatial gradient, length n.
-        hess: full spatial Hessian, symmetric n x n.
-        dt: time derivative, or None when unknown (e.g. grid snapshots).
+        value: field value; float, or shape (P,) for a batch.
+        grad: full spatial gradient, shape (n,) or (P, n).
+        hess: full spatial Hessian, symmetric, shape (n, n) or (P, n, n).
+        dt: time derivative (float or (P,)), or None when unknown (e.g. grid
+            snapshots).
     """
 
-    value: float
+    value: float | npt.NDArray[np.float64]
     grad: npt.NDArray[np.float64]
     hess: npt.NDArray[np.float64]
-    dt: float | None = None
+    dt: float | npt.NDArray[np.float64] | None = None
 
     def __post_init__(self):
-        defect = np.abs(self.hess - self.hess.T).max() if self.hess.size else 0.0
+        defect = np.abs(self.hess - np.swapaxes(self.hess, -1, -2)).max() if self.hess.size else 0.0
         if defect > HESS_SYMMETRY_TOL:
             raise ValueError(f"Hessian must be symmetric; defect {defect:.3e}")
 
@@ -75,16 +82,17 @@ class Jet:
 # --------------------------------------------------------------------------
 # Expression trees with exact second-order forward propagation.
 #
-# Each node evaluates to (value, grad, hess, dt) over the n spatial
-# coordinates plus time.  Only the handful of forms the closed-form fields
-# need is implemented: constants, coordinates, time, sums, products, powers.
+# Each node evaluates at points x of shape (P, n) and time t (a number or
+# one per point) to (value, grad, hess, dt), broadcastable to (P,), (P, n),
+# (P, n, n) and (P,).  Only the handful of forms the closed-form fields need
+# is implemented: constants, coordinates, time, sums, products, powers.
 # --------------------------------------------------------------------------
 
 
 class Expr:
     """Base expression node; combine with +, -, *, ** and sqrt()."""
 
-    def eval(self, x: npt.NDArray, t: float) -> tuple[float, npt.NDArray, npt.NDArray, float]:
+    def eval(self, x: npt.NDArray, t) -> tuple:
         raise NotImplementedError
 
     # -- operator sugar ----------------------------------------------------
@@ -121,13 +129,20 @@ def _wrap(v) -> Expr:
     raise TypeError(f"cannot use {type(v).__name__} in an expression")
 
 
+def _zeros(x: npt.NDArray):
+    """Zero gradient and Hessian, broadcastable over the batch of x."""
+    n = x.shape[-1]
+    return np.zeros((1, n)), np.zeros((1, n, n))
+
+
 class Const(Expr):
-    def __init__(self, c: float):
-        self.c = float(c)
+    """A constant: one number, or one value per point of a batch, shape (P,)."""
+
+    def __init__(self, c):
+        self.c = np.asarray(c, dtype=float)
 
     def eval(self, x, t):
-        n = len(x)
-        return self.c, np.zeros(n), np.zeros((n, n)), 0.0
+        return (self.c, *_zeros(x), 0.0)
 
 
 class Coord(Expr):
@@ -137,18 +152,16 @@ class Coord(Expr):
         self.i = int(i)
 
     def eval(self, x, t):
-        n = len(x)
-        g = np.zeros(n)
-        g[self.i] = 1.0
-        return float(x[self.i]), g, np.zeros((n, n)), 0.0
+        g, H = _zeros(x)
+        g[0, self.i] = 1.0
+        return x[:, self.i], g, H, 0.0
 
 
 class TimeVar(Expr):
     """The time variable t."""
 
     def eval(self, x, t):
-        n = len(x)
-        return float(t), np.zeros(n), np.zeros((n, n)), 1.0
+        return (t, *_zeros(x), 1.0)
 
 
 class Sum(Expr):
@@ -156,15 +169,15 @@ class Sum(Expr):
         self.terms = terms
 
     def eval(self, x, t):
-        n = len(x)
-        v, g, H, dt = 0.0, np.zeros(n), np.zeros((n, n)), 0.0
+        v, g, H, dt = (0.0, *_zeros(x), 0.0)
         for term in self.terms:
             tv, tg, tH, tdt = term.eval(x, t)
-            v += tv
-            g += tg
-            H += tH
-            dt += tdt
+            v, g, H, dt = v + tv, g + tg, H + tH, dt + tdt
         return v, g, H, dt
+
+
+def _outer(a: npt.NDArray, b: npt.NDArray) -> npt.NDArray:
+    return a[..., :, None] * b[..., None, :]
 
 
 class Product(Expr):
@@ -175,10 +188,19 @@ class Product(Expr):
         av, ag, aH, adt = self.a.eval(x, t)
         bv, bg, bH, bdt = self.b.eval(x, t)
         v = av * bv
+        av, bv = np.asarray(av)[..., None], np.asarray(bv)[..., None]
         g = av * bg + bv * ag
-        H = av * bH + bv * aH + np.outer(ag, bg) + np.outer(bg, ag)
-        dt = av * bdt + bv * adt
+        H = av[..., None] * bH + bv[..., None] * aH + _outer(ag, bg) + _outer(bg, ag)
+        dt = av[..., 0] * bdt + bv[..., 0] * adt
         return v, g, H, dt
+
+
+def refuse_points(x: npt.NDArray, bad, message: str) -> None:
+    """Raise ValueError naming the first point of x (shape (n,) or (P, n)) where bad holds."""
+    points = np.reshape(x, (-1, np.shape(x)[-1]))
+    bad = np.broadcast_to(bad, points.shape[:1])
+    if np.any(bad):
+        raise ValueError(f"{message} at point {points[np.argmax(bad)]}")
 
 
 class Power(Expr):
@@ -188,22 +210,20 @@ class Power(Expr):
         self.base, self.p = base, float(p)
 
     def eval(self, x, t):
-        uv, ug, uH, udt = self.base.eval(x, t)
         p = self.p
         if p == 0.0:
-            n = len(x)
-            return 1.0, np.zeros(n), np.zeros((n, n)), 0.0
-        if p != round(p) and uv <= 0.0:
-            raise ValueError(
-                f"fractional power {p} of a non-positive base {uv:.3e}"
-            )
-        if p == round(p) and p < 2 and uv == 0.0 and p != 1.0:
-            raise ValueError(f"power {p} undefined at base 0")
+            return (1.0, *_zeros(x), 0.0)
+        uv, ug, uH, udt = self.base.eval(x, t)
+        uv = np.asarray(uv)
+        if p != round(p):
+            refuse_points(x, uv <= 0.0, f"fractional power {p} of a non-positive base")
+        elif p < 2 and p != 1.0:
+            refuse_points(x, uv == 0.0, f"power {p} undefined at base 0")
         v = uv ** p
         du = p * uv ** (p - 1)
-        d2u = p * (p - 1) * uv ** (p - 2) if p != 1.0 else 0.0
-        g = du * ug
-        H = du * uH + d2u * np.outer(ug, ug)
+        d2u = p * (p - 1) * uv ** (p - 2) if p != 1.0 else np.zeros_like(uv)
+        g = du[..., None] * ug
+        H = du[..., None, None] * uH + d2u[..., None, None] * _outer(ug, ug)
         return v, g, H, du * udt
 
 
@@ -223,8 +243,10 @@ class ScalarField:
     Args:
         expr: expression tree in the coordinates Coord(0..n-1) and TimeVar().
         group: the ambient group (fixes n and the horizontal split).
-        domain: optional predicate point -> bool marking where jets are
-            trustworthy; evaluation outside raises ValueError.
+        domain: optional predicate marking where jets are trustworthy; it gets
+            the points as passed to :meth:`jet`, (n,) or (P, n), indexes them
+            as x[..., i] and returns one bool per point.  Evaluation at a
+            point outside raises ValueError.
     """
 
     def __init__(self, expr: Expr, group: GroupSpec, domain=None):
@@ -232,23 +254,30 @@ class ScalarField:
         self.group = group
         self.domain = domain
 
-    def jet(self, x: npt.NDArray, t: float = 0.0) -> Jet:
+    def jet(self, x: npt.NDArray, t=0.0) -> Jet:
+        """Exact jet at one point x (n,), a batch of one, or at a batch (P, n).
+
+        t is a number or, for a batch, one time per point."""
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.group.n,):
-            raise ValueError(
-                f"point has shape {x.shape}, expected ({self.group.n},)"
-            )
-        if self.domain is not None and not self.domain(x):
-            raise ValueError(f"point {x} is outside the field's validity region")
-        v, g, H, dt = self.expr.eval(x, t)
-        H = 0.5 * (H + H.T)
+        n = self.group.n
+        if x.ndim not in (1, 2) or x.shape[-1] != n:
+            raise ValueError(f"point has shape {x.shape}, expected ({n},) or (P, {n})")
+        if self.domain is not None:
+            refuse_points(x, ~np.asarray(self.domain(x)), "outside the field's validity region")
+        X = x.reshape(-1, n)
+        shapes = ((len(X),), (len(X), n), (len(X), n, n), (len(X),))
+        out = self.expr.eval(X, np.asarray(t, dtype=float))
+        v, g, H, dt = (np.array(np.broadcast_to(a, s)) for a, s in zip(out, shapes))
+        H = 0.5 * (H + np.swapaxes(H, -1, -2))
+        if x.ndim == 1:
+            return Jet(value=float(v[0]), grad=g[0], hess=H[0], dt=float(dt[0]))
         return Jet(value=v, grad=g, hess=H, dt=dt)
 
-    def __call__(self, x: npt.NDArray, t: float = 0.0) -> float:
+    def __call__(self, x: npt.NDArray, t=0.0):
         return self.jet(x, t).value
 
 
-def exact_jet(f: ScalarField, x: npt.NDArray, t: float = 0.0) -> Jet:
+def exact_jet(f: ScalarField, x: npt.NDArray, t=0.0) -> Jet:
     """Exact jet of a closed-form field via second-order propagation."""
     return f.jet(x, t)
 
@@ -303,39 +332,72 @@ def numeric_jet(grid: "GridField", node: tuple[int, ...]) -> Jet:
 
 
 def horizontal_gradient(g: GroupSpec, j: Jet, x: npt.NDArray) -> npt.NDArray:
-    """Horizontal gradient Xu = grad . sigma(x), a length-m vector."""
-    return j.grad @ sigma(g, x)
+    """Horizontal gradient Xu = grad . sigma(x), shape (m,) or (P, m)."""
+    return np.einsum("...a,...ai->...i", j.grad, sigma(g, x))
 
 
 def horizontal_hessian(g: GroupSpec, j: Jet, x: npt.NDArray) -> npt.NDArray:
-    """Horizontal Hessian X2u = t(sigma) hess sigma, symmetrized m x m."""
+    """Horizontal Hessian X2u = t(sigma) hess sigma, symmetrized, (m, m) or (P, m, m)."""
     s = sigma(g, x)
-    A = s.T @ j.hess @ s
-    return 0.5 * (A + A.T)
+    A = np.swapaxes(s, -1, -2) @ j.hess @ s
+    return 0.5 * (A + np.swapaxes(A, -1, -2))
 
 
-def mcf_operator_F(q: npt.NDArray, A: npt.NDArray) -> float:
-    """Curvature operator F(q, A) = -tr[(I - qq/|q|^2) A].
+class OperatorBounds(NamedTuple):
+    """F and its envelopes at each point of a batch; see :func:`operator_bounds`."""
 
-    Raises:
-        ValueError: when |q| = 0; callers must route singular states to the
-            envelopes instead.
+    lower: npt.NDArray
+    upper: npt.NDArray
+    regular: npt.NDArray
+    spectral: npt.NDArray
+
+
+def operator_bounds(q: npt.NDArray, A: npt.NDArray, eps_sing: float = 0.0) -> OperatorBounds:
+    """The curvature operator F(q, A) and its envelopes, over a batch.
+
+    q has shape (..., m) and A (..., m, m).  Where |q| > eps_sing (regular),
+    lower and upper both hold F(q, A) = -tr A + q.A.q/|q|^2; elsewhere they
+    hold the envelopes -tr A + lambda_min(A) and -tr A + lambda_max(A), from
+    one batched eigvalsh, and spectral holds max |lambda(A)| (0 at regular
+    points).  For one point (q of shape (m,)) every entry is a scalar.
     """
     q = np.asarray(q, dtype=float)
-    qq = float(q @ q)
-    if qq == 0.0:
+    A = np.asarray(A, dtype=float)
+    qq = np.einsum("...i,...i->...", q, q)
+    trA = np.asarray(np.trace(A, axis1=-2, axis2=-1))
+    regular = np.asarray(np.sqrt(qq) > eps_sing)
+    F = -trA + np.einsum("...i,...ij,...j->...", q, A, q) / np.where(regular, qq, 1.0)
+    lower, upper, spectral = np.array(F), np.array(F), np.zeros(F.shape)
+    sing = ~regular
+    if np.any(sing):
+        eig = np.linalg.eigvalsh(A[sing])
+        lower[sing] = -trA[sing] + eig[:, 0]
+        upper[sing] = -trA[sing] + eig[:, -1]
+        spectral[sing] = np.maximum(np.abs(eig[:, 0]), np.abs(eig[:, -1]))
+    return OperatorBounds(lower[()], upper[()], regular[()], spectral[()])
+
+
+def mcf_operator_F(q: npt.NDArray, A: npt.NDArray):
+    """Curvature operator F(q, A) = -tr[(I - qq/|q|^2) A], at one point or a batch.
+
+    Raises:
+        ValueError: when |q| = 0 at some point; callers must route singular
+            states to the envelopes instead.
+    """
+    bounds = operator_bounds(q, A)
+    if not np.all(bounds.regular):
         raise ValueError("F is undefined at a vanishing horizontal gradient")
-    return float(-np.trace(A) + (q @ A @ q) / qq)
+    return bounds.lower
 
 
-def envelope_lower(A: npt.NDArray) -> float:
+def envelope_lower(A: npt.NDArray):
     """Lower envelope of F at q = 0:  -tr A + lambda_min(A)."""
-    return float(-np.trace(A) + np.linalg.eigvalsh(A)[0])
+    return operator_bounds(np.zeros(np.shape(A)[:-1]), A).lower
 
 
-def envelope_upper(A: npt.NDArray) -> float:
+def envelope_upper(A: npt.NDArray):
     """Upper envelope of F at q = 0:  -tr A + lambda_max(A)."""
-    return float(-np.trace(A) + np.linalg.eigvalsh(A)[-1])
+    return operator_bounds(np.zeros(np.shape(A)[:-1]), A).upper
 
 
 class EnvelopePair(NamedTuple):
@@ -348,15 +410,15 @@ class EnvelopePair(NamedTuple):
 def full_operator_G(
     g: GroupSpec, x: npt.NDArray, j: Jet
 ) -> Union[float, EnvelopePair]:
-    """Spatial operator of the level-set equation at one point.
+    """Spatial operator of the level-set equation at one point or a batch.
 
-    Returns F(Xu, X2u) when the horizontal gradient is nonzero, otherwise an
-    :class:`EnvelopePair` with the lower/upper envelopes of X2u.  Singularity
-    is reported by the marker, never by an exception, so hot loops stay
-    branch-cheap.
+    At one point, returns F(Xu, X2u) when the horizontal gradient is
+    nonzero, otherwise an :class:`EnvelopePair` with the lower/upper
+    envelopes of X2u.  Singularity is reported by the marker, never by an
+    exception.  For a batch, returns an EnvelopePair of arrays whose two
+    entries both equal F at the regular points.
     """
-    q = horizontal_gradient(g, j, x)
-    A = horizontal_hessian(g, j, x)
-    if float(q @ q) > 0.0:
-        return mcf_operator_F(q, A)
-    return EnvelopePair(envelope_lower(A), envelope_upper(A))
+    bounds = operator_bounds(horizontal_gradient(g, j, x), horizontal_hessian(g, j, x))
+    if np.ndim(bounds.lower) == 0 and bounds.regular:
+        return bounds.lower
+    return EnvelopePair(bounds.lower, bounds.upper)

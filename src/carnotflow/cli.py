@@ -54,10 +54,9 @@ from .calculus import (
     ScalarField,
     envelope_lower,
     envelope_upper,
-    exact_jet,
-    full_operator_G,
     horizontal_gradient,
     horizontal_hessian,
+    operator_bounds,
     sq_norm,
 )
 from .groups import (
@@ -242,55 +241,30 @@ def suite_group_axioms(
     """Group law axioms, dilation homomorphism, norm homogeneity,
     left-invariance of the gauge distance."""
     rng = np.random.default_rng(seed)
-    worst = {
-        "associativity": 0.0,
-        "identity": 0.0,
-        "inverse": 0.0,
-        "dilation-homomorphism": 0.0,
-        "norm-homogeneity": 0.0,
-        "distance-left-invariance": 0.0,
-    }
+    # one row per draw, in the order x, y, z, lam of one draw at a time
+    u = rng.random((samples, 3 * g.n + 1))
+    x, y, z = (-2.0 + 4.0 * u[:, i * g.n : (i + 1) * g.n] for i in range(3))
+    lam = 0.1 + (3.0 - 0.1) * u[:, -1]
     e = np.zeros(g.n)
-    for _ in range(samples):
-        x, y, z = (rng.uniform(-2, 2, size=g.n) for _ in range(3))
-        lam = float(rng.uniform(0.1, 3.0))
-        worst["associativity"] = max(
-            worst["associativity"],
-            float(np.max(np.abs(compose(g, compose(g, x, y), z) - compose(g, x, compose(g, y, z))))),
-        )
-        worst["identity"] = max(
-            worst["identity"],
-            float(np.max(np.abs(compose(g, x, e) - x))),
-            float(np.max(np.abs(compose(g, e, x) - x))),
-        )
-        worst["inverse"] = max(
-            worst["inverse"],
-            float(np.max(np.abs(compose(g, x, inverse(x))))),
-            float(np.max(np.abs(compose(g, inverse(x), x)))),
-        )
-        worst["dilation-homomorphism"] = max(
-            worst["dilation-homomorphism"],
-            float(
-                np.max(
-                    np.abs(
-                        dilate(g, lam, compose(g, x, y))
-                        - compose(g, dilate(g, lam, x), dilate(g, lam, y))
-                    )
-                )
-            ),
-        )
-        hn = homogeneous_norm(g, x)
-        worst["norm-homogeneity"] = max(
-            worst["norm-homogeneity"],
-            abs(homogeneous_norm(g, dilate(g, lam, x)) - lam * hn) / max(1.0, lam * hn),
-        )
-        worst["distance-left-invariance"] = max(
-            worst["distance-left-invariance"],
-            abs(
-                gauge_distance(g, compose(g, z, x), compose(g, z, y))
-                - gauge_distance(g, x, y)
-            ),
-        )
+
+    def largest(a):
+        return float(np.max(np.abs(a), initial=0.0))
+
+    hn = homogeneous_norm(g, x)
+    worst = {
+        "associativity": largest(compose(g, compose(g, x, y), z) - compose(g, x, compose(g, y, z))),
+        "identity": max(largest(compose(g, x, e) - x), largest(compose(g, e, x) - x)),
+        "inverse": max(largest(compose(g, x, inverse(x))), largest(compose(g, inverse(x), x))),
+        "dilation-homomorphism": largest(
+            dilate(g, lam, compose(g, x, y)) - compose(g, dilate(g, lam, x), dilate(g, lam, y))
+        ),
+        "norm-homogeneity": largest(
+            (homogeneous_norm(g, dilate(g, lam, x)) - lam * hn) / np.maximum(1.0, lam * hn)
+        ),
+        "distance-left-invariance": largest(
+            gauge_distance(g, compose(g, z, x), compose(g, z, y)) - gauge_distance(g, x, y)
+        ),
+    }
     lines = [f"{name}: worst deviation {dev:.3e}" for name, dev in worst.items()]
     return SuiteResult(
         f"group-axioms (m={g.m}, n={g.n}, {samples} draws, tol {tol:.0e})",
@@ -339,15 +313,22 @@ def _barrier_fixtures(g: GroupSpec, drifts: dict[str, float]) -> list[tuple[Barr
 
 
 def _sample_points(g: GroupSpec, rng, count: int, region=None, scale: float = 1.4):
-    pts = []
-    while len(pts) < count:
-        x = rng.uniform(-scale, scale, size=g.n)
-        if float(np.hypot(*x[: g.m]) if g.m == 2 else np.linalg.norm(x[: g.m])) < 1e-3:
-            continue
-        if region is not None and not region(x):
-            continue
-        pts.append(x)
-    return pts
+    """count uniform draws in [-scale, scale]^n with |x_h| >= 1e-3 inside region.
+
+    Candidates are filtered in blocks; the generator is then left just past
+    the last candidate used, as drawing one candidate at a time would.
+    """
+    state = rng.bit_generator.state
+    x, ok = np.empty((0, g.n)), np.zeros(0, dtype=bool)
+    while ok.sum() < count:
+        x = np.concatenate([x, rng.uniform(-scale, scale, size=(2 * count, g.n))])
+        ok = np.linalg.norm(x[:, : g.m], axis=-1) >= 1e-3
+        if region is not None:
+            ok &= np.broadcast_to(region(x), ok.shape)
+    used = int(np.flatnonzero(ok)[count - 1]) + 1
+    rng.bit_generator.state = state
+    rng.uniform(-scale, scale, size=(used, g.n))
+    return x[:used][ok[:used]]
 
 
 def suite_barriers(
@@ -368,17 +349,15 @@ def suite_barriers(
         spec = barrier.spec
         label = f"{spec.kind}(c={spec.c:g})"
         pts = _sample_points(g, rng, samples, region=barrier.region)
-        worst_op = worst_grad = worst_hess = 0.0
         t = 0.25
-        for x in pts:
-            j = exact_jet(barrier.field, x, t)
-            q = horizontal_gradient(g, j, x)
-            A = horizontal_hessian(g, j, x)
-            op_jet = j.dt + full_operator_G(g, x, j)
-            op_closed = barrier.closed_form_operator(x)
-            worst_op = max(worst_op, abs(op_jet - op_closed) / max(1.0, abs(op_closed)))
-            worst_grad = max(worst_grad, float(np.max(np.abs(q - barrier.closed_hgrad(x)))))
-            worst_hess = max(worst_hess, float(np.max(np.abs(A - barrier.closed_hhess(x)))))
+        j = barrier.field.jet(pts, t)
+        q = horizontal_gradient(g, j, pts)
+        A = horizontal_hessian(g, j, pts)
+        op_jet = j.dt + operator_bounds(q, A).lower
+        op_closed = barrier.closed_form_operator(pts)
+        worst_op = float(np.max(np.abs(op_jet - op_closed) / np.maximum(1.0, np.abs(op_closed))))
+        worst_grad = float(np.max(np.abs(q - barrier.closed_hgrad(pts))))
+        worst_hess = float(np.max(np.abs(A - barrier.closed_hhess(pts))))
         match_ok = max(worst_op, worst_grad, worst_hess) <= tol
         ok = ok and match_ok
         lines.append(
@@ -387,7 +366,7 @@ def suite_barriers(
         )
 
         if spec.kind == "cylinder" and expect == "solution":
-            worst_exact = max(abs(barrier.closed_form_operator(x)) for x in pts)
+            worst_exact = float(np.max(np.abs(op_closed)))
             exact_ok = worst_exact <= 1e-12
             ok = ok and exact_ok
             lines.append(
@@ -395,14 +374,7 @@ def suite_barriers(
                 f"({'ok' if exact_ok else 'NOT EXACT'})"
             )
 
-        report = sweep(
-            g,
-            barrier.field,
-            [(x, t) for x in pts],
-            expect=expect,
-            tolerance=tol,
-            region=barrier.region,
-        )
+        report = sweep(g, barrier.field, [(x, t) for x in pts], expect, tol, region=barrier.region)
         ok = ok and report.passed
         lines.append(f"{label}: {report.summary()}")
 
@@ -475,19 +447,25 @@ def suite_change_of_variables(
     rng = np.random.default_rng(seed)
     fields = _cov_families(g)
     maps: list[SmoothMap1D] = [psi_square, psi_sqrt, psi_s_plus_s3]
+    # draws (field, map, x) in blocks; x with |x_h| < 1e-3, or with U(x) <= 1e-6
+    # under a map that is increasing only for positive arguments, is redrawn
+    draws = []
+    while sum(len(x) for _, _, x in draws) < samples:
+        fi = rng.integers(len(fields), size=samples)
+        mi = rng.integers(len(maps), size=samples)
+        x = rng.uniform(-1.5, 1.5, size=(samples, g.n))
+        ok = np.linalg.norm(x[:, : g.m], axis=-1) >= 1e-3
+        for i, U in enumerate(fields):
+            sel = ok & (fi == i) & (mi < 2)
+            ok[sel] = U(x[sel]) > 1e-6
+        draws.append((fi[ok], mi[ok], x[ok]))
+    fi, mi, x = (np.concatenate(parts)[:samples] for parts in zip(*draws))
     worst = 0.0
-    count = 0
-    while count < samples:
-        U = fields[rng.integers(len(fields))]
-        psi = maps[rng.integers(len(maps))]
-        x = rng.uniform(-1.5, 1.5, size=g.n)
-        if np.linalg.norm(x[: g.m]) < 1e-3:
-            continue
-        value = U(x)
-        if psi in (psi_square, psi_sqrt) and value <= 1e-6:
-            continue  # stay inside the map's increasing domain
-        worst = max(worst, change_of_variables_check(g, U, psi, x))
-        count += 1
+    for i, U in enumerate(fields):
+        for k, psi in enumerate(maps):
+            sel = (fi == i) & (mi == k)
+            if np.any(sel):
+                worst = max(worst, float(np.max(change_of_variables_check(g, U, psi, x[sel]))))
     return SuiteResult(
         f"change-of-variables ({samples} draws, tol {tol:.0e})",
         worst <= tol,
@@ -567,52 +545,40 @@ def cmd_barrier(args) -> int:
     barrier = make_barrier(kind, g, c, r)
     expect = barrier.classification
 
-    lattice = args.lattice
-    axes = [np.linspace(-1.5, 1.5, lattice) for _ in range(g.n)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    points = np.stack([a.ravel() for a in mesh], axis=-1)
+    axes = [np.linspace(-1.5, 1.5, args.lattice)] * g.n
+    points = np.stack([a.ravel() for a in np.meshgrid(*axes, indexing="ij")], axis=-1)
 
-    rows = []
-    skipped_origin = 0
-    n_fail = 0
-    for x in points:
-        if np.linalg.norm(x[: g.m]) < 1e-6:
-            skipped_origin += 1
-            continue
-        if kind == "sqrt_gauge" and homogeneous_norm(g, x) <= 1e-8:
-            skipped_origin += 1
-            continue
-        in_region = barrier.region(x)
-        closed = barrier.closed_form_operator(x)
-        j = exact_jet(barrier.field, x, 0.0)
-        numeric = j.dt + full_operator_G(g, x, j)
-        verdict = check_point(g, barrier.field, x, 0.0)
-        if not in_region:
-            status = "outside-region"
-        else:
-            mismatch = abs(closed - numeric) > 1e-9 * max(1.0, abs(closed))
-            sign_ok = True
-            if expect in ("subsolution", "solution"):
-                sign_ok = sign_ok and verdict.sub_residual <= 1e-9
-            if expect in ("supersolution", "solution"):
-                sign_ok = sign_ok and verdict.super_residual >= -1e-9
-            status = "ok" if (sign_ok and not mismatch) else "fail"
-            if status == "fail":
-                n_fail += 1
-        rows.append([*x, closed, numeric, verdict.regime, status])
-    if not rows:
+    skip = np.linalg.norm(points[:, : g.m], axis=-1) < 1e-6
+    if kind == "sqrt_gauge":
+        skip |= homogeneous_norm(g, points) <= 1e-8
+    skipped_origin = int(np.sum(skip))
+    points = points[~skip]
+    if not len(points):
         raise ConfigError("barrier sampling produced no admissible points")
+    in_region = barrier.region(points)
+    closed = barrier.closed_form_operator(points)
+    # one jet batch: at the regular points the residual is u_t + F(Xu, X2u)
+    verdict = check_point(g, barrier.field, points, 0.0)
+    numeric = verdict.sub_residual
+    mismatch = np.abs(closed - numeric) > 1e-9 * np.maximum(1.0, np.abs(closed))
+    sign_ok = np.ones(len(points), dtype=bool)
+    if expect in ("subsolution", "solution"):
+        sign_ok &= verdict.sub_residual <= 1e-9
+    if expect in ("supersolution", "solution"):
+        sign_ok &= verdict.super_residual >= -1e-9
+    status = np.where(~in_region, "outside-region", np.where(sign_ok & ~mismatch, "ok", "fail"))
+    n_fail = int(np.sum(status == "fail"))
 
     out_dir = args.out or doc.get("run", {}).get("out_dir", "out")
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"barrier_{kind}.csv")
     with open(path, "w") as fh:
         fh.write(",".join([f"x{i+1}" for i in range(g.n)] + ["closed_op", "numeric_op", "regime", "verdict"]) + "\n")
-        for row in rows:
-            coords = ",".join(f"{v:.17g}" for v in row[: g.n + 2])
-            fh.write(f"{coords},{row[g.n + 2]},{row[g.n + 3]}\n")
+        for x, cl, nu, rg, st in zip(points, closed, numeric, verdict.regime, status):
+            coords = ",".join(f"{v:.17g}" for v in (*x, cl, nu))
+            fh.write(f"{coords},{rg},{st}\n")
     print(
-        f"{kind}(c={c:g}, r={r:g}) expected {expect}: {len(rows)} rows, "
+        f"{kind}(c={c:g}, r={r:g}) expected {expect}: {len(points)} rows, "
         f"{n_fail} failures, {skipped_origin} points skipped near the axis/origin -> {path}"
     )
     return 0 if n_fail == 0 else 1

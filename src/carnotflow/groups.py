@@ -15,9 +15,11 @@ whose k-th bottom row is t(B^(k) x_h).  Dilations delta_lam(x_h, x_v) =
 N(x) = |x_h|^4 + |x_v|^2 induces the homogeneous norm and the
 left-invariant gauge distance.
 
-Points are plain length-n float arrays; the (m, n-m) split lives on the
-:class:`GroupSpec`.  Everything here is immutable and pure, so all
-operations are safe for concurrent use.
+Points are float arrays whose trailing axis has length n; a single point is
+shape (n,), a batch of P points shape (P, n), and every operation below
+except the translation Jacobians acts on each point of a batch.  The
+(m, n-m) split lives on the :class:`GroupSpec`.  Everything here is
+immutable and pure, so all operations are safe for concurrent use.
 """
 from __future__ import annotations
 
@@ -70,11 +72,11 @@ class GroupSpec:
         return self.n - self.m
 
     def split(self, x: npt.NDArray) -> tuple[npt.NDArray, npt.NDArray]:
-        """Split a length-n point into its horizontal and vertical parts."""
+        """Split points (..., n) into horizontal (..., m) and vertical (..., n-m) parts."""
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.n,):
-            raise ValueError(f"point has shape {x.shape}, expected ({self.n},)")
-        return x[: self.m], x[self.m:]
+        if x.ndim == 0 or x.shape[-1] != self.n:
+            raise ValueError(f"point has shape {x.shape}, expected (..., {self.n})")
+        return x[..., : self.m], x[..., self.m:]
 
     def __repr__(self) -> str:  # B omitted: matrices are noisy in test output
         return f"GroupSpec(m={self.m}, n={self.n})"
@@ -94,8 +96,8 @@ def validate_spec(m: int, n: int, B_list) -> GroupSpec:
         A frozen :class:`GroupSpec`.
 
     Raises:
-        ValueError: on wrong dimensions, non-skew matrices, or a linearly
-            dependent family.
+        ValueError: on wrong dimensions, NaN or infinite entries, non-skew
+            matrices, or a linearly dependent family.
     """
     if m < 2:
         raise ValueError(f"horizontal dimension m must be >= 2, got {m}")
@@ -106,6 +108,8 @@ def validate_spec(m: int, n: int, B_list) -> GroupSpec:
         raise ValueError(
             f"expected {n - m} matrices of shape ({m},{m}), got array shape {B.shape}"
         )
+    if not np.all(np.isfinite(B)):
+        raise ValueError("bracket matrices B must have finite entries (NaN or inf found)")
     skew_defect = np.abs(B + np.transpose(B, (0, 2, 1))).max()
     if skew_defect > SKEW_TOL:
         raise ValueError(
@@ -155,7 +159,7 @@ def require_heisenberg_like(g: GroupSpec) -> GroupSpec:
 
 def bracket(g: GroupSpec, xh: npt.NDArray, yh: npt.NDArray) -> npt.NDArray:
     """Vertical bracket <B x_h, y_h>, component k = (B^(k) x_h) . y_h."""
-    return np.einsum("kij,j,i->k", g.B, xh, yh)
+    return np.einsum("kij,...j,...i->...k", g.B, xh, yh)
 
 
 def compose(g: GroupSpec, x: npt.NDArray, y: npt.NDArray) -> npt.NDArray:
@@ -163,14 +167,14 @@ def compose(g: GroupSpec, x: npt.NDArray, y: npt.NDArray) -> npt.NDArray:
 
     Args:
         g: ambient group.
-        x, y: length-n points.
+        x, y: points of shape (..., n); leading axes broadcast.
 
     Returns:
         The product (x_h + y_h, x_v + y_v + <B x_h, y_h>).
     """
     xh, xv = g.split(x)
     yh, yv = g.split(y)
-    return np.concatenate([xh + yh, xv + yv + bracket(g, xh, yh)])
+    return np.concatenate([xh + yh, xv + yv + bracket(g, xh, yh)], axis=-1)
 
 
 def inverse(x: npt.NDArray) -> npt.NDArray:
@@ -178,39 +182,41 @@ def inverse(x: npt.NDArray) -> npt.NDArray:
     return -np.asarray(x, dtype=float)
 
 
-def dilate(g: GroupSpec, lam: float, x: npt.NDArray) -> npt.NDArray:
-    """Dilation delta_lam(x) = (lam x_h, lam^2 x_v); requires lam > 0."""
-    if lam <= 0:
+def dilate(g: GroupSpec, lam, x: npt.NDArray) -> npt.NDArray:
+    """Dilation delta_lam(x) = (lam x_h, lam^2 x_v); lam > 0, a number or one per point."""
+    lam = np.asarray(lam, dtype=float)
+    if np.any(lam <= 0):
         raise ValueError(f"dilation factor must be positive, got {lam}")
     xh, xv = g.split(x)
-    return np.concatenate([lam * xh, lam * lam * xv])
+    lam = lam[..., None]
+    return np.concatenate([lam * xh, lam * lam * xv], axis=-1)
 
 
 def sigma(g: GroupSpec, x: npt.NDArray) -> npt.NDArray:
-    """Horizontal frame matrix sigma(x), shape (n, m).
+    """Horizontal frame matrix sigma(x), shape (..., n, m).
 
     The top block is I_m; row m+k is t(B^(k) x_h).  Its columns are the
     generating vector fields evaluated at x.
     """
     xh, _ = g.split(x)
-    out = np.zeros((g.n, g.m))
-    out[: g.m] = np.eye(g.m)
-    out[g.m:] = np.einsum("kij,j->ki", g.B, xh)
+    out = np.zeros(xh.shape[:-1] + (g.n, g.m))
+    out[..., : g.m, :] = np.eye(g.m)
+    out[..., g.m:, :] = np.einsum("kij,...j->...ki", g.B, xh)
     return out
 
 
-def gauge(g: GroupSpec, x: npt.NDArray) -> float:
-    """Quartic gauge N(x) = |x_h|^4 + |x_v|^2."""
+def gauge(g: GroupSpec, x: npt.NDArray):
+    """Quartic gauge N(x) = |x_h|^4 + |x_v|^2, one value per point."""
     xh, xv = g.split(x)
-    return float(np.dot(xh, xh) ** 2 + np.dot(xv, xv))
+    return np.sum(xh * xh, axis=-1) ** 2 + np.sum(xv * xv, axis=-1)
 
 
-def homogeneous_norm(g: GroupSpec, x: npt.NDArray) -> float:
+def homogeneous_norm(g: GroupSpec, x: npt.NDArray):
     """Homogeneous norm ||x|| = N(x)^(1/4); degree-1 under dilations."""
     return gauge(g, x) ** 0.25
 
 
-def gauge_distance(g: GroupSpec, x: npt.NDArray, y: npt.NDArray) -> float:
+def gauge_distance(g: GroupSpec, x: npt.NDArray, y: npt.NDArray):
     """Left-invariant gauge distance d(x, y) = ||x^{-1} o y||.
 
     Symmetric although the group is non-commutative: y^{-1} o x is
@@ -225,15 +231,13 @@ def left_translation_jacobian(g: GroupSpec, alpha: npt.NDArray) -> npt.NDArray:
     Both diagonal blocks are identities; lower-left row k equals
     t(B^(k) alpha_h), the derivative of x_h -> <B alpha_h, x_h>.
     """
-    ah, _ = g.split(alpha)
     J = np.eye(g.n)
-    J[g.m:, : g.m] = np.einsum("kij,j->ki", g.B, ah)
+    J[g.m:, : g.m] = sigma(g, alpha)[g.m:]
     return J
 
 
 def right_translation_jacobian(g: GroupSpec, alpha: npt.NDArray) -> npt.NDArray:
     """Jacobian of x -> x o alpha; lower-left row k equals t(-B^(k) alpha_h)."""
-    ah, _ = g.split(alpha)
     J = np.eye(g.n)
-    J[g.m:, : g.m] = -np.einsum("kij,j->ki", g.B, ah)
+    J[g.m:, : g.m] = -sigma(g, alpha)[g.m:]
     return J

@@ -413,22 +413,17 @@ class Engine:
         qAq = sum(q[j] * A[j, l] * q[l] for j in range(m) for l in range(m))
         return trA, qq, qAq, A
 
-    def _tail(self, scheme: str, trA, qq, qAq, A) -> npt.NDArray:
-        """One scheme's operator values from the derivative stage."""
-        if scheme == "regularized":
-            return -trA + qAq / (qq + self.delta2)
-
+    def _envelope_stage(self, trA, qq, qAq, A):
+        """Envelope F off the singular nodes, their indices, and eigvalsh(X2u) there (or None)."""
         mask = qq > self.eps2
-        out = -trA + qAq / np.where(mask, qq, 1.0)
         sing = np.nonzero(~mask)
+        eig = None
         if sing[0].size:
             Amat = np.empty((sing[0].size, self.m, self.m))
             for j, l in A:
                 Amat[:, j, l] = A[j, l][sing]
             eig = np.linalg.eigvalsh(Amat)
-            lam = eig[:, 0] if scheme == "envelope_min" else eig[:, -1]
-            out[sing] = -trA[sing] + lam
-        return out
+        return -trA + qAq / np.where(mask, qq, 1.0), sing, eig
 
     def operators(self, u: npt.NDArray, schemes: Sequence[str]) -> list[npt.NDArray]:
         """Op(u) on the interior for each scheme, from one derivative pass per chunk."""
@@ -436,12 +431,22 @@ class Engine:
             if scheme not in SCHEMES:
                 raise ValueError(f"unknown scheme {scheme!r}")
         outs = [np.empty(tuple(r - 2 for r in u.shape)) for _ in schemes]
+        envelopes = any(scheme != "regularized" for scheme in schemes)
 
         def fill(chunk: tuple[int, int]) -> None:
             r0, r1 = chunk
-            derivs = self._derivatives(u, r0, r1)
+            trA, qq, qAq, A = self._derivatives(u, r0, r1)
+            if envelopes:
+                env, sing, eig = self._envelope_stage(trA, qq, qAq, A)
             for out, scheme in zip(outs, schemes):
-                out[r0 - 1 : r1 - 1] = self._tail(scheme, *derivs)
+                block = out[r0 - 1 : r1 - 1]
+                if scheme == "regularized":
+                    block[...] = -trA + qAq / (qq + self.delta2)
+                    continue
+                block[...] = env
+                if eig is not None:
+                    lam = eig[:, 0] if scheme == "envelope_min" else eig[:, -1]
+                    block[sing] = -trA[sing] + lam
 
         mapper = map if self.workers == 1 else self._get_pool().map
         list(mapper(fill, self.chunks))
@@ -523,10 +528,15 @@ def run(
     """
     if record_sandwich and config.scheme != "regularized":
         raise ValueError("sandwich recording reads the regularized trajectory")
+    snapshots: list[GridField] = []
+
+    def emit(snap: GridField) -> None:
+        snapshots.append(snap)
+        if on_snapshot is not None:
+            on_snapshot(snap)
+
     grid = init(config)
-    snapshots = [grid]
-    if on_snapshot is not None:
-        on_snapshot(grid)
+    emit(grid)
     extinct: float | None = None
     violation = 0.0
     steps = 0
@@ -569,25 +579,16 @@ def run(
             if se > 0 and next_snap <= t + _TIME_SLOP:
                 while next_snap <= t + _TIME_SLOP:
                     next_snap += se
-                grid = GridField(config.box, u.copy(), t)
-                snapshots.append(grid)
-                if on_snapshot is not None:
-                    on_snapshot(grid)
+                emit(GridField(config.box, u.copy(), t))
                 emitted = True
             if not _has_positive_interior(u):
                 extinct = t
                 if not emitted:
-                    grid = GridField(config.box, u.copy(), t)
-                    snapshots.append(grid)
-                    if on_snapshot is not None:
-                        on_snapshot(grid)
+                    emit(GridField(config.box, u.copy(), t))
                 break
         else:
             if snapshots[-1].time < t - _TIME_SLOP:
-                grid = GridField(config.box, u.copy(), t)
-                snapshots.append(grid)
-                if on_snapshot is not None:
-                    on_snapshot(grid)
+                emit(GridField(config.box, u.copy(), t))
 
     return RunResult(
         snapshots,

@@ -12,6 +12,10 @@ is just f_t; otherwise the envelope residuals are necessary bounds
 (f_t + F_* for the subsolution side, f_t + F^* for the supersolution side)
 rather than a full two-sided test, and the verdict records that regime.
 
+Every check runs on a batch: one exact-jet evaluation over a (P, n) array
+of points, one batched operator evaluation, and array reductions; the
+single-point APIs are batches of one.
+
 The module also provides the homogeneous-norm lemma checks (closed-form
 horizontal derivatives of N = |x_h|^4 + |x_v|^2 and the x/y symmetry of the
 derivatives of the gauge distance to the fourth power) and the admissibility
@@ -29,14 +33,15 @@ import numpy.typing as npt
 from .calculus import (
     Coord,
     Const,
+    Expr,
     ScalarField,
-    envelope_lower,
-    envelope_upper,
     horizontal_gradient,
     horizontal_hessian,
+    operator_bounds,
     sq_norm,
 )
-from .groups import GroupSpec, compose, inverse
+from .barriers import gauge_profile_hgrad, gauge_profile_hhess
+from .groups import GroupSpec, compose, gauge, inverse
 
 __all__ = [
     "REGIME_REGULAR",
@@ -60,45 +65,44 @@ DEFAULT_EPS_SING = 1e-10
 
 @dataclass(frozen=True)
 class PointVerdict:
-    """Residuals of the flow equation for one field at one point.
+    """Residuals of the flow equation for one field at one point or a batch.
 
     sub_residual passes (as a subsolution) when <= tolerance; super_residual
     passes (as a supersolution) when >= -tolerance.  In the regular regime
     the two coincide; in the characteristic-nonnull-hessian regime they are
-    envelope bounds, not equivalent conditions.
+    envelope bounds, not equivalent conditions.  For a batch, x is (P, n)
+    and regime and the residuals hold one entry per point.
     """
 
     x: npt.NDArray
-    t: float
-    regime: str
-    sub_residual: float
-    super_residual: float
+    t: float | npt.NDArray
+    regime: str | npt.NDArray
+    sub_residual: float | npt.NDArray
+    super_residual: float | npt.NDArray
 
 
 def check_point(
     g: GroupSpec,
     f: ScalarField,
     x,
-    t: float = 0.0,
+    t=0.0,
     eps_sing: float = DEFAULT_EPS_SING,
 ) -> PointVerdict:
-    """Classify the point and evaluate the one-sided residuals of f there."""
+    """Classify the point(s) and evaluate the one-sided residuals of f there.
+
+    x is one point (n,) or a batch (P, n); t a number or one time per point.
+    """
     x = np.asarray(x, dtype=float)
     j = f.jet(x, t)
-    q = horizontal_gradient(g, j, x)
-    A = horizontal_hessian(g, j, x)
+    ops = operator_bounds(horizontal_gradient(g, j, x), horizontal_hessian(g, j, x), eps_sing)
     ft = 0.0 if j.dt is None else j.dt
-    qnorm = float(np.sqrt(q @ q))
-    if qnorm > eps_sing:
-        qhat = q / qnorm
-        val = ft - float(np.trace(A)) + float(qhat @ A @ qhat)
-        return PointVerdict(x, t, REGIME_REGULAR, val, val)
-    spectral = float(np.max(np.abs(np.linalg.eigvalsh(A))))
-    if spectral <= eps_sing:
-        return PointVerdict(x, t, REGIME_CHAR_NULL, ft, ft)
-    return PointVerdict(
-        x, t, REGIME_CHAR_ENVELOPE, ft + envelope_lower(A), ft + envelope_upper(A)
+    null = ~ops.regular & (ops.spectral <= eps_sing)
+    regime = np.where(
+        ops.regular, REGIME_REGULAR, np.where(null, REGIME_CHAR_NULL, REGIME_CHAR_ENVELOPE)
     )
+    sub = ft + np.where(null, 0.0, ops.lower)
+    sup = ft + np.where(null, 0.0, ops.upper)
+    return PointVerdict(x, t, regime[()], sub[()], sup[()])
 
 
 @dataclass
@@ -115,14 +119,17 @@ class SweepReport:
     worst_super_at: npt.NDArray | None = None
 
     def add(self, v: PointVerdict) -> None:
-        self.n_points += 1
-        self.regime_counts[v.regime] = self.regime_counts.get(v.regime, 0) + 1
-        if v.sub_residual > self.worst_sub:
-            self.worst_sub = v.sub_residual
-            self.worst_sub_at = v.x
-        if v.super_residual < self.worst_super:
-            self.worst_super = v.super_residual
-            self.worst_super_at = v.x
+        """Fold in one verdict or a batch; ties keep the earliest point."""
+        x, regime = np.atleast_2d(v.x), np.atleast_1d(v.regime)
+        sub, sup = np.atleast_1d(v.sub_residual), np.atleast_1d(v.super_residual)
+        self.n_points += len(regime)
+        for name in regime.tolist():
+            self.regime_counts[name] = self.regime_counts.get(name, 0) + 1
+        i, k = int(np.argmax(sub)), int(np.argmin(sup))
+        if sub[i] > self.worst_sub:
+            self.worst_sub, self.worst_sub_at = float(sub[i]), x[i]
+        if sup[k] < self.worst_super:
+            self.worst_super, self.worst_super_at = float(sup[k]), x[k]
 
     @property
     def passed(self) -> bool:
@@ -153,21 +160,26 @@ def sweep(
 ) -> SweepReport:
     """Run check_point over (x,) or (x, t) samples and summarize.
 
-    Points without an explicit time are evaluated at t = 0.  Samples where
-    the optional region predicate is False are skipped (barriers with a
-    region-restricted classification use this to stay on their own turf).
+    points is an iterable of samples or a (P, n) array.  Points without an
+    explicit time are evaluated at t = 0.  Samples where the optional
+    region predicate (called once on the (P, n) batch) is False are skipped
+    (barriers with a region-restricted classification use this to stay on
+    their own turf).  All kept samples are checked as one batch.
     """
     if expect not in ("subsolution", "supersolution", "solution"):
         raise ValueError(f"expect must be a classification, got {expect!r}")
-    report = SweepReport(expect=expect, tolerance=tolerance)
+    xs, ts = [], []
     for p in points:
-        if isinstance(p, tuple) and len(p) == 2 and np.ndim(p[0]) == 1:
-            x, t = p
-        else:
-            x, t = p, 0.0
-        x = np.asarray(x, dtype=float)
-        if region is not None and not region(x):
-            continue
+        timed = isinstance(p, tuple) and len(p) == 2 and np.ndim(p[0]) == 1
+        xs.append(p[0] if timed else p)
+        ts.append(p[1] if timed else 0.0)
+    x = np.asarray(xs, dtype=float).reshape(-1, g.n)
+    t = np.asarray(ts, dtype=float)
+    if region is not None:
+        keep = np.broadcast_to(region(x), t.shape)
+        x, t = x[keep], t[keep]
+    report = SweepReport(expect=expect, tolerance=tolerance)
+    if len(x):
         report.add(check_point(g, f, x, t, eps_sing))
     return report
 
@@ -180,55 +192,32 @@ def _norm_expr(g: GroupSpec):
     return sq_norm(range(g.m)) ** 2 + sq_norm(range(g.m, g.n))
 
 
-def _norm_hgrad_closed(g: GroupSpec, x) -> npt.NDArray:
-    xh, xv = g.split(np.asarray(x, dtype=float))
-    out = 4.0 * float(xh @ xh) * xh
-    for k in range(g.nv):
-        out = out + 2.0 * xv[k] * (g.B[k] @ xh)
-    return out
-
-
-def _norm_hhess_closed(g: GroupSpec, x) -> npt.NDArray:
-    xh, _ = g.split(np.asarray(x, dtype=float))
-    out = 4.0 * float(xh @ xh) * np.eye(g.m) + 8.0 * np.outer(xh, xh)
-    for k in range(g.nv):
-        b = g.B[k] @ xh
-        out += 2.0 * np.outer(b, b)
-    return out
-
-
-def _quartic_distance_expr(g: GroupSpec, base: npt.NDArray, vary: str):
+def _quartic_distance_expr(g: GroupSpec, base: npt.NDArray, vary: str) -> Expr:
     """d^4(x, y) = N(x^-1 o y) as an expression in one argument.
 
     vary="x": base plays y and the expression varies the first argument;
-    vary="y": base plays x and the expression varies the second.  Writing
-    z = x^-1 o y out in coordinates gives z_h = y_h - x_h and
+    vary="y": base plays x and the expression varies the second.  base is
+    one point (n,) or a batch (P, n); a batch gives one tree whose constants
+    hold one value per point, to be evaluated at a batch of the same P.
+    Writing z = x^-1 o y out in coordinates gives z_h = y_h - x_h and
     z_v,k = y_v,k - x_v,k - (B^(k) x_h) . y_h, and each component is affine
     in the varying argument.
     """
     m, nv = g.m, g.nv
     bh, bv = g.split(base)
-    hsq_terms = []
+    sign = 1.0 if vary == "y" else -1.0
+    hsq = None
     for j in range(m):
-        diff = (Coord(j) - Const(bh[j])) if vary == "y" else (Const(bh[j]) - Coord(j))
-        hsq_terms.append(diff * diff)
-    hsq = hsq_terms[0]
-    for term in hsq_terms[1:]:
-        hsq = hsq + term
+        diff = (Coord(j) - Const(bh[..., j])) if vary == "y" else (Const(bh[..., j]) - Coord(j))
+        hsq = diff * diff if hsq is None else hsq + diff * diff
     expr = hsq * hsq
     for k in range(nv):
-        if vary == "y":
-            # z_v,k = y_v,k - bv_k - (B^(k) bh) . y_h
-            inner = Coord(m + k) - Const(bv[k])
-            Bbh = g.B[k] @ bh
-            for j in range(m):
-                inner = inner - Const(Bbh[j]) * Coord(j)
-        else:
-            # z_v,k = bv_k - x_v,k - (B^(k) x_h) . bh = bv_k - x_v,k + x_h . (B^(k) bh)
-            inner = Const(bv[k]) - Coord(m + k)
-            Bbh = g.B[k] @ bh
-            for j in range(m):
-                inner = inner + Const(Bbh[j]) * Coord(j)
+        # vary="y": z_v,k = y_v,k - bv_k - (B^(k) bh) . y_h
+        # vary="x": z_v,k = bv_k - x_v,k - (B^(k) x_h) . bh = bv_k - x_v,k + x_h . (B^(k) bh)
+        Bbh = bh @ g.B[k].T
+        inner = sign * (Coord(m + k) - Const(bv[..., k]))
+        for j in range(m):
+            inner = inner - sign * Const(Bbh[..., j]) * Coord(j)
         expr = expr + inner * inner
     return expr
 
@@ -257,6 +246,11 @@ class NormLemmaReport:
         )
 
 
+def _worst(a) -> float:
+    """Largest entry of |a|, 0 for an empty array."""
+    return float(np.max(np.abs(a), initial=0.0))
+
+
 def check_norm_lemma(
     g: GroupSpec,
     n_points: int = 400,
@@ -275,55 +269,35 @@ def check_norm_lemma(
     """
     rng = np.random.default_rng(rng)
     N_field = ScalarField(_norm_expr(g), g)
-    worst_grad = worst_hess = worst_lb = worst_axis = 0.0
 
-    for _ in range(n_points):
-        x = rng.uniform(-scale, scale, size=g.n)
-        j = N_field.jet(x)
-        q = horizontal_gradient(g, j, x)
-        A = horizontal_hessian(g, j, x)
-        worst_grad = max(worst_grad, float(np.max(np.abs(q - _norm_hgrad_closed(g, x)))))
-        worst_hess = max(worst_hess, float(np.max(np.abs(A - _norm_hhess_closed(g, x)))))
-        xh, _ = g.split(x)
-        worst_lb = max(worst_lb, 16.0 * float(xh @ xh) ** 3 - float(q @ q))
+    # drawn in the order of one point at a time: x_i, then x_i, y_i per pair
+    x = rng.uniform(-scale, scale, size=(n_points, g.n))
+    j = N_field.jet(x)
+    q, A = horizontal_gradient(g, j, x), horizontal_hessian(g, j, x)
+    xh, xv = g.split(x)
+    axis_pt = np.concatenate([np.zeros_like(xh), xv], axis=-1)
+    ja = N_field.jet(axis_pt)
+    qa, Aa = horizontal_gradient(g, ja, axis_pt), horizontal_hessian(g, ja, axis_pt)
 
-        axis_pt = x.copy()
-        axis_pt[: g.m] = 0.0
-        ja = N_field.jet(axis_pt)
-        qa = horizontal_gradient(g, ja, axis_pt)
-        Aa = horizontal_hessian(g, ja, axis_pt)
-        worst_axis = max(worst_axis, float(np.max(np.abs(qa))), float(np.max(np.abs(Aa))))
-
-    worst_pg = worst_ph = 0.0
-    for _ in range(n_pairs):
-        x = rng.uniform(-scale, scale, size=g.n)
-        y = rng.uniform(-scale, scale, size=g.n)
-        fx = ScalarField(_quartic_distance_expr(g, y, vary="x"), g)
-        fy = ScalarField(_quartic_distance_expr(g, x, vary="y"), g)
-        jx = fx.jet(x)
-        jy = fy.jet(y)
-        qx = horizontal_gradient(g, jx, x)
-        qy = horizontal_gradient(g, jy, y)
-        Ax = horizontal_hessian(g, jx, x)
-        Ay = horizontal_hessian(g, jy, y)
-        # cross-check the expression trees really encode N(x^-1 o y)
-        z = compose(g, inverse(x), y)
-        ref = float((z[: g.m] @ z[: g.m]) ** 2 + z[g.m :] @ z[g.m :])
-        worst_pg = max(worst_pg, abs(jx.value - ref), abs(jy.value - ref))
-        worst_pg = max(
-            worst_pg, abs(float(np.sqrt(qx @ qx)) - float(np.sqrt(qy @ qy)))
-        )
-        worst_ph = max(worst_ph, float(np.max(np.abs(Ax - Ay))))
-
+    pairs = rng.uniform(-scale, scale, size=(n_pairs, 2, g.n))
+    px, py = pairs[:, 0], pairs[:, 1]
+    jx = ScalarField(_quartic_distance_expr(g, py, vary="x"), g).jet(px)
+    jy = ScalarField(_quartic_distance_expr(g, px, vary="y"), g).jet(py)
+    qx, qy = horizontal_gradient(g, jx, px), horizontal_gradient(g, jy, py)
+    # cross-check the expression trees really encode N(x^-1 o y)
+    ref = gauge(g, compose(g, inverse(px), py))
+    pair_grad = np.abs(np.sqrt(np.sum(qx * qx, axis=-1)) - np.sqrt(np.sum(qy * qy, axis=-1)))
     return NormLemmaReport(
         n_points=n_points,
         n_pairs=n_pairs,
-        worst_grad=worst_grad,
-        worst_hess=worst_hess,
-        worst_lower_bound=worst_lb,
-        worst_axis=worst_axis,
-        worst_pair_grad=worst_pg,
-        worst_pair_hess=worst_ph,
+        worst_grad=_worst(q - gauge_profile_hgrad(g, x, weight=1.0)),
+        worst_hess=_worst(A - gauge_profile_hhess(g, x, weight=1.0)),
+        worst_lower_bound=float(
+            np.max(16.0 * np.sum(xh * xh, axis=-1) ** 3 - np.sum(q * q, axis=-1), initial=0.0)
+        ),
+        worst_axis=max(_worst(qa), _worst(Aa)),
+        worst_pair_grad=max(_worst(jx.value - ref), _worst(jy.value - ref), _worst(pair_grad)),
+        worst_pair_hess=_worst(horizontal_hessian(g, jx, px) - horizontal_hessian(g, jy, py)),
     )
 
 
@@ -349,13 +323,7 @@ def restricted_test_class_filter(
     x = np.asarray(x, dtype=float)
     offsets = np.array([-rho, 0.0, rho])
     grids = np.meshgrid(*([offsets] * g.n), indexing="ij")
-    pts = np.stack([a.ravel() for a in grids], axis=-1)
-    for dx in pts:
-        p = x + dx
-        j = f.jet(p, t)
-        q = horizontal_gradient(g, j, p)
-        if float(np.sqrt(q @ q)) <= eps_sing:
-            A = horizontal_hessian(g, j, p)
-            if float(np.max(np.abs(np.linalg.eigvalsh(A)))) > eps_sing:
-                return False
-    return True
+    pts = x + np.stack([a.ravel() for a in grids], axis=-1)
+    j = f.jet(pts, t)
+    ops = operator_bounds(horizontal_gradient(g, j, pts), horizontal_hessian(g, j, pts), eps_sing)
+    return not np.any(~ops.regular & (ops.spectral > eps_sing))

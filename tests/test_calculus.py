@@ -3,7 +3,9 @@
 Jets from the expression layer are cross-checked against a plain
 central-difference oracle (independent of the propagation rules), and the
 horizontal quantities against hand values for the homogeneous-norm field
-N = |x_h|^4 + |x_v|^2.
+N = |x_h|^4 + |x_v|^2.  Batched evaluation over (P, n) arrays is checked
+row by row against the single-point path for every closed-form family the
+suites use.
 """
 
 import numpy as np
@@ -12,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from carnotflow import (
+    BARRIER_KINDS,
     Const,
     Coord,
     EnvelopePair,
@@ -26,11 +29,15 @@ from carnotflow import (
     heisenberg,
     horizontal_gradient,
     horizontal_hessian,
+    make_barrier,
     mcf_operator_F,
     numeric_jet,
     sq_norm,
     sqrt,
+    validate_spec,
 )
+from carnotflow.cli import _cov_families
+from carnotflow.verdicts import _norm_expr, _quartic_distance_expr
 
 HEIS = heisenberg()
 
@@ -259,3 +266,95 @@ def test_full_operator_matches_f_at_regular_point():
     q = horizontal_gradient(HEIS, j, x)
     A = horizontal_hessian(HEIS, j, x)
     assert out == pytest.approx(mcf_operator_F(q, A), abs=0)
+
+
+# ---------------------------------------------------------------------------
+# batches: one (P, n) evaluation equals P single-point evaluations
+# ---------------------------------------------------------------------------
+
+
+M3N5 = validate_spec(
+    3, 5, [[[0.0, 1, 0], [-1, 0, 0], [0, 0, 0]], [[0.0, 0, 1], [0, 0, 0], [-1, 0, 0]]]
+)
+
+
+def batch_fields(g):
+    """Every closed-form family the suites evaluate, on group g."""
+    kinds = BARRIER_KINDS if g.n == g.m + 1 else ("cylinder",)
+    fields = {f"barrier:{k}": make_barrier(k, g, c=-1.3, r=0.8).field for k in kinds}
+    fields["N"] = ScalarField(_norm_expr(g), g)
+    for i, U in enumerate(_cov_families(g)):
+        fields[f"cov:{i}"] = U
+    return fields
+
+
+def assert_rel_close(batch, single):
+    """|batch - single| <= 1e-13 relative to the largest entry of single."""
+    batch, single = np.asarray(batch), np.asarray(single)
+    assert np.max(np.abs(batch - single), initial=0.0) <= 1e-13 * np.max(np.abs(single), initial=0.0)
+
+
+def assert_jets_match(g, jb, row, single, x):
+    assert_rel_close(jb.value[row], single.value)
+    assert_rel_close(jb.grad[row], single.grad)
+    assert_rel_close(jb.hess[row], single.hess)
+    assert_rel_close(jb.dt[row], single.dt)
+    assert_rel_close(horizontal_gradient(g, jb, x)[row], horizontal_gradient(g, single, x[row]))
+    assert_rel_close(horizontal_hessian(g, jb, x)[row], horizontal_hessian(g, single, x[row]))
+
+
+@pytest.mark.parametrize("g", [HEIS, M3N5], ids=["heis", "m3n5"])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_batched_jets_equal_per_point_jets(g, data):
+    P = data.draw(st.integers(1, 6))
+    box = arrays(np.float64, (P, g.n), elements=st.floats(-1.5, 1.5, allow_nan=False))
+    x, base = data.draw(box), data.draw(box)
+    t = data.draw(arrays(np.float64, P, elements=st.floats(0.0, 1.0)))
+    # stay clear of the sqrt gauge's excluded origin and of sqrt(0)
+    x[np.linalg.norm(x[:, : g.m], axis=-1) < 1e-3, 0] = 0.5
+    for name, f in batch_fields(g).items():
+        jb = f.jet(x, t)
+        assert jb.value.shape == (P,) and jb.hess.shape == (P, g.n, g.n), name
+        for row in range(P):
+            assert_jets_match(g, jb, row, f.jet(x[row], t[row]), x)
+    for vary, at in (("x", x), ("y", base)):
+        other = base if vary == "x" else x
+        jb = ScalarField(_quartic_distance_expr(g, other, vary), g).jet(at)
+        for row in range(P):
+            single = ScalarField(_quartic_distance_expr(g, other[row], vary), g).jet(at[row])
+            assert_jets_match(g, jb, row, single, at)
+
+
+@pytest.mark.parametrize("g", [HEIS, M3N5], ids=["heis", "m3n5"])
+def test_norm_projections_vanish_exactly_on_axis(g):
+    x = np.random.default_rng(3).uniform(-2.0, 2.0, size=(50, g.n))
+    x[:, : g.m] = 0.0
+    j = ScalarField(_norm_expr(g), g).jet(x)
+    assert np.max(np.abs(horizontal_gradient(g, j, x))) == 0.0
+    assert np.max(np.abs(horizontal_hessian(g, j, x))) == 0.0
+
+
+def test_batch_refusal_names_the_point_outside_domain():
+    f = ScalarField(sq_norm(range(3)), HEIS, domain=lambda x: x[..., 0] > 0)
+    x = np.array([[0.5, 0.0, 0.0], [-0.5, 1.0, 2.0], [1.0, 1.0, 1.0]])
+    with pytest.raises(ValueError, match="validity region") as info:
+        f.jet(x)
+    assert str(x[1]) in str(info.value)
+    np.testing.assert_array_equal(f.jet(x[[0, 2]]).value, [0.25, 3.0])
+
+
+def test_batch_refusal_names_the_nonpositive_base():
+    f = ScalarField(sq_norm(range(2)) ** 0.5, HEIS)
+    x = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.7]])
+    with pytest.raises(ValueError, match="non-positive base") as info:
+        f.jet(x)
+    assert str(x[1]) in str(info.value)
+
+
+def test_batched_regions_match_per_point():
+    x = np.random.default_rng(4).uniform(-2.0, 2.0, size=(40, 3))
+    for kind in BARRIER_KINDS:
+        for c in (-13.0, -6.0, 0.0):
+            region = make_barrier(kind, HEIS, c=c, r=1.0).region
+            np.testing.assert_array_equal(region(x), [bool(region(p)) for p in x])

@@ -73,6 +73,16 @@ class TestConfigErrors:
         assert field in err and "finite" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["verify", "evolve"])
+    def test_nonfinite_group_matrices_refused(self, tmp_path, capsys, command):
+        doc = {**SMALL_RUN, "group": {"m": 2, "n": 3, "B": [[[0, float("nan")], [float("nan"), 0]]]}}
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg] + (["--out", str(out)] if command == "evolve" else [])) == 2
+        err = capsys.readouterr().err
+        assert "group.B" in err and "finite" in err
+        assert not out.exists()
+
     def test_invalid_group_matrices(self, tmp_path, capsys):
         doc = {"group": {"m": 2, "n": 3, "B": [[[0, 1], [1, 0]]]}}
         cfg = write_config(tmp_path, doc)

@@ -75,6 +75,12 @@ class TestValidateSpec:
         with pytest.raises(ValueError, match="dependent"):
             validate_spec(2, 4, [B, 2.0 * B])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_brackets(self, bad):
+        with pytest.raises(ValueError, match="bracket matrices B") as info:
+            validate_spec(2, 3, [[[0.0, bad], [-bad, 0.0]]])
+        assert "finite" in str(info.value)
+
     def test_rejects_zero_bracket(self):
         with pytest.raises(ValueError):
             validate_spec(2, 3, [np.zeros((2, 2))])

@@ -210,6 +210,31 @@ class TestEngine:
         assert res.n_steps > 1
         assert sorted(rows) == sorted(list(range(1, 11)) * res.n_steps)
 
+    def test_envelopes_share_one_eigvalsh_per_chunk(self, monkeypatch):
+        # one sandwich step on the gauge ball: every chunk pass with singular
+        # nodes decomposes their X2u once, for both envelope schemes
+        cfg = config(res=32, eps_sing=0.05, initial=InitialSpec(preset="gauge_ball"))
+        singular_chunks, eig_calls = [], []
+        derivatives, eigvalsh = Engine._derivatives, np.linalg.eigvalsh
+
+        def counted_derivatives(self, u, r0, r1):
+            out = derivatives(self, u, r0, r1)
+            singular_chunks.append(bool(np.any(out[1] <= self.eps2)))
+            return out
+
+        def counted_eigvalsh(a, *args, **kwargs):
+            eig_calls.append(len(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(Engine, "_derivatives", counted_derivatives)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+        u = init(cfg).values
+        with Engine(cfg) as eng:
+            eng.operators(u, solver.SCHEMES)
+            assert len(singular_chunks) == len(eng.chunks) > 1
+        assert sum(singular_chunks) > 0
+        assert len(eig_calls) == sum(singular_chunks)
+
     def test_operator_rejects_unknown_scheme(self):
         with Engine(config()) as eng:
             with pytest.raises(ValueError, match="scheme"):

@@ -118,6 +118,39 @@ class TestSweep:
         rep = sweep(HEIS, cylinder_field(-2.0), samples, expect="solution")
         assert rep.n_points == 2 and rep.passed
 
+    @pytest.mark.parametrize("which", ["norm", "weighted-cylinder"])
+    def test_batch_agrees_with_per_point_verdicts(self, which):
+        # random samples, every fifth on the axis x_h = 0: N is null-Hessian
+        # there, -(1 + x_v^2)|x_h|^2 has X2u = -2(1 + x_v^2) I != 0
+        rng = np.random.default_rng(12)
+        x = rng.uniform(-1.5, 1.5, size=(60, 3))
+        x[::5, :2] = 0.0
+        t = rng.uniform(0.0, 1.0, size=60)
+        if which == "norm":
+            f, axis_regime = norm_field(), REGIME_CHAR_NULL
+        else:
+            weight = Const(1.0) + sq_norm([2])
+            f = ScalarField(Const(-0.7) * TimeVar() - weight * sq_norm(range(2)), HEIS)
+            axis_regime = REGIME_CHAR_ENVELOPE
+        samples = list(zip(x, t))
+        rep = sweep(HEIS, f, samples, expect="solution", tolerance=np.inf)
+        single = [check_point(HEIS, f, p, s) for p, s in samples]
+        counts = {}
+        for v in single:
+            counts[v.regime] = counts.get(v.regime, 0) + 1
+        assert list(rep.regime_counts.items()) == list(counts.items())
+        assert counts[axis_regime] == 12 and counts[REGIME_REGULAR] == 48
+        subs = [v.sub_residual for v in single]
+        sups = [v.super_residual for v in single]
+        i, k = int(np.argmax(subs)), int(np.argmin(sups))
+        assert rep.worst_sub == pytest.approx(subs[i], rel=1e-13, abs=1e-13)
+        assert rep.worst_super == pytest.approx(sups[k], rel=1e-13, abs=1e-13)
+        np.testing.assert_array_equal(rep.worst_sub_at, x[i])
+        np.testing.assert_array_equal(rep.worst_super_at, x[k])
+        batch = check_point(HEIS, f, x, t)
+        np.testing.assert_array_equal(batch.regime, [v.regime for v in single])
+        np.testing.assert_allclose(batch.sub_residual, subs, rtol=1e-13, atol=1e-13)
+
     def test_expect_validated(self):
         with pytest.raises(ValueError, match="classification"):
             sweep(HEIS, cylinder_field(0.0), self._lattice(), expect="barrier")
