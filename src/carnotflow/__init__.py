@@ -20,6 +20,7 @@ from .groups import (
     GroupSpec,
     validate_spec,
     heisenberg,
+    m3n5,
     is_heisenberg_like,
     require_heisenberg_like,
     bracket,
@@ -45,7 +46,6 @@ from .calculus import (
     sqrt,
     sq_norm,
     ScalarField,
-    exact_jet,
     numeric_jet,
     horizontal_gradient,
     horizontal_hessian,
@@ -100,8 +100,6 @@ from .solver import (
     Engine,
     RunResult,
     run,
-    evolve,
-    extinction_time_numeric,
     FrontCloud,
     extract_front,
     IndicatorPair,
@@ -109,7 +107,6 @@ from .solver import (
     residual_on_exact,
     write_snapshot_csv,
     write_front_csv,
-    WORKERS_ENV_VAR,
 )
 
 __version__ = "0.1.0"

@@ -39,6 +39,8 @@ from .calculus import (
 from .groups import GroupSpec, homogeneous_norm, require_heisenberg_like, sigma
 
 __all__ = [
+    "BARRIER_KINDS",
+    "SQRT_GAUGE_EXCLUSION",
     "BarrierSpec",
     "BarrierEval",
     "make_cylinder",

@@ -39,8 +39,12 @@ __all__ = [
     "Const",
     "Coord",
     "TimeVar",
+    "Sum",
+    "Product",
+    "Power",
+    "sqrt",
+    "sq_norm",
     "ScalarField",
-    "exact_jet",
     "numeric_jet",
     "horizontal_gradient",
     "horizontal_hessian",
@@ -275,11 +279,6 @@ class ScalarField:
 
     def __call__(self, x: npt.NDArray, t=0.0):
         return self.jet(x, t).value
-
-
-def exact_jet(f: ScalarField, x: npt.NDArray, t=0.0) -> Jet:
-    """Exact jet of a closed-form field via second-order propagation."""
-    return f.jet(x, t)
 
 
 def numeric_jet(grid: "GridField", node: tuple[int, ...]) -> Jet:

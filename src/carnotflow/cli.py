@@ -10,7 +10,7 @@ write static outputs (text report, CSV files, an effective-config echo).
 
 Config sections (all optional, defaults in parentheses):
 
-    group   {"preset": "heisenberg"} or {"m", "n", "B": [matrix, ...]}
+    group   {"preset": "heisenberg" | "m3n5"} or {"m", "n", "B": [matrix, ...]}
     domain  {"box": [[lo, hi], ...] ([-2,2]^n), "resolution": [...] (32^n)}
     initial {"preset" ("cylinder"), "r" (1.0), "c" (kind default),
              "relabel" (null)}
@@ -21,13 +21,13 @@ Config sections (all optional, defaults in parentheses):
     verify  {"suites" (all), "samples" (500), "pairs" (200),
              "tolerance" (1e-9), "seed" (0), "barrier_drifts" ({})}
 
+Every section, and verify.barrier_drifts, must be a JSON object.
 verify.barrier_drifts overrides the drift constant c used for a kind's
 classified fixture (e.g. {"sqrt_gauge": 4.0}); it exists so a deliberately
 broken fixture demonstrably fails the suite.
 
 Exit codes: 0 all checks pass / run completed; 1 scientific failure or
-instability; 2 unusable config or arguments.  The worker-count environment
-variable (CARNOTFLOW_WORKERS) affects speed only, never results.
+instability; 2 unusable config or arguments.
 """
 from __future__ import annotations
 
@@ -68,6 +68,7 @@ from .groups import (
     homogeneous_norm,
     inverse,
     is_heisenberg_like,
+    m3n5,
     validate_spec,
 )
 from .solver import (
@@ -92,12 +93,19 @@ __all__ = [
     "suite_barriers",
     "suite_envelopes",
     "suite_change_of_variables",
-    "m3n5_spec",
 ]
 
 
 class ConfigError(Exception):
     """Config rejected; the message carries the offending field path."""
+
+
+def _section(parent: dict, path: str) -> dict:
+    """The object at the last key of a dotted path under parent; {} when absent."""
+    value = parent.get(path.rsplit(".", 1)[-1], {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path}: must be an object")
+    return value
 
 
 def _get(section: dict, path: str, key: str, default, caster=None):
@@ -130,23 +138,14 @@ def load_config(path: str | None) -> dict:
     return doc
 
 
-def m3n5_spec() -> GroupSpec:
-    """A step-two group beyond the Heisenberg family: m=3, two brackets."""
-    B1 = np.array([[0.0, 1, 0], [-1, 0, 0], [0, 0, 0]])
-    B2 = np.array([[0.0, 0, 1], [0, 0, 0], [-1, 0, 0]])
-    return validate_spec(3, 5, [B1, B2])
-
-
 def build_group(doc: dict) -> GroupSpec:
-    section = doc.get("group", {"preset": "heisenberg"})
-    if not isinstance(section, dict):
-        raise ConfigError("group: must be an object")
+    section = _section(doc, "group") if "group" in doc else {"preset": "heisenberg"}
     preset = section.get("preset")
     if preset is not None:
         if preset == "heisenberg":
             return heisenberg()
         if preset == "m3n5":
-            return m3n5_spec()
+            return m3n5()
         raise ConfigError(f"group.preset: unknown preset {preset!r}")
     try:
         m = int(section["m"])
@@ -164,22 +163,23 @@ def build_group(doc: dict) -> GroupSpec:
 
 def build_solver_config(doc: dict, group: GroupSpec) -> SolverConfig:
     n = group.n
-    domain = doc.get("domain", {})
-    box = _get(domain, "domain", "box", [[-2.0, 2.0]] * n)
+    domain = _section(doc, "domain")
+    box = _get(domain, "domain", "box", [[-2.0, 2.0]] * n,
+               lambda v: tuple((float(lo), float(hi)) for lo, hi in v))
     resolution = _get(domain, "domain", "resolution", [32] * n)
-    initial = doc.get("initial", {})
-    scheme = doc.get("scheme", {})
-    run_sec = doc.get("run", {})
+    initial = _section(doc, "initial")
+    scheme = _section(doc, "scheme")
+    run_sec = _section(doc, "run")
     try:
         init_spec = InitialSpec(
             preset=_get(initial, "initial", "preset", "cylinder", str),
             r=_get(initial, "initial", "r", 1.0, float),
-            relabel=initial.get("relabel"),
+            relabel=_get(initial, "initial", "relabel", None, lambda v: v if v is None else str(v)),
         )
         return SolverConfig(
             group=group,
-            box=tuple(tuple(side) for side in box),
-            resolution=tuple(resolution),
+            box=box,
+            resolution=resolution,
             initial=init_spec,
             scheme=_get(scheme, "scheme", "kind", "regularized", str),
             delta_reg=_get(scheme, "scheme", "delta_reg", None, lambda v: v if v is None else float(v)),
@@ -194,6 +194,7 @@ def build_solver_config(doc: dict, group: GroupSpec) -> SolverConfig:
 
 def effective_config_dict(doc: dict, group: GroupSpec, cfg: SolverConfig) -> dict:
     """Defaults-filled config that reproduces the run exactly."""
+    run_sec = _section(doc, "run")
     return {
         "group": {"m": group.m, "n": group.n, "B": group.B.tolist()},
         "domain": {
@@ -214,10 +215,10 @@ def effective_config_dict(doc: dict, group: GroupSpec, cfg: SolverConfig) -> dic
         "run": {
             "t_end": cfg.t_end,
             "snapshot_every": cfg.snapshot_every,
-            "out_dir": doc.get("run", {}).get("out_dir", "out"),
-            "sandwich": bool(doc.get("run", {}).get("sandwich", False)),
+            "out_dir": run_sec.get("out_dir", "out"),
+            "sandwich": bool(run_sec.get("sandwich", False)),
         },
-        "verify": doc.get("verify", {}),
+        "verify": _section(doc, "verify"),
     }
 
 
@@ -484,12 +485,13 @@ SUITES = (
 
 def run_verify(doc: dict, suites: list[str] | None = None) -> tuple[bool, str]:
     g = build_group(doc)
-    vf = doc.get("verify", {})
+    vf = _section(doc, "verify")
     samples = _get(vf, "verify", "samples", 500, int)
     tol = _get(vf, "verify", "tolerance", 1e-9, float)
     seed = _get(vf, "verify", "seed", 0, int)
-    drifts = vf.get("barrier_drifts", {}) or {}
-    selected = suites or vf.get("suites") or list(SUITES)
+    drift_sec = _section(vf, "verify.barrier_drifts")
+    drifts = {k: _get(drift_sec, "verify.barrier_drifts", k, None, float) for k in drift_sec}
+    selected = suites or _get(vf, "verify", "suites", None, list) or list(SUITES)
     for name in selected:
         if name not in SUITES:
             raise ConfigError(f"verify.suites: unknown suite {name!r} (choose from {SUITES})")
@@ -499,11 +501,11 @@ def run_verify(doc: dict, suites: list[str] | None = None) -> tuple[bool, str]:
         if name == "group-axioms":
             results.append(suite_group_axioms(g, max(samples, 1000), 1e-12, seed))
             if g.m == 2:  # also exercise a higher-step-two spec
-                results.append(suite_group_axioms(m3n5_spec(), max(samples, 1000), 1e-12, seed))
+                results.append(suite_group_axioms(m3n5(), max(samples, 1000), 1e-12, seed))
         elif name == "norm-lemma":
             results.append(suite_norm_lemma(g, max(samples, 1000), 1e-10, seed))
             if g.m == 2:
-                results.append(suite_norm_lemma(m3n5_spec(), max(samples, 1000), 1e-10, seed))
+                results.append(suite_norm_lemma(m3n5(), max(samples, 1000), 1e-10, seed))
         elif name == "barriers":
             results.append(suite_barriers(g, samples, tol, seed, drifts))
         elif name == "envelopes":
@@ -539,7 +541,8 @@ def cmd_barrier(args) -> int:
     kind = args.kind
     if kind not in _BARRIER_DEFAULT_C:
         raise ConfigError(f"--kind: unknown barrier kind {kind!r}")
-    initial = doc.get("initial", {})
+    initial = _section(doc, "initial")
+    run_sec = _section(doc, "run")
     r = _get(initial, "initial", "r", 1.0, float)
     c = _get(initial, "initial", "c", _BARRIER_DEFAULT_C[kind](g), float)
     barrier = make_barrier(kind, g, c, r)
@@ -569,7 +572,7 @@ def cmd_barrier(args) -> int:
     status = np.where(~in_region, "outside-region", np.where(sign_ok & ~mismatch, "ok", "fail"))
     n_fail = int(np.sum(status == "fail"))
 
-    out_dir = args.out or doc.get("run", {}).get("out_dir", "out")
+    out_dir = args.out or run_sec.get("out_dir", "out")
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"barrier_{kind}.csv")
     with open(path, "w") as fh:
@@ -584,10 +587,19 @@ def cmd_barrier(args) -> int:
     return 0 if n_fail == 0 else 1
 
 
+def _run(cfg: SolverConfig, **kwargs):
+    """`run`, with initial data whose front touches the box refused as config."""
+    try:
+        return run(cfg, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"initial: {exc}") from exc
+
+
 def _write_outputs(cfg: SolverConfig, out_dir: str, doc: dict, g: GroupSpec, sandwich: bool) -> int:
+    effective = effective_config_dict(doc, g, cfg)
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "config_effective.json"), "w") as fh:
-        json.dump(effective_config_dict(doc, g, cfg), fh, indent=2)
+        json.dump(effective, fh, indent=2)
         fh.write("\n")
 
     counter = {"i": 0}
@@ -599,7 +611,7 @@ def _write_outputs(cfg: SolverConfig, out_dir: str, doc: dict, g: GroupSpec, san
         counter["i"] = i + 1
 
     try:
-        result = run(cfg, record_sandwich=sandwich, on_snapshot=writer)
+        result = _run(cfg, record_sandwich=sandwich, on_snapshot=writer)
     except RuntimeError as exc:
         print(f"evolve: aborted, {exc}", file=sys.stderr)
         print(f"evolve: partial outputs in {out_dir}", file=sys.stderr)
@@ -618,7 +630,7 @@ def cmd_evolve(args) -> int:
     doc = load_config(args.config)
     g = build_group(doc)
     cfg = build_solver_config(doc, g)
-    run_sec = doc.get("run", {})
+    run_sec = _section(doc, "run")
     out_dir = args.out or run_sec.get("out_dir", "out")
     sandwich = bool(run_sec.get("sandwich", False))
     if sandwich and cfg.scheme == "regularized":
@@ -627,7 +639,7 @@ def cmd_evolve(args) -> int:
             return status
         # companion envelope runs for inspection
         for scheme in ("envelope_min", "envelope_max"):
-            sub = build_solver_config({**doc, "scheme": {**doc.get("scheme", {}), "kind": scheme}}, g)
+            sub = build_solver_config({**doc, "scheme": {**_section(doc, "scheme"), "kind": scheme}}, g)
             status = _write_outputs(sub, os.path.join(out_dir, scheme), doc, g, sandwich=False)
             if status != 0:
                 return status
@@ -639,7 +651,7 @@ def cmd_extinction(args) -> int:
     doc = load_config(args.config)
     g = build_group(doc)
     cfg = build_solver_config(doc, g)
-    result = run(cfg)
+    result = _run(cfg)
     if result.extinction_time is not None:
         print(f"extinction: t={result.extinction_time:.6g}")
     else:

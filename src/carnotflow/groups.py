@@ -32,6 +32,7 @@ __all__ = [
     "GroupSpec",
     "validate_spec",
     "heisenberg",
+    "m3n5",
     "is_heisenberg_like",
     "require_heisenberg_like",
     "compose",
@@ -134,6 +135,13 @@ def validate_spec(m: int, n: int, B_list) -> GroupSpec:
 def heisenberg() -> GroupSpec:
     """The first Heisenberg group: m=2, n=3, B = [[0,1],[-1,0]]."""
     return validate_spec(2, 3, [[[0.0, 1.0], [-1.0, 0.0]]])
+
+
+def m3n5() -> GroupSpec:
+    """A step-two group beyond the Heisenberg family: m=3, n=5, two brackets."""
+    return validate_spec(
+        3, 5, [[[0.0, 1, 0], [-1, 0, 0], [0, 0, 0]], [[0.0, 0, 1], [0, 0, 0], [-1, 0, 0]]]
+    )
 
 
 def is_heisenberg_like(g: GroupSpec) -> bool:

@@ -29,17 +29,13 @@ axis 0, each small enough for its temporaries to stay in cache.  Per chunk,
 one derivative pass computes the central differences and the horizontal
 quantities tr A, |q|^2, q^T A q and A, and a short tail per scheme turns them
 into operator values, so a step that needs all three schemes differentiates
-once.  Chunks run in order with one worker, or on a thread pool over chunks
-with more (CARNOTFLOW_WORKERS, default 1); every chunk performs the same
-arithmetic on the same inputs, so results are bit-identical for any worker
-count.
+once.  Chunks run in order in the calling thread; the arithmetic per node is
+fixed, so outputs are bit-identical from run to run and across processes.
 """
 from __future__ import annotations
 
 import math
-import os
-import warnings
-from concurrent.futures import ThreadPoolExecutor
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -58,8 +54,6 @@ __all__ = [
     "Engine",
     "RunResult",
     "run",
-    "evolve",
-    "extinction_time_numeric",
     "FrontCloud",
     "extract_front",
     "IndicatorPair",
@@ -67,13 +61,11 @@ __all__ = [
     "residual_on_exact",
     "write_snapshot_csv",
     "write_front_csv",
-    "WORKERS_ENV_VAR",
 ]
 
 SCHEMES = ("regularized", "envelope_min", "envelope_max")
 INITIAL_PRESETS = ("cylinder", "gauge_ball", "euclid_ball", "sqrt_gauge_ball")
 RELABELS = {"cubic": psi_s_plus_s3.fun}
-WORKERS_ENV_VAR = "CARNOTFLOW_WORKERS"
 
 _TIME_SLOP = 1e-12
 
@@ -160,7 +152,12 @@ class SolverConfig:
     def __post_init__(self):
         n = self.group.n
         box = tuple((float(lo), float(hi)) for lo, hi in self.box)
-        res = tuple(int(r) for r in self.resolution)
+        try:
+            res = tuple(operator.index(r) for r in self.resolution)
+        except TypeError:
+            raise ValueError(
+                f"resolution must be a sequence of integers, got {self.resolution!r}"
+            ) from None
         object.__setattr__(self, "box", box)
         object.__setattr__(self, "resolution", res)
         if len(box) != n or len(res) != n:
@@ -172,7 +169,9 @@ class SolverConfig:
                 raise ValueError(f"degenerate box side ({lo}, {hi})")
         for r in res:
             if r < 4:
-                raise ValueError("need at least 4 cells per axis for the stencils")
+                raise ValueError(
+                    f"resolution needs at least 4 cells per axis for the stencils, got {r}"
+                )
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
         if not 0.0 < self.cfl <= 1.0:
@@ -268,39 +267,21 @@ def init(config: SolverConfig) -> GridField:
 _CHUNK_NODES = 16384
 
 
-def _env_workers() -> int:
-    raw = os.environ.get(WORKERS_ENV_VAR, "").strip()
-    if not raw:
-        return 1
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        warnings.warn(
-            f"{WORKERS_ENV_VAR}={raw!r} is not a positive integer; using 1 worker",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return 1
-    return workers
-
-
 class Engine:
     """Precomputed stencil data for one (group, grid, scheme) combination.
 
-    Reusable across steps; `step` and `run` build one internally, callers
-    doing many single steps may pass their own to avoid the setup cost.
+    Reusable across steps and holds no resources; `step` and `run` build one
+    internally.  `close` and the context-manager protocol are no-ops kept
+    for callers that use them.
     """
 
-    def __init__(self, config: SolverConfig, workers: int | None = None):
+    def __init__(self, config: SolverConfig):
         self.config = config
         g = config.group
         self.m, self.n = g.m, g.n
         self.h = config.spacing
         self.delta2 = config.delta_reg_effective ** 2
         self.eps2 = config.eps_sing_effective ** 2
-        self.workers = _env_workers() if workers is None else max(1, int(workers))
 
         coords = np.meshgrid(*_axis_coords(config), indexing="ij", sparse=True)
         # b[k][j] = (B^(k) x_h)_j, broadcast (stride-0) to the full grid shape
@@ -339,25 +320,15 @@ class Engine:
         nchunks = -(-rows // max(1, _CHUNK_NODES // row_nodes))
         bounds = np.linspace(1, rows + 1, nchunks + 1).astype(int)
         self.chunks = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
-        self._pool: ThreadPoolExecutor | None = None
-
-    # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
+        pass
 
     def __enter__(self) -> "Engine":
         return self
 
     def __exit__(self, *exc) -> None:
-        self.close()
-
-    def _get_pool(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(max_workers=self.workers)
-        return self._pool
+        pass
 
     # -- spatial operator ---------------------------------------------------
 
@@ -432,9 +403,7 @@ class Engine:
                 raise ValueError(f"unknown scheme {scheme!r}")
         outs = [np.empty(tuple(r - 2 for r in u.shape)) for _ in schemes]
         envelopes = any(scheme != "regularized" for scheme in schemes)
-
-        def fill(chunk: tuple[int, int]) -> None:
-            r0, r1 = chunk
+        for r0, r1 in self.chunks:
             trA, qq, qAq, A = self._derivatives(u, r0, r1)
             if envelopes:
                 env, sing, eig = self._envelope_stage(trA, qq, qAq, A)
@@ -447,9 +416,6 @@ class Engine:
                 if eig is not None:
                     lam = eig[:, 0] if scheme == "envelope_min" else eig[:, -1]
                     block[sing] = -trA[sing] + lam
-
-        mapper = map if self.workers == 1 else self._get_pool().map
-        list(mapper(fill, self.chunks))
         return outs
 
     def operator(self, u: npt.NDArray, scheme: str | None = None) -> npt.NDArray:
@@ -479,16 +445,10 @@ class Engine:
         return new
 
 
-def step(grid: GridField, config: SolverConfig, engine: Engine | None = None) -> GridField:
+def step(grid: GridField, config: SolverConfig) -> GridField:
     """Advance one stable time step."""
-    own = engine is None
-    eng = Engine(config) if own else engine
-    try:
-        new = eng.advance(grid.values, eng.dt)
-    finally:
-        if own:
-            eng.close()
-    return GridField(grid.box, new, grid.time + eng.dt)
+    eng = Engine(config)
+    return GridField(grid.box, eng.advance(grid.values, eng.dt), grid.time + eng.dt)
 
 
 # -------------------------------------------------------------- evolution ---
@@ -546,49 +506,50 @@ def run(
         extinct = 0.0
         return RunResult(snapshots, extinct, 0.0, 0, violation if record_sandwich else None)
 
-    with Engine(config) as eng:
-        t = 0.0
-        u = grid.values
-        se = config.snapshot_every
-        next_snap = se if se > 0 else np.inf
-        while t < config.t_end - _TIME_SLOP * max(1.0, config.t_end):
-            dt = min(eng.dt, config.t_end - t)
-            if record_sandwich:
-                op_reg, op_min, op_max = eng.operators(u, SCHEMES)
-                new = eng._euler(u, dt, op_reg)
-                base = u[inner]
-                upd = new[inner]
-                hi = base - dt * op_min  # smallest operator -> largest update
-                lo = base - dt * op_max
-                violation = max(
-                    violation,
-                    float(np.max(lo - upd, initial=0.0)),
-                    float(np.max(upd - hi, initial=0.0)),
-                )
-                u = new
-            else:
-                u = eng.advance(u, dt)
-            t += dt
-            steps += 1
-            if not np.all(np.isfinite(u)):
-                raise RuntimeError(
-                    f"nonfinite values after step {steps} (t={t:.6g}); "
-                    "reduce cfl or check the initial data"
-                )
-            emitted = False
-            if se > 0 and next_snap <= t + _TIME_SLOP:
-                while next_snap <= t + _TIME_SLOP:
-                    next_snap += se
-                emit(GridField(config.box, u.copy(), t))
-                emitted = True
-            if not _has_positive_interior(u):
-                extinct = t
-                if not emitted:
-                    emit(GridField(config.box, u.copy(), t))
-                break
+    eng = Engine(config)
+    t = 0.0
+    u = grid.values
+    se = config.snapshot_every
+    next_snap = se if se > 0 else np.inf
+    while t < config.t_end - _TIME_SLOP * max(1.0, config.t_end):
+        dt = min(eng.dt, config.t_end - t)
+        if record_sandwich:
+            op_reg, op_min, op_max = eng.operators(u, SCHEMES)
+            new = eng._euler(u, dt, op_reg)
+            base = u[inner]
+            upd = new[inner]
+            hi = base - dt * op_min  # smallest operator -> largest update
+            lo = base - dt * op_max
+            violation = max(
+                violation,
+                float(np.max(lo - upd, initial=0.0)),
+                float(np.max(upd - hi, initial=0.0)),
+            )
+            u = new
         else:
-            if snapshots[-1].time < t - _TIME_SLOP:
+            u = eng.advance(u, dt)
+        t += dt
+        steps += 1
+        if not np.all(np.isfinite(u)):
+            raise RuntimeError(
+                f"nonfinite values after step {steps} (t={t:.6g}); "
+                "reduce cfl or check the initial data"
+            )
+        emitted = False
+        if se > 0 and next_snap <= t + _TIME_SLOP:
+            next_snap += se
+            if next_snap <= t + _TIME_SLOP:  # cadence below dt: skip the passed marks at once
+                next_snap += se * np.floor((t + _TIME_SLOP - next_snap) / se + 1.0)
+            emit(GridField(config.box, u.copy(), t))
+            emitted = True
+        if not _has_positive_interior(u):
+            extinct = t
+            if not emitted:
                 emit(GridField(config.box, u.copy(), t))
+            break
+    else:
+        if snapshots[-1].time < t - _TIME_SLOP:
+            emit(GridField(config.box, u.copy(), t))
 
     return RunResult(
         snapshots,
@@ -597,24 +558,6 @@ def run(
         steps,
         violation if record_sandwich else None,
     )
-
-
-def evolve(config: SolverConfig) -> list[GridField]:
-    """Snapshot list of the evolution (see `run` for the full result)."""
-    return run(config).snapshots
-
-
-def extinction_time_numeric(config: SolverConfig) -> float | None:
-    """First snapshot time with no strictly positive interior node.
-
-    `run` emits a snapshot at the exact extinction step, so the returned
-    time is step-accurate, not cadence-accurate.  None if t_end is reached
-    with the positive phase still alive.
-    """
-    for snap in run(config).snapshots:
-        if not _has_positive_interior(snap.values):
-            return snap.time
-    return None
 
 
 # --------------------------------------------------------- front geometry ---
@@ -721,11 +664,11 @@ def residual_on_exact(
     if not np.any(mask):
         raise ValueError("exclusion radius removes every interior node")
     worst = 0.0
-    with Engine(config) as eng:
-        for t in times:
-            u = spec.c * t - rh2 + spec.r
-            op = eng.operator(u)
-            worst = max(worst, float(np.max(np.abs(spec.c + op)[mask])))
+    eng = Engine(config)
+    for t in times:
+        u = spec.c * t - rh2 + spec.r
+        op = eng.operator(u)
+        worst = max(worst, float(np.max(np.abs(spec.c + op)[mask])))
     return worst
 
 

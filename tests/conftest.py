@@ -1,7 +1,6 @@
-import numpy as np
 import pytest
 
-from carnotflow import GroupSpec, heisenberg, validate_spec
+from carnotflow import GroupSpec, heisenberg, m3n5 as m3n5_group
 
 
 @pytest.fixture(scope="session")
@@ -12,6 +11,4 @@ def heis() -> GroupSpec:
 @pytest.fixture(scope="session")
 def m3n5() -> GroupSpec:
     """Step-two group with a 3d horizontal layer and two brackets."""
-    B1 = np.array([[0.0, 1, 0], [-1, 0, 0], [0, 0, 0]])
-    B2 = np.array([[0.0, 0, 1], [0, 0, 0], [-1, 0, 0]])
-    return validate_spec(3, 5, [B1, B2])
+    return m3n5_group()

@@ -24,17 +24,16 @@ from carnotflow import (
     TimeVar,
     envelope_lower,
     envelope_upper,
-    exact_jet,
     full_operator_G,
     heisenberg,
     horizontal_gradient,
     horizontal_hessian,
+    m3n5,
     make_barrier,
     mcf_operator_F,
     numeric_jet,
     sq_norm,
     sqrt,
-    validate_spec,
 )
 from carnotflow.cli import _cov_families
 from carnotflow.verdicts import _norm_expr, _quartic_distance_expr
@@ -273,9 +272,7 @@ def test_full_operator_matches_f_at_regular_point():
 # ---------------------------------------------------------------------------
 
 
-M3N5 = validate_spec(
-    3, 5, [[[0.0, 1, 0], [-1, 0, 0], [0, 0, 0]], [[0.0, 0, 1], [0, 0, 0], [-1, 0, 0]]]
-)
+M3N5 = m3n5()
 
 
 def batch_fields(g):

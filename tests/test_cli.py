@@ -1,11 +1,16 @@
 """Command-line interface: configs, exit codes, and output files."""
 
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import carnotflow.cli as cli
 import carnotflow.solver as solver
@@ -82,6 +87,72 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert "group.B" in err and "finite" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["envelope_min", [[-2, 2]], None])
+    @pytest.mark.parametrize(
+        "command, section",
+        [
+            ("verify", "group"),
+            ("verify", "verify"),
+            ("verify", "verify.barrier_drifts"),
+            ("barrier", "initial"),
+            ("barrier", "run"),
+            ("evolve", "domain"),
+            ("evolve", "initial"),
+            ("evolve", "scheme"),
+            ("evolve", "run"),
+            ("evolve", "verify"),
+            ("extinction", "domain"),
+            ("extinction", "initial"),
+            ("extinction", "scheme"),
+            ("extinction", "run"),
+        ],
+    )
+    def test_section_must_be_object(self, tmp_path, capsys, command, section, value):
+        doc = json.loads(json.dumps(SMALL_RUN))
+        parent, key = doc, section
+        if "." in section:
+            head, key = section.split(".")
+            parent = doc.setdefault(head, {})
+        parent[key] = value
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "o"
+        extra = {
+            "barrier": ["--kind", "cylinder", "--lattice", "5", "--out", str(out)],
+            "evolve": ["--out", str(out)],
+        }.get(command, [])
+        assert main([command, "--config", cfg] + extra) == 2
+        assert f"carnotflow: {section}: must be an object" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "verify, field",
+        [
+            ({"barrier_drifts": {"sqrt_gauge": "x"}}, "verify.barrier_drifts.sqrt_gauge"),
+            ({"suites": 5}, "verify.suites"),
+        ],
+    )
+    def test_bad_verify_field_refused(self, tmp_path, capsys, verify, field):
+        cfg = write_config(tmp_path, {"verify": verify})
+        assert main(["verify", "--config", cfg]) == 2
+        assert f"carnotflow: {field}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", [8.7, "8"])
+    def test_non_integer_resolution_refused(self, tmp_path, capsys, bad):
+        doc = {**SMALL_RUN, "domain": {"box": [[-2, 2]] * 3, "resolution": [10, bad, 10]}}
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "o"
+        assert main(["evolve", "--config", cfg, "--out", str(out)]) == 2
+        assert "resolution must be a sequence of integers" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["evolve", "extinction"])
+    def test_front_touching_box_refused(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, {**SMALL_RUN, "initial": {"r": 5.0}})
+        extra = ["--out", str(tmp_path / "o")] if command == "evolve" else []
+        assert main([command, "--config", cfg] + extra) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("carnotflow: initial:") and "touches the boundary" in err
 
     def test_invalid_group_matrices(self, tmp_path, capsys):
         doc = {"group": {"m": 2, "n": 3, "B": [[[0, 1], [1, 0]]]}}
@@ -164,8 +235,8 @@ class TestEvolve:
         orig_engine_init = Engine.__init__
         orig_sample = solver._sample_initial
 
-        def oversized_dt(self, cfg, workers=None):
-            orig_engine_init(self, cfg, workers)
+        def oversized_dt(self, cfg):
+            orig_engine_init(self, cfg)
             self.dt *= 1000.0
 
         def seeded(cfg):
@@ -265,3 +336,95 @@ def test_console_entry_point_subprocess(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "out" / "snap_0003.csv").exists()
+
+
+# ------------------------------------------------- config-boundary property ---
+
+NONFINITE = [float("nan"), float("inf"), float("-inf")]
+NOT_NUMBERS = ["fast", "", [0.5], {"v": 0.5}]
+NOT_OBJECTS = ["envelope_min", [[-2, 2]], 3.0, None]
+
+# (section, key) -> (valid values, bad values, a word every refusal of a bad
+# value names); the grid stays at most 8^3 and the runs at most 0.01 long, so
+# resolution and t_end are never left to their defaults
+FIELDS = {
+    ("domain", "box"): (
+        st.floats(1.5, 3.0).map(lambda a: [[-a, a]] * 3),
+        st.sampled_from(
+            [[[-2, 2]] * 2, [[-2, 2]] * 4, "box", 5, [1, 2, 3]]
+            + [[[-2, 2], [-2, 2], [-2, v]] for v in NONFINITE + ["fast"]]
+        ),
+        "box",
+    ),
+    ("domain", "resolution"): (
+        st.lists(st.integers(4, 8), min_size=3, max_size=3),
+        st.sampled_from([[8, 8], [8, 8, 8, 8], [8, 8.7, 8], [8, "8", 8], "abc", 8, [8, None, 8]]),
+        "resolution",
+    ),
+    ("initial", "preset"): (
+        st.sampled_from(["cylinder", "gauge_ball", "euclid_ball", "sqrt_gauge_ball"]),
+        st.sampled_from(["torus", ["cylinder"], 1.0]),
+        "preset",
+    ),
+    ("initial", "r"): (st.floats(0.05, 5.0), st.sampled_from(NONFINITE + NOT_NUMBERS), "initial.r"),
+    ("initial", "relabel"): (
+        st.sampled_from([None, "cubic"]),
+        st.sampled_from(["quintic", ["cubic"], 3.0]),
+        "relabel",
+    ),
+    ("scheme", "kind"): (
+        st.sampled_from(["regularized", "envelope_min", "envelope_max"]),
+        st.sampled_from(["upwind", ["regularized"], 0.0]),
+        "scheme",
+    ),
+    ("scheme", "delta_reg"): (st.floats(1e-8, 1.0), st.sampled_from(NONFINITE + NOT_NUMBERS), "delta_reg"),
+    ("scheme", "eps_sing"): (st.floats(1e-8, 1.0), st.sampled_from(NONFINITE + NOT_NUMBERS), "eps_sing"),
+    ("scheme", "cfl"): (st.floats(0.1, 1.0), st.sampled_from(NONFINITE + NOT_NUMBERS), "cfl"),
+    ("run", "t_end"): (st.floats(0.0, 0.01), st.sampled_from(NONFINITE + NOT_NUMBERS), "t_end"),
+    ("run", "snapshot_every"): (
+        st.sampled_from([0.0, 1e-20]) | st.floats(0.0, 0.01),
+        st.sampled_from(NONFINITE + NOT_NUMBERS),
+        "snapshot_every",
+    ),
+    ("run", "sandwich"): (st.booleans(), st.nothing(), None),
+}
+SECTIONS = ("domain", "initial", "scheme", "run", "verify")
+
+
+@st.composite
+def config_documents(draw):
+    """A config document and the words a refusal of it may name (none: valid)."""
+    doc, named = {}, set()
+    for (section, key), (valid, _, _) in FIELDS.items():
+        if key in ("resolution", "t_end") or draw(st.booleans()):
+            doc.setdefault(section, {})[key] = draw(valid)
+    bad_fields = [field for field, (_, _, word) in FIELDS.items() if word]
+    for section, key in draw(st.lists(st.sampled_from(bad_fields), max_size=2)):
+        _, bad, word = FIELDS[section, key]
+        doc.setdefault(section, {})[key] = draw(bad)
+        named.add(word)
+    for section in draw(st.lists(st.sampled_from(SECTIONS), max_size=1)):
+        doc[section] = draw(st.sampled_from(NOT_OBJECTS))
+        named.add(f"{section}: must be an object")
+    return doc, named
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(config_documents())
+def test_config_boundary_runs_or_refuses(case):
+    doc, named = case
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "config.json")
+        with open(cfg, "w") as fh:
+            json.dump(doc, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            status = main(["evolve", "--config", cfg, "--out", os.path.join(tmp, "out")])
+    message = err.getvalue()
+    if named:
+        assert status == 2, (doc, message)
+    assert status in (0, 2), (doc, message)
+    if status == 2:
+        assert message.startswith("carnotflow: ")
+        if named:
+            assert any(word in message for word in named), (doc, message)

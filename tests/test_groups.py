@@ -20,6 +20,7 @@ from carnotflow import (
     inverse,
     is_heisenberg_like,
     left_translation_jacobian,
+    m3n5,
     right_translation_jacobian,
     sigma,
     validate_spec,
@@ -31,14 +32,7 @@ vec5 = arrays(np.float64, 5, elements=coord)
 scale = st.floats(0.05, 4.0, allow_nan=False)
 
 HEIS = heisenberg()
-M3N5 = validate_spec(
-    3,
-    5,
-    [
-        np.array([[0.0, 1, 0], [-1, 0, 0], [0, 0, 0]]),
-        np.array([[0.0, 0, 1], [0, 0, 0], [-1, 0, 0]]),
-    ],
-)
+M3N5 = m3n5()
 
 
 def fd_jacobian(f, x, h=1e-5):
@@ -62,6 +56,11 @@ class TestValidateSpec:
         assert g.m == 2 and g.n == 3
         np.testing.assert_array_equal(g.B[0], [[0.0, 1.0], [-1.0, 0.0]])
         assert is_heisenberg_like(g)
+
+    def test_m3n5_matrices(self):
+        assert M3N5.m == 3 and M3N5.n == 5
+        np.testing.assert_array_equal(M3N5.B[0], [[0.0, 1, 0], [-1, 0, 0], [0, 0, 0]])
+        np.testing.assert_array_equal(M3N5.B[1], [[0.0, 0, 1], [0, 0, 0], [-1, 0, 0]])
 
     def test_m3n5_is_not_heisenberg_like(self):
         assert not is_heisenberg_like(M3N5)

@@ -1,7 +1,7 @@
 """Grid solver: stencils, schemes, stability, fronts, and CSV output."""
 
 import math
-import warnings
+import signal
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from carnotflow import (
     GridField,
     InitialSpec,
     SolverConfig,
-    extinction_time_numeric,
     extract_front,
     heisenberg,
     indicator_fields,
@@ -67,6 +66,16 @@ class TestSolverConfig:
     def test_minimum_resolution(self):
         with pytest.raises(ValueError, match="at least 4"):
             SolverConfig(HEIS, BOX, (12, 3, 12))
+
+    @pytest.mark.parametrize("bad", [8.7, 8.0, "8"])
+    def test_non_integer_resolution_refused(self, bad):
+        with pytest.raises(ValueError, match="resolution must be a sequence of integers"):
+            SolverConfig(HEIS, BOX, (8, bad, 8))
+
+    def test_numpy_integer_resolution_accepted(self):
+        cfg = SolverConfig(HEIS, BOX, tuple(np.array([8, 9, 10])))
+        assert cfg.resolution == (8, 9, 10)
+        assert all(type(r) is int for r in cfg.resolution)
 
     def test_unknown_scheme(self):
         with pytest.raises(ValueError, match="scheme"):
@@ -142,40 +151,10 @@ class TestEngine:
         with Engine(config(cfl=0.2)) as a, Engine(config(cfl=0.4)) as b:
             assert b.dt == pytest.approx(2 * a.dt)
 
-    def test_workers_from_environment(self, monkeypatch):
-        monkeypatch.setenv(solver.WORKERS_ENV_VAR, "5")
-        with Engine(config()) as eng:
-            assert eng.workers == 5
-
-    def test_workers_default_to_one(self, monkeypatch):
-        monkeypatch.delenv(solver.WORKERS_ENV_VAR, raising=False)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with Engine(config()) as eng:
-                assert eng.workers == 1
-
-    @pytest.mark.parametrize("raw", ["abc", "0", "-3"])
-    def test_invalid_worker_count_warns(self, monkeypatch, raw):
-        monkeypatch.setenv(solver.WORKERS_ENV_VAR, raw)
-        with pytest.warns(RuntimeWarning, match=solver.WORKERS_ENV_VAR):
-            with Engine(config()) as eng:
-                assert eng.workers == 1
-
-    def test_operator_independent_of_worker_count(self):
-        u = init(config(res=16)).values
-        with Engine(config(res=16), workers=1) as one, Engine(
-            config(res=16), workers=5
-        ) as five:
-            for scheme in solver.SCHEMES:
-                np.testing.assert_array_equal(
-                    one.operator(u, scheme), five.operator(u, scheme)
-                )
-
     @pytest.mark.parametrize("chunk_nodes", [solver._CHUNK_NODES, 1000])
-    @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("group", ["heisenberg", "m3n5"])
     def test_shared_pass_matches_single_schemes(
-        self, request, monkeypatch, group, workers, chunk_nodes
+        self, request, monkeypatch, group, chunk_nodes
     ):
         # gauge_ball at 32^3 with this eps_sing has singular nodes near the
         # poles; m3n5 has two vertical directions (nv = 2).
@@ -188,7 +167,7 @@ class TestEngine:
             cfg = SolverConfig(g, ((-2.0, 2.0),) * 5, (10,) * 5,
                                initial=InitialSpec(preset="gauge_ball"))
         u = init(cfg).values
-        with Engine(cfg, workers=workers) as eng:
+        with Engine(cfg) as eng:
             assert len(eng.chunks) > 1
             shared = eng.operators(u, solver.SCHEMES)
             for scheme, op in zip(solver.SCHEMES, shared):
@@ -290,6 +269,24 @@ class TestRun:
             assert abs(snap.time - target) <= res.dt
         assert res.snapshots[-1].time == pytest.approx(0.3, abs=1e-9)
 
+    def test_cadence_below_dt_snapshots_every_step(self):
+        # a cadence far below dt must not walk through its marks one by one
+        def too_slow(signum, frame):
+            raise TimeoutError("run did not return within 20 s")
+
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        signal.alarm(20)
+        try:
+            res = run(config(res=6, t_end=0.01, snapshot_every=1e-20))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert res.n_steps > 1
+        assert len(res.snapshots) == res.n_steps + 1
+        np.testing.assert_allclose(
+            [s.time for s in res.snapshots[1:-1]], res.dt * np.arange(1, res.n_steps), rtol=1e-12
+        )
+
     def test_final_slab_without_cadence(self):
         res = run(config(res=10, t_end=0.05))
         assert len(res.snapshots) == 2
@@ -309,10 +306,6 @@ class TestRun:
         inner = res.snapshots[-1].values[1:-1, 1:-1, 1:-1]
         assert not np.any(inner > 0)
 
-    def test_extinction_time_numeric_matches_run(self):
-        cfg = config(res=12, t_end=1.0)
-        assert extinction_time_numeric(cfg) == pytest.approx(run(cfg).extinction_time)
-
     def test_on_snapshot_callback_sees_every_snapshot(self):
         seen = []
         res = run(config(res=10, t_end=0.05), on_snapshot=lambda g: seen.append(g.time))
@@ -323,8 +316,8 @@ class TestRun:
         orig_engine_init = Engine.__init__
         orig_sample = solver._sample_initial
 
-        def oversized_dt(self, cfg, workers=None):
-            orig_engine_init(self, cfg, workers)
+        def oversized_dt(self, cfg):
+            orig_engine_init(self, cfg)
             self.dt *= 1000.0
 
         def seeded(cfg):
@@ -340,13 +333,6 @@ class TestRun:
         with pytest.raises(RuntimeError, match="nonfinite"):
             with np.errstate(all="ignore"):
                 run(cfg)
-
-    def test_deterministic_across_worker_counts(self, monkeypatch):
-        results = {}
-        for w in ("1", "7"):
-            monkeypatch.setenv(solver.WORKERS_ENV_VAR, w)
-            results[w] = run(config(res=12, t_end=0.01)).snapshots[-1].values
-        np.testing.assert_array_equal(results["1"], results["7"])
 
 
 class TestFront:
