@@ -29,6 +29,8 @@ from carnotflow import (
 coord = st.floats(-3.0, 3.0, allow_nan=False)
 vec3 = arrays(np.float64, 3, elements=coord)
 vec5 = arrays(np.float64, 5, elements=coord)
+# multiples of 2^-10 in [-3, 3]: sums and bracket products of these are exact
+dyadic3 = arrays(np.float64, 3, elements=st.integers(-3072, 3072).map(lambda k: k / 1024))
 scale = st.floats(0.05, 4.0, allow_nan=False)
 
 HEIS = heisenberg()
@@ -174,12 +176,26 @@ def test_norm_homogeneous_degree_one(x, lam):
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
-@given(x=vec3, y=vec3, z=vec3)
+@given(x=dyadic3, y=dyadic3, z=dyadic3)
 @settings(max_examples=100, deadline=None)
 def test_distance_left_invariant(x, y, z):
+    # The distance is only 1/2-Hoelder in the points near the diagonal: a
+    # roundoff of 1e-16 in a vertical coordinate of z o x moves d by 1e-8.
+    # On dyadic points the group law is exact in double precision, so the
+    # identity is checked here as stated; the next test covers all floats.
     d = gauge_distance(HEIS, x, y)
     d_translated = gauge_distance(HEIS, compose(HEIS, z, x), compose(HEIS, z, y))
     assert d_translated == pytest.approx(d, abs=1e-12)
+
+
+@given(x=vec3, y=vec3, z=vec3)
+@settings(max_examples=100, deadline=None)
+def test_difference_element_left_invariant(x, y, z):
+    # (z o x)^-1 o (z o y) = x^-1 o y; this element is Lipschitz in the points
+    zx, zy = compose(HEIS, z, x), compose(HEIS, z, y)
+    np.testing.assert_allclose(
+        compose(HEIS, inverse(zx), zy), compose(HEIS, inverse(x), y), rtol=0, atol=1e-12
+    )
 
 
 def test_distance_vanishes_on_diagonal():

@@ -152,13 +152,16 @@ class TestEngine:
             assert b.dt == pytest.approx(2 * a.dt)
 
     @pytest.mark.parametrize("chunk_nodes", [solver._CHUNK_NODES, 1000])
+    @pytest.mark.parametrize("fields", [1, 3])
     @pytest.mark.parametrize("group", ["heisenberg", "m3n5"])
     def test_shared_pass_matches_single_schemes(
-        self, request, monkeypatch, group, chunk_nodes
+        self, request, monkeypatch, group, fields, chunk_nodes
     ):
         # gauge_ball at 32^3 with this eps_sing has singular nodes near the
         # poles; m3n5 has two vertical directions (nv = 2).
         # A budget of 1000 nodes is below one row, so chunks are single rows.
+        # The fields are the initial one and then Euler steps of it, all
+        # through one reused engine.
         monkeypatch.setattr(solver, "_CHUNK_NODES", chunk_nodes)
         if group == "heisenberg":
             cfg = config(res=32, eps_sing=0.05, initial=InitialSpec(preset="gauge_ball"))
@@ -169,12 +172,14 @@ class TestEngine:
         u = init(cfg).values
         with Engine(cfg) as eng:
             assert len(eng.chunks) > 1
-            shared = eng.operators(u, solver.SCHEMES)
-            for scheme, op in zip(solver.SCHEMES, shared):
-                np.testing.assert_array_equal(op, eng.operator(u, scheme))
             if group == "heisenberg":
                 qq = eng._derivatives(u, 1, cfg.resolution[0] - 1)[1]
                 assert np.count_nonzero(qq <= eng.eps2) > 0
+            for _ in range(fields):
+                shared = eng.operators(u, solver.SCHEMES)
+                for scheme, op in zip(solver.SCHEMES, shared):
+                    np.testing.assert_array_equal(op, eng.operator(u, scheme))
+                u = eng.advance(u, eng.dt, "regularized")
 
     def test_sandwich_run_differentiates_once_per_step(self, monkeypatch):
         rows = []
