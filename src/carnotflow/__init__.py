@@ -46,14 +46,10 @@ from .calculus import (
     sqrt,
     sq_norm,
     ScalarField,
-    numeric_jet,
     horizontal_gradient,
     horizontal_hessian,
     OperatorBounds,
     operator_bounds,
-    mcf_operator_F,
-    envelope_lower,
-    envelope_upper,
     EnvelopePair,
     full_operator_G,
 )
@@ -96,14 +92,11 @@ from .solver import (
     InitialSpec,
     SolverConfig,
     init,
-    step,
     Engine,
     RunResult,
     run,
     FrontCloud,
     extract_front,
-    IndicatorPair,
-    indicator_fields,
     residual_on_exact,
     write_snapshot_csv,
     write_front_csv,

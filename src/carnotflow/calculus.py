@@ -1,12 +1,11 @@
 """Horizontal calculus: jets, exact derivative propagation, and the operator.
 
 A :class:`Jet` carries value, full spatial gradient, full spatial Hessian and
-(optionally) the time derivative of a scalar field at one space-time point,
-or at a batch of P points given as a (P, n) array, where each entry gains a
-leading axis of length P.  Closed-form fields are small expression trees
+time derivative of a scalar field at one space-time point, or at a batch of
+P points given as a (P, n) array, where each entry gains a leading axis of
+length P.  Closed-form fields are small expression trees
 (:class:`ScalarField`) that propagate second-order derivatives exactly over
-a whole batch at once; one point is a batch of one.  Grid data gets jets
-from central differences (:func:`numeric_jet`).
+a whole batch at once; one point is a batch of one.
 
 From a jet, the horizontal gradient and Hessian are
 
@@ -17,21 +16,18 @@ which is valid in step two: sigma depends only on x_h and the first-order
 correction terms cancel in the symmetrization.  The level-set curvature
 operator is F(q, A) = -tr[(I - qq/|q|^2) A]; at q = 0 it is replaced by its
 semicontinuous envelopes  -tr A + lambda_min(A)  and  -tr A + lambda_max(A).
-:func:`operator_bounds` evaluates both over a batch; the helpers after it
-call it.
+:func:`operator_bounds` evaluates both over a batch; :func:`full_operator_G`
+applies it to a jet.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, TYPE_CHECKING, Union
+from typing import NamedTuple, Union
 
 import numpy as np
 import numpy.typing as npt
 
 from .groups import GroupSpec, sigma
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .solver import GridField
 
 __all__ = [
     "Jet",
@@ -45,14 +41,10 @@ __all__ = [
     "sqrt",
     "sq_norm",
     "ScalarField",
-    "numeric_jet",
     "horizontal_gradient",
     "horizontal_hessian",
     "OperatorBounds",
     "operator_bounds",
-    "mcf_operator_F",
-    "envelope_lower",
-    "envelope_upper",
     "EnvelopePair",
     "full_operator_G",
 ]
@@ -68,14 +60,13 @@ class Jet:
         value: field value; float, or shape (P,) for a batch.
         grad: full spatial gradient, shape (n,) or (P, n).
         hess: full spatial Hessian, symmetric, shape (n, n) or (P, n, n).
-        dt: time derivative (float or (P,)), or None when unknown (e.g. grid
-            snapshots).
+        dt: time derivative, float or shape (P,).
     """
 
     value: float | npt.NDArray[np.float64]
     grad: npt.NDArray[np.float64]
     hess: npt.NDArray[np.float64]
-    dt: float | npt.NDArray[np.float64] | None = None
+    dt: float | npt.NDArray[np.float64]
 
     def __post_init__(self):
         defect = np.abs(self.hess - np.swapaxes(self.hess, -1, -2)).max() if self.hess.size else 0.0
@@ -281,50 +272,6 @@ class ScalarField:
         return self.jet(x, t).value
 
 
-def numeric_jet(grid: "GridField", node: tuple[int, ...]) -> Jet:
-    """Second-order central-difference jet at a grid node.
-
-    Mixed derivatives use the symmetric four-point stencil, which keeps the
-    numeric Hessian symmetric by construction; the whole jet is exact on
-    quadratics.  The node must be at least one cell away from every face.
-
-    Args:
-        grid: sampled field (values, spacing per axis).
-        node: multi-index of the target node.
-
-    Returns:
-        Jet with dt=None (a single snapshot carries no time derivative).
-
-    Raises:
-        ValueError: if the node touches the boundary.
-    """
-    u = grid.values
-    idx = tuple(int(i) for i in node)
-    n = u.ndim
-    for a in range(n):
-        if not 1 <= idx[a] <= u.shape[a] - 2:
-            raise ValueError(f"node {idx} is on the boundary along axis {a}")
-    h = grid.spacing
-
-    def at(offsets) -> float:
-        return float(u[tuple(idx[a] + offsets.get(a, 0) for a in range(n))])
-
-    v = at({})
-    g = np.zeros(n)
-    H = np.zeros((n, n))
-    for a in range(n):
-        up, dn = at({a: 1}), at({a: -1})
-        g[a] = (up - dn) / (2 * h[a])
-        H[a, a] = (up - 2 * v + dn) / h[a] ** 2
-        for b in range(a + 1, n):
-            pp = at({a: 1, b: 1})
-            pm = at({a: 1, b: -1})
-            mp = at({a: -1, b: 1})
-            mm = at({a: -1, b: -1})
-            H[a, b] = H[b, a] = (pp - pm - mp + mm) / (4 * h[a] * h[b])
-    return Jet(value=v, grad=g, hess=H, dt=None)
-
-
 # --------------------------------------------------------------------------
 # Horizontal projections and the curvature operator.
 # --------------------------------------------------------------------------
@@ -374,29 +321,6 @@ def operator_bounds(q: npt.NDArray, A: npt.NDArray, eps_sing: float = 0.0) -> Op
         upper[sing] = -trA[sing] + eig[:, -1]
         spectral[sing] = np.maximum(np.abs(eig[:, 0]), np.abs(eig[:, -1]))
     return OperatorBounds(lower[()], upper[()], regular[()], spectral[()])
-
-
-def mcf_operator_F(q: npt.NDArray, A: npt.NDArray):
-    """Curvature operator F(q, A) = -tr[(I - qq/|q|^2) A], at one point or a batch.
-
-    Raises:
-        ValueError: when |q| = 0 at some point; callers must route singular
-            states to the envelopes instead.
-    """
-    bounds = operator_bounds(q, A)
-    if not np.all(bounds.regular):
-        raise ValueError("F is undefined at a vanishing horizontal gradient")
-    return bounds.lower
-
-
-def envelope_lower(A: npt.NDArray):
-    """Lower envelope of F at q = 0:  -tr A + lambda_min(A)."""
-    return operator_bounds(np.zeros(np.shape(A)[:-1]), A).lower
-
-
-def envelope_upper(A: npt.NDArray):
-    """Upper envelope of F at q = 0:  -tr A + lambda_max(A)."""
-    return operator_bounds(np.zeros(np.shape(A)[:-1]), A).upper
 
 
 class EnvelopePair(NamedTuple):

@@ -18,8 +18,8 @@ Config sections (all optional, defaults in parentheses):
              "eps_sing" (h_min^2), "cfl" (0.25)}
     run     {"t_end" (0.5), "snapshot_every" (0.0), "out_dir" ("out"),
              "sandwich" (false)}
-    verify  {"suites" (all), "samples" (500), "pairs" (200),
-             "tolerance" (1e-9), "seed" (0), "barrier_drifts" ({})}
+    verify  {"suites" (all), "samples" (500), "tolerance" (1e-9),
+             "seed" (0), "barrier_drifts" ({})}
 
 Every section, and verify.barrier_drifts, must be a JSON object.
 verify.barrier_drifts overrides the drift constant c used for a kind's
@@ -52,8 +52,6 @@ from .barriers import (
 )
 from .calculus import (
     ScalarField,
-    envelope_lower,
-    envelope_upper,
     horizontal_gradient,
     horizontal_hessian,
     operator_bounds,
@@ -117,6 +115,24 @@ def _get(section: dict, path: str, key: str, default, caster=None):
             return caster(value)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{path}.{key}: {exc}") from exc
+    return value
+
+
+def _integer_at_least(least: int):
+    """Caster for _get: an integer >= least; bools and floats are refused."""
+
+    def cast(value):
+        if isinstance(value, bool) or not isinstance(value, int) or value < least:
+            raise ValueError(f"must be an integer >= {least}, got {value!r}")
+        return value
+
+    return cast
+
+
+def _boolean(value) -> bool:
+    """Caster for _get: a JSON true or false, nothing else."""
+    if not isinstance(value, bool):
+        raise ValueError(f"must be true or false, got {value!r}")
     return value
 
 
@@ -192,7 +208,7 @@ def build_solver_config(doc: dict, group: GroupSpec) -> SolverConfig:
         raise ConfigError(f"config: {exc}") from exc
 
 
-def effective_config_dict(doc: dict, group: GroupSpec, cfg: SolverConfig) -> dict:
+def effective_config_dict(doc: dict, group: GroupSpec, cfg: SolverConfig, sandwich: bool) -> dict:
     """Defaults-filled config that reproduces the run exactly."""
     run_sec = _section(doc, "run")
     return {
@@ -216,7 +232,7 @@ def effective_config_dict(doc: dict, group: GroupSpec, cfg: SolverConfig) -> dic
             "t_end": cfg.t_end,
             "snapshot_every": cfg.snapshot_every,
             "out_dir": run_sec.get("out_dir", "out"),
-            "sandwich": bool(run_sec.get("sandwich", False)),
+            "sandwich": sandwich,
         },
         "verify": _section(doc, "verify"),
     }
@@ -421,11 +437,8 @@ def suite_envelopes(
             quad = np.einsum("ij,jk,ik->i", dirs, A, dirs)
             sampled_lo = -np.trace(A) + float(np.min(quad))
             sampled_hi = -np.trace(A) + float(np.max(quad))
-            worst = max(
-                worst,
-                abs(sampled_lo - envelope_lower(A)),
-                abs(sampled_hi - envelope_upper(A)),
-            )
+            bounds = operator_bounds(np.zeros(m), A)
+            worst = max(worst, abs(sampled_lo - bounds.lower), abs(sampled_hi - bounds.upper))
     return SuiteResult(
         f"envelopes ({matrices} matrices x m in {{2,3}}, {directions} directions, tol {tol:.0e})",
         worst <= tol,
@@ -486,9 +499,9 @@ SUITES = (
 def run_verify(doc: dict, suites: list[str] | None = None) -> tuple[bool, str]:
     g = build_group(doc)
     vf = _section(doc, "verify")
-    samples = _get(vf, "verify", "samples", 500, int)
+    samples = _get(vf, "verify", "samples", 500, _integer_at_least(1))
     tol = _get(vf, "verify", "tolerance", 1e-9, float)
-    seed = _get(vf, "verify", "seed", 0, int)
+    seed = _get(vf, "verify", "seed", 0, _integer_at_least(0))
     drift_sec = _section(vf, "verify.barrier_drifts")
     drifts = {k: _get(drift_sec, "verify.barrier_drifts", k, None, float) for k in drift_sec}
     selected = suites or _get(vf, "verify", "suites", None, list) or list(SUITES)
@@ -596,7 +609,10 @@ def _run(cfg: SolverConfig, **kwargs):
 
 
 def _write_outputs(cfg: SolverConfig, out_dir: str, doc: dict, g: GroupSpec, sandwich: bool) -> int:
-    effective = effective_config_dict(doc, g, cfg)
+    """One run with its CSVs and config echo; under run.sandwich, a regularized
+    run also records the sandwich violation."""
+    effective = effective_config_dict(doc, g, cfg, sandwich)
+    record = sandwich and cfg.scheme == "regularized"
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "config_effective.json"), "w") as fh:
         json.dump(effective, fh, indent=2)
@@ -611,7 +627,7 @@ def _write_outputs(cfg: SolverConfig, out_dir: str, doc: dict, g: GroupSpec, san
         counter["i"] = i + 1
 
     try:
-        result = _run(cfg, record_sandwich=sandwich, on_snapshot=writer)
+        result = _run(cfg, record_sandwich=record, on_snapshot=writer)
     except RuntimeError as exc:
         print(f"evolve: aborted, {exc}", file=sys.stderr)
         print(f"evolve: partial outputs in {out_dir}", file=sys.stderr)
@@ -621,7 +637,7 @@ def _write_outputs(cfg: SolverConfig, out_dir: str, doc: dict, g: GroupSpec, san
         print(f"evolve: extinction at t={result.extinction_time:.6g}")
     else:
         print("evolve: no extinction before t_end")
-    if sandwich:
+    if record:
         print(f"evolve: sandwich max violation {result.sandwich_max_violation:.3e}")
     return 0
 
@@ -632,19 +648,19 @@ def cmd_evolve(args) -> int:
     cfg = build_solver_config(doc, g)
     run_sec = _section(doc, "run")
     out_dir = args.out or run_sec.get("out_dir", "out")
-    sandwich = bool(run_sec.get("sandwich", False))
+    sandwich = _get(run_sec, "run", "sandwich", False, _boolean)
     if sandwich and cfg.scheme == "regularized":
-        status = _write_outputs(cfg, out_dir, doc, g, sandwich=True)
+        status = _write_outputs(cfg, out_dir, doc, g, sandwich)
         if status != 0:
             return status
         # companion envelope runs for inspection
         for scheme in ("envelope_min", "envelope_max"):
             sub = build_solver_config({**doc, "scheme": {**_section(doc, "scheme"), "kind": scheme}}, g)
-            status = _write_outputs(sub, os.path.join(out_dir, scheme), doc, g, sandwich=False)
+            status = _write_outputs(sub, os.path.join(out_dir, scheme), doc, g, sandwich)
             if status != 0:
                 return status
         return 0
-    return _write_outputs(cfg, out_dir, doc, g, sandwich=False)
+    return _write_outputs(cfg, out_dir, doc, g, sandwich)
 
 
 def cmd_extinction(args) -> int:

@@ -50,14 +50,11 @@ __all__ = [
     "InitialSpec",
     "SolverConfig",
     "init",
-    "step",
     "Engine",
     "RunResult",
     "run",
     "FrontCloud",
     "extract_front",
-    "IndicatorPair",
-    "indicator_fields",
     "residual_on_exact",
     "write_snapshot_csv",
     "write_front_csv",
@@ -91,12 +88,15 @@ class GridField:
 
     @property
     def spacing(self) -> npt.NDArray:
-        return np.array(
-            [(hi - lo) / r for (lo, hi), r in zip(self.box, self.resolution)]
-        )
+        return _spacing(self.box, self.resolution)
 
     def axis_coords(self, a: int) -> npt.NDArray:
         return _cell_centers(*self.box[a], self.resolution[a])
+
+
+def _spacing(box, resolution) -> npt.NDArray:
+    """Cell width (hi - lo) / r along each axis."""
+    return np.array([(hi - lo) / r for (lo, hi), r in zip(box, resolution)])
 
 
 def _cell_centers(lo: float, hi: float, count: int) -> npt.NDArray:
@@ -189,9 +189,7 @@ class SolverConfig:
 
     @property
     def spacing(self) -> npt.NDArray:
-        return np.array(
-            [(hi - lo) / r for (lo, hi), r in zip(self.box, self.resolution)]
-        )
+        return _spacing(self.box, self.resolution)
 
     @property
     def delta_reg_effective(self) -> float:
@@ -270,9 +268,9 @@ _CHUNK_NODES = 16384
 class Engine:
     """Precomputed stencil data for one (group, grid, scheme) combination.
 
-    Reusable across steps and holds no resources; `step` and `run` build one
-    internally.  `close` and the context-manager protocol are no-ops kept
-    for callers that use them.
+    Reusable across steps and holds no resources; `run` builds one
+    internally.  `close` is a no-op that remains only for the benchmark's
+    callers in perfbench/.
     """
 
     def __init__(self, config: SolverConfig):
@@ -322,12 +320,6 @@ class Engine:
         self.chunks = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
 
     def close(self) -> None:
-        pass
-
-    def __enter__(self) -> "Engine":
-        return self
-
-    def __exit__(self, *exc) -> None:
         pass
 
     # -- spatial operator ---------------------------------------------------
@@ -445,12 +437,6 @@ class Engine:
         return new
 
 
-def step(grid: GridField, config: SolverConfig) -> GridField:
-    """Advance one stable time step."""
-    eng = Engine(config)
-    return GridField(grid.box, eng.advance(grid.values, eng.dt), grid.time + eng.dt)
-
-
 # -------------------------------------------------------------- evolution ---
 
 
@@ -535,21 +521,16 @@ def run(
                 f"nonfinite values after step {steps} (t={t:.6g}); "
                 "reduce cfl or check the initial data"
             )
-        emitted = False
         if se > 0 and next_snap <= t + _TIME_SLOP:
             next_snap += se
             if next_snap <= t + _TIME_SLOP:  # cadence below dt: skip the passed marks at once
                 next_snap += se * np.floor((t + _TIME_SLOP - next_snap) / se + 1.0)
             emit(GridField(config.box, u.copy(), t))
-            emitted = True
         if not _has_positive_interior(u):
             extinct = t
-            if not emitted:
-                emit(GridField(config.box, u.copy(), t))
             break
-    else:
-        if snapshots[-1].time < t - _TIME_SLOP:
-            emit(GridField(config.box, u.copy(), t))
+    if snapshots[-1].time < t:  # the final slab, unless the cadence just emitted it
+        emit(GridField(config.box, u.copy(), t))
 
     return RunResult(
         snapshots,
@@ -606,27 +587,6 @@ def extract_front(grid: GridField, level: float = 0.0) -> FrontCloud:
     else:
         points = np.empty((0, n))
     return FrontCloud(grid.time, points)
-
-
-@dataclass(frozen=True)
-class IndicatorPair:
-    """Signed indicators of {u >= 0} and {u > 0} with their disagreement."""
-
-    time: float
-    chi_upper: npt.NDArray  # +1 on {u >= 0}, -1 elsewhere
-    chi_lower: npt.NDArray  # +1 on {u > 0}, -1 elsewhere
-    gap_fraction: float  # fraction of nodes where the two disagree (u == 0)
-
-
-def indicator_fields(snapshots: Sequence[GridField]) -> list[IndicatorPair]:
-    """Indicator pair per snapshot; a zero gap means no fattening on the grid."""
-    out = []
-    for snap in snapshots:
-        upper = np.where(snap.values >= 0.0, 1, -1).astype(np.int8)
-        lower = np.where(snap.values > 0.0, 1, -1).astype(np.int8)
-        gap = float(np.mean(upper != lower))
-        out.append(IndicatorPair(snap.time, upper, lower, gap))
-    return out
 
 
 # ------------------------------------------------ exact-solution residual ---

@@ -95,13 +95,12 @@ def check_point(
     x = np.asarray(x, dtype=float)
     j = f.jet(x, t)
     ops = operator_bounds(horizontal_gradient(g, j, x), horizontal_hessian(g, j, x), eps_sing)
-    ft = 0.0 if j.dt is None else j.dt
     null = ~ops.regular & (ops.spectral <= eps_sing)
     regime = np.where(
         ops.regular, REGIME_REGULAR, np.where(null, REGIME_CHAR_NULL, REGIME_CHAR_ENVELOPE)
     )
-    sub = ft + np.where(null, 0.0, ops.lower)
-    sup = ft + np.where(null, 0.0, ops.upper)
+    sub = j.dt + np.where(null, 0.0, ops.lower)
+    sup = j.dt + np.where(null, 0.0, ops.upper)
     return PointVerdict(x, t, regime[()], sub[()], sup[()])
 
 

@@ -7,6 +7,39 @@ from carnotflow import barriers, calculus, cli, groups, solver, verdicts
 
 MODULES = (groups, calculus, barriers, verdicts, solver)
 
+# The public surface, written out so that every name added or removed shows
+# up in a diff of this file.
+PUBLIC = [
+    "BARRIER_KINDS", "BarrierEval", "BarrierSpec", "Const", "Coord", "Engine",
+    "EnvelopePair", "Expr", "FrontCloud", "GridField", "GroupSpec", "InitialSpec",
+    "Jet", "NormLemmaReport", "OperatorBounds", "PointVerdict", "Power", "Product",
+    "REGIME_CHAR_ENVELOPE", "REGIME_CHAR_NULL", "REGIME_REGULAR", "RunResult",
+    "SQRT_GAUGE_EXCLUSION", "ScalarField", "SmoothMap1D", "SolverConfig", "Sum",
+    "SweepReport", "TimeVar", "bracket", "change_of_variables_check",
+    "check_norm_lemma", "check_point", "compose", "dilate", "extinction_time",
+    "extract_front", "full_operator_G", "gauge", "gauge_distance",
+    "gauge_profile_hgrad", "gauge_profile_hhess", "gauge_profile_value",
+    "heisenberg", "homogeneous_norm", "horizontal_gradient", "horizontal_hessian",
+    "init", "inverse", "is_heisenberg_like", "left_translation_jacobian", "m3n5",
+    "make_barrier", "make_cylinder", "make_euclid_ball", "make_gauge",
+    "make_sqrt_gauge", "operator_bounds", "psi_identity", "psi_s_plus_s3",
+    "psi_sqrt", "psi_square", "require_heisenberg_like", "residual_on_exact",
+    "restricted_test_class_filter", "right_translation_jacobian", "run", "sigma",
+    "sq_norm", "sqrt", "sweep", "v_convexity_witness", "validate_spec",
+    "write_front_csv", "write_snapshot_csv",
+]
+CLI_PUBLIC = [
+    "ConfigError", "SUITES", "build_group", "build_solver_config", "load_config",
+    "main", "suite_barriers", "suite_change_of_variables", "suite_envelopes",
+    "suite_group_axioms", "suite_norm_lemma",
+]
+
+
+def test_public_surface_is_pinned():
+    assert PUBLIC == sorted(PUBLIC) and CLI_PUBLIC == sorted(CLI_PUBLIC)
+    assert sorted(set().union(*(module.__all__ for module in MODULES))) == PUBLIC
+    assert sorted(cli.__all__) == CLI_PUBLIC
+
 
 def test_package_reexports_exactly_the_module_apis():
     exported = {

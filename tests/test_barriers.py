@@ -16,7 +16,7 @@ from carnotflow import (
     horizontal_gradient,
     horizontal_hessian,
     make_barrier,
-    mcf_operator_F,
+    operator_bounds,
     psi_identity,
     psi_s_plus_s3,
     psi_sqrt,
@@ -52,8 +52,9 @@ class TestClosedFormsAgainstJets:
             A = horizontal_hessian(HEIS, j, x)
             np.testing.assert_allclose(bar.closed_hgrad(x), q, atol=1e-10)
             np.testing.assert_allclose(bar.closed_hhess(x), A, atol=1e-10)
-            op = j.dt + mcf_operator_F(q, A)
-            assert bar.closed_form_operator(x) == pytest.approx(op, abs=1e-9)
+            bounds = operator_bounds(q, A)
+            assert bounds.regular
+            assert bar.closed_form_operator(x) == pytest.approx(j.dt + bounds.lower, abs=1e-9)
 
     @pytest.mark.parametrize("kind", BARRIER_KINDS)
     def test_operator_ignores_time_and_vertical_slot(self, kind):
@@ -77,7 +78,9 @@ class TestCylinder:
             j = bar.field.jet(x, t=0.4)
             q = horizontal_gradient(HEIS, j, x)
             A = horizontal_hessian(HEIS, j, x)
-            assert j.dt + mcf_operator_F(q, A) == pytest.approx(0.0, abs=1e-12)
+            bounds = operator_bounds(q, A)
+            assert bounds.regular
+            assert j.dt + bounds.lower == pytest.approx(0.0, abs=1e-12)
 
     def test_operator_is_constant(self):
         bar = make_barrier("cylinder", HEIS, c=0.5, r=2.0)

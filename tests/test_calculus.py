@@ -18,20 +18,16 @@ from carnotflow import (
     Const,
     Coord,
     EnvelopePair,
-    GridField,
     Jet,
     ScalarField,
     TimeVar,
-    envelope_lower,
-    envelope_upper,
     full_operator_G,
     heisenberg,
     horizontal_gradient,
     horizontal_hessian,
     m3n5,
     make_barrier,
-    mcf_operator_F,
-    numeric_jet,
+    operator_bounds,
     sq_norm,
     sqrt,
 )
@@ -80,7 +76,7 @@ def norm_field(g):
 
 def test_jet_rejects_asymmetric_hessian():
     with pytest.raises(ValueError, match="symmetric"):
-        Jet(0.0, np.zeros(2), np.array([[0.0, 1.0], [0.0, 0.0]]))
+        Jet(0.0, np.zeros(2), np.array([[0.0, 1.0], [0.0, 0.0]]), 0.0)
 
 
 class TestExpressions:
@@ -137,39 +133,6 @@ class TestExpressions:
 
 
 # ---------------------------------------------------------------------------
-# numeric jets on grids
-# ---------------------------------------------------------------------------
-
-
-class TestNumericJet:
-    def _quadratic_grid(self):
-        box = ((-1.0, 1.0),) * 3
-        field = GridField(box, np.zeros((8, 8, 8)))
-        xs = np.meshgrid(*[field.axis_coords(a) for a in range(3)], indexing="ij")
-        vals = 2.0 * xs[0] ** 2 - xs[0] * xs[1] + 3.0 * xs[2] - xs[1] * xs[2] + 1.0
-        return GridField(box, vals), xs
-
-    def test_exact_on_quadratics(self):
-        grid, xs = self._quadratic_grid()
-        node = (3, 4, 2)
-        j = numeric_jet(grid, node)
-        x = np.array([xs[a][node] for a in range(3)])
-        np.testing.assert_allclose(
-            j.grad, [4 * x[0] - x[1], -x[0] - x[2], 3.0 - x[1]], atol=1e-12
-        )
-        expected_hess = np.array([[4.0, -1, 0], [-1, 0, -1], [0, -1, 0]])
-        np.testing.assert_allclose(j.hess, expected_hess, atol=1e-11)
-        assert j.dt is None
-
-    def test_boundary_node_rejected(self):
-        grid, _ = self._quadratic_grid()
-        with pytest.raises(ValueError, match="boundary"):
-            numeric_jet(grid, (0, 4, 4))
-        with pytest.raises(ValueError, match="boundary"):
-            numeric_jet(grid, (4, 4, 7))
-
-
-# ---------------------------------------------------------------------------
 # horizontal projections: hand values for N = |x_h|^4 + |x_v|^2
 # ---------------------------------------------------------------------------
 
@@ -203,19 +166,34 @@ class TestHorizontal:
 # ---------------------------------------------------------------------------
 
 
+def F(q, A):
+    """F(q, A) at a regular point; the envelopes stand in for it elsewhere."""
+    bounds = operator_bounds(q, A)
+    assert bounds.regular and bounds.lower == bounds.upper
+    return bounds.lower
+
+
+def envelopes(A):
+    bounds = operator_bounds(np.zeros(len(A)), A)
+    return bounds.lower, bounds.upper
+
+
 def test_operator_frozen_value():
-    assert mcf_operator_F(np.array([1.0, 0.0]), np.diag([3.0, 5.0])) == pytest.approx(-5.0)
+    assert F(np.array([1.0, 0.0]), np.diag([3.0, 5.0])) == pytest.approx(-5.0)
 
 
 def test_operator_rejects_zero_gradient():
-    with pytest.raises(ValueError):
-        mcf_operator_F(np.zeros(2), np.eye(2))
+    """F is undefined at q = 0: the point is not regular, and the envelopes
+    of A stand in for F there."""
+    bounds = operator_bounds(np.zeros(2), np.diag([1.0, 3.0]))
+    assert not bounds.regular
+    assert (bounds.lower, bounds.upper) == pytest.approx((-3.0, -1.0))
 
 
 def test_envelopes_frozen_value():
-    A = np.diag([1.0, -1.0])
-    assert envelope_lower(A) == pytest.approx(-1.0)
-    assert envelope_upper(A) == pytest.approx(1.0)
+    lower, upper = envelopes(np.diag([1.0, -1.0]))
+    assert lower == pytest.approx(-1.0)
+    assert upper == pytest.approx(1.0)
 
 
 @given(q=vec2, A=sym2, lam=st.floats(0.1, 3.0), mu=st.floats(-2.0, 2.0))
@@ -224,8 +202,8 @@ def test_operator_geometric(q, A, lam, mu):
     """F(lam q, lam A + mu q x q) = lam F(q, A): the level-set labeling drops out."""
     if float(q @ q) < 1e-8:
         return
-    lhs = mcf_operator_F(lam * q, lam * A + mu * np.outer(q, q))
-    assert lhs == pytest.approx(lam * mcf_operator_F(q, A), rel=1e-9, abs=1e-9)
+    lhs = F(lam * q, lam * A + mu * np.outer(q, q))
+    assert lhs == pytest.approx(lam * F(q, A), rel=1e-9, abs=1e-9)
 
 
 @given(q=vec2, A=sym2, P=arrays(np.float64, (2, 2), elements=coord))
@@ -235,7 +213,7 @@ def test_operator_degenerate_elliptic(q, A, P):
     if float(q @ q) < 1e-8:
         return
     psd = P @ P.T
-    assert mcf_operator_F(q, A + psd) <= mcf_operator_F(q, A) + 1e-10
+    assert F(q, A + psd) <= F(q, A) + 1e-10
 
 
 @given(q=vec2, A=sym2)
@@ -243,8 +221,9 @@ def test_operator_degenerate_elliptic(q, A, P):
 def test_envelopes_bound_operator(q, A):
     if float(q @ q) < 1e-8:
         return
-    val = mcf_operator_F(q, A)
-    assert envelope_lower(A) - 1e-11 <= val <= envelope_upper(A) + 1e-11
+    val = F(q, A)
+    lower, upper = envelopes(A)
+    assert lower - 1e-11 <= val <= upper + 1e-11
 
 
 def test_full_operator_returns_envelope_pair_at_characteristic_point():
@@ -264,7 +243,7 @@ def test_full_operator_matches_f_at_regular_point():
     assert isinstance(out, float)
     q = horizontal_gradient(HEIS, j, x)
     A = horizontal_hessian(HEIS, j, x)
-    assert out == pytest.approx(mcf_operator_F(q, A), abs=0)
+    assert out == pytest.approx(F(q, A), abs=0)
 
 
 # ---------------------------------------------------------------------------

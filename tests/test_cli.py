@@ -137,6 +137,32 @@ class TestConfigErrors:
         assert main(["verify", "--config", cfg]) == 2
         assert f"carnotflow: {field}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "verify, field",
+        [
+            ({"seed": -1}, "verify.seed"),
+            ({"seed": 1.5}, "verify.seed"),
+            ({"seed": True}, "verify.seed"),
+            ({"samples": 0}, "verify.samples"),
+            ({"samples": 2.7}, "verify.samples"),
+            ({"samples": 3.0}, "verify.samples"),
+            ({"samples": False}, "verify.samples"),
+        ],
+    )
+    def test_verify_numbers_refused(self, tmp_path, capsys, verify, field):
+        # the barriers suite is where samples = 0 used to end in an IndexError
+        cfg = write_config(tmp_path, {"verify": verify})
+        assert main(["verify", "--config", cfg, "--suite", "barriers"]) == 2
+        assert f"carnotflow: {field}: must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+    def test_sandwich_must_be_boolean(self, tmp_path, capsys, value):
+        doc = {**SMALL_RUN, "run": {**SMALL_RUN["run"], "sandwich": value}}
+        out = tmp_path / "o"
+        assert main(["evolve", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+        assert "carnotflow: run.sandwich: must be true or false" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("bad", [8.7, "8"])
     def test_non_integer_resolution_refused(self, tmp_path, capsys, bad):
         doc = {**SMALL_RUN, "domain": {"box": [[-2, 2]] * 3, "resolution": [10, bad, 10]}}
@@ -345,8 +371,9 @@ NOT_NUMBERS = ["fast", "", [0.5], {"v": 0.5}]
 NOT_OBJECTS = ["envelope_min", [[-2, 2]], 3.0, None]
 
 # (section, key) -> (valid values, bad values, a word every refusal of a bad
-# value names); the grid stays at most 8^3 and the runs at most 0.01 long, so
-# resolution and t_end are never left to their defaults
+# value names); the grid stays at most 8^3, the runs at most 0.01 long and the
+# barriers suite at most 12 points per fixture, so resolution, t_end and
+# samples are never left to their defaults
 FIELDS = {
     ("domain", "box"): (
         st.floats(1.5, 3.0).map(lambda a: [[-a, a]] * 3),
@@ -386,45 +413,67 @@ FIELDS = {
         st.sampled_from(NONFINITE + NOT_NUMBERS),
         "snapshot_every",
     ),
-    ("run", "sandwich"): (st.booleans(), st.nothing(), None),
+    ("run", "sandwich"): (
+        st.booleans(),
+        st.sampled_from(["false", "true", 0, 1, None, [True]]),
+        "run.sandwich",
+    ),
+    ("verify", "seed"): (
+        st.integers(0, 2**32),
+        st.sampled_from([-1, 1.5, 2.0, True, "0", None, [0]]),
+        "verify.seed",
+    ),
+    ("verify", "samples"): (
+        st.integers(1, 12),
+        st.sampled_from([0, -3, 2.7, 3.0, False, "5", None]),
+        "verify.samples",
+    ),
 }
 SECTIONS = ("domain", "initial", "scheme", "run", "verify")
+# command -> (sections it requires to be objects, sections whose fields it reads)
+READS = {
+    "evolve": (set(SECTIONS), {"domain", "initial", "scheme", "run"}),
+    "verify": ({"verify"}, {"verify"}),
+}
 
 
 @st.composite
 def config_documents(draw):
-    """A config document and the words a refusal of it may name (none: valid)."""
-    doc, named = {}, set()
+    """A config document and its faults as (section, word a refusal names,
+    whether the whole section is bad); no faults: valid."""
+    doc, faults = {}, set()
     for (section, key), (valid, _, _) in FIELDS.items():
-        if key in ("resolution", "t_end") or draw(st.booleans()):
+        if key in ("resolution", "t_end", "samples") or draw(st.booleans()):
             doc.setdefault(section, {})[key] = draw(valid)
-    bad_fields = [field for field, (_, _, word) in FIELDS.items() if word]
-    for section, key in draw(st.lists(st.sampled_from(bad_fields), max_size=2)):
+    for section, key in draw(st.lists(st.sampled_from(sorted(FIELDS)), max_size=2)):
         _, bad, word = FIELDS[section, key]
         doc.setdefault(section, {})[key] = draw(bad)
-        named.add(word)
+        faults.add((section, word, False))
     for section in draw(st.lists(st.sampled_from(SECTIONS), max_size=1)):
         doc[section] = draw(st.sampled_from(NOT_OBJECTS))
-        named.add(f"{section}: must be an object")
-    return doc, named
+        faults.add((section, f"{section}: must be an object", True))
+    return doc, faults
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(config_documents())
 def test_config_boundary_runs_or_refuses(case):
-    doc, named = case
-    with tempfile.TemporaryDirectory() as tmp:
-        cfg = os.path.join(tmp, "config.json")
-        with open(cfg, "w") as fh:
-            json.dump(doc, fh)
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            status = main(["evolve", "--config", cfg, "--out", os.path.join(tmp, "out")])
-    message = err.getvalue()
-    if named:
-        assert status == 2, (doc, message)
-    assert status in (0, 2), (doc, message)
-    if status == 2:
-        assert message.startswith("carnotflow: ")
+    doc, faults = case
+    for command, (objects, fields) in READS.items():
+        named = {word for section, word, whole in faults if section in (objects if whole else fields)}
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = os.path.join(tmp, "config.json")
+            with open(cfg, "w") as fh:
+                json.dump(doc, fh)
+            extra = ["--out", os.path.join(tmp, "out")] if command == "evolve" else ["--suite", "barriers"]
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                status = main([command, "--config", cfg] + extra)
+        message = err.getvalue()
         if named:
-            assert any(word in message for word in named), (doc, message)
+            assert status == 2, (command, doc, message)
+        assert status in (0, 2), (command, doc, message)
+        if status == 2:
+            assert message.startswith("carnotflow: ")
+            if named:
+                assert any(word in message for word in named), (command, doc, message)
