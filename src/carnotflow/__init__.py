@@ -50,8 +50,6 @@ from .calculus import (
     horizontal_hessian,
     OperatorBounds,
     operator_bounds,
-    EnvelopePair,
-    full_operator_G,
 )
 from .barriers import (
     BARRIER_KINDS,
@@ -78,6 +76,7 @@ from .barriers import (
 from .verdicts import (
     PointVerdict,
     check_point,
+    classification_holds,
     SweepReport,
     sweep,
     NormLemmaReport,

@@ -16,13 +16,12 @@ which is valid in step two: sigma depends only on x_h and the first-order
 correction terms cancel in the symmetrization.  The level-set curvature
 operator is F(q, A) = -tr[(I - qq/|q|^2) A]; at q = 0 it is replaced by its
 semicontinuous envelopes  -tr A + lambda_min(A)  and  -tr A + lambda_max(A).
-:func:`operator_bounds` evaluates both over a batch; :func:`full_operator_G`
-applies it to a jet.
+:func:`operator_bounds` evaluates F and both envelopes over a batch.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 import numpy as np
 import numpy.typing as npt
@@ -45,8 +44,6 @@ __all__ = [
     "horizontal_hessian",
     "OperatorBounds",
     "operator_bounds",
-    "EnvelopePair",
-    "full_operator_G",
 ]
 
 HESS_SYMMETRY_TOL = 1e-12
@@ -322,26 +319,3 @@ def operator_bounds(q: npt.NDArray, A: npt.NDArray, eps_sing: float = 0.0) -> Op
         spectral[sing] = np.maximum(np.abs(eig[:, 0]), np.abs(eig[:, -1]))
     return OperatorBounds(lower[()], upper[()], regular[()], spectral[()])
 
-
-class EnvelopePair(NamedTuple):
-    """Marker returned where the operator is singular (|Xu| = 0)."""
-
-    lower: float
-    upper: float
-
-
-def full_operator_G(
-    g: GroupSpec, x: npt.NDArray, j: Jet
-) -> Union[float, EnvelopePair]:
-    """Spatial operator of the level-set equation at one point or a batch.
-
-    At one point, returns F(Xu, X2u) when the horizontal gradient is
-    nonzero, otherwise an :class:`EnvelopePair` with the lower/upper
-    envelopes of X2u.  Singularity is reported by the marker, never by an
-    exception.  For a batch, returns an EnvelopePair of arrays whose two
-    entries both equal F at the regular points.
-    """
-    bounds = operator_bounds(horizontal_gradient(g, j, x), horizontal_hessian(g, j, x))
-    if np.ndim(bounds.lower) == 0 and bounds.regular:
-        return bounds.lower
-    return EnvelopePair(bounds.lower, bounds.upper)

@@ -24,7 +24,9 @@ Config sections (all optional, defaults in parentheses):
 Every section, and verify.barrier_drifts, must be a JSON object.
 verify.barrier_drifts overrides the drift constant c used for a kind's
 classified fixture (e.g. {"sqrt_gauge": 4.0}); it exists so a deliberately
-broken fixture demonstrably fails the suite.
+broken fixture demonstrably fails the suite.  Each drift must be finite and
+its region must admit the samples.  run.out_dir must be a non-empty string,
+even where --out overrides it.
 
 Exit codes: 0 all checks pass / run completed; 1 scientific failure or
 instability; 2 unusable config or arguments.
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -44,19 +47,12 @@ from .barriers import (
     BarrierEval,
     SmoothMap1D,
     change_of_variables_check,
-    gauge_profile_value,
     make_barrier,
     psi_s_plus_s3,
     psi_sqrt,
     psi_square,
 )
-from .calculus import (
-    ScalarField,
-    horizontal_gradient,
-    horizontal_hessian,
-    operator_bounds,
-    sq_norm,
-)
+from .calculus import ScalarField, operator_bounds, sq_norm
 from .groups import (
     GroupSpec,
     compose,
@@ -77,7 +73,7 @@ from .solver import (
     write_front_csv,
     write_snapshot_csv,
 )
-from .verdicts import check_norm_lemma, check_point, sweep
+from .verdicts import SweepReport, check_norm_lemma, check_point, classification_holds
 
 __all__ = [
     "main",
@@ -118,22 +114,39 @@ def _get(section: dict, path: str, key: str, default, caster=None):
     return value
 
 
-def _integer_at_least(least: int):
-    """Caster for _get: an integer >= least; bools and floats are refused."""
+def _number(least: float = -math.inf, integer: bool = False):
+    """Caster for _get: a finite number >= least; with integer, an int
+    (bools and floats are refused)."""
 
     def cast(value):
-        if isinstance(value, bool) or not isinstance(value, int) or value < least:
-            raise ValueError(f"must be an integer >= {least}, got {value!r}")
+        if integer:
+            ok = isinstance(value, int) and not isinstance(value, bool)
+        else:
+            value = float(value)
+            ok = math.isfinite(value)
+        if not ok or value < least:
+            bound = f" >= {least:g}" if least > -math.inf else ""
+            raise ValueError(f"must be {'an integer' if integer else 'a finite number'}{bound}, got {value!r}")
         return value
 
     return cast
 
 
-def _boolean(value) -> bool:
-    """Caster for _get: a JSON true or false, nothing else."""
-    if not isinstance(value, bool):
-        raise ValueError(f"must be true or false, got {value!r}")
-    return value
+def _json(kind: type, what: str):
+    """Caster for _get: a value of the given JSON type; a string must not be empty."""
+
+    def cast(value):
+        if not isinstance(value, kind) or value == "":
+            raise ValueError(f"must be {what}, got {value!r}")
+        return value
+
+    return cast
+
+
+def _out_dir(doc: dict, override: str | None = None) -> str:
+    """run.out_dir, checked even where an override replaces it."""
+    configured = _get(_section(doc, "run"), "run", "out_dir", "out", _json(str, "a non-empty string"))
+    return override or configured
 
 
 def load_config(path: str | None) -> dict:
@@ -210,7 +223,6 @@ def build_solver_config(doc: dict, group: GroupSpec) -> SolverConfig:
 
 def effective_config_dict(doc: dict, group: GroupSpec, cfg: SolverConfig, sandwich: bool) -> dict:
     """Defaults-filled config that reproduces the run exactly."""
-    run_sec = _section(doc, "run")
     return {
         "group": {"m": group.m, "n": group.n, "B": group.B.tolist()},
         "domain": {
@@ -231,7 +243,7 @@ def effective_config_dict(doc: dict, group: GroupSpec, cfg: SolverConfig, sandwi
         "run": {
             "t_end": cfg.t_end,
             "snapshot_every": cfg.snapshot_every,
-            "out_dir": run_sec.get("out_dir", "out"),
+            "out_dir": _out_dir(doc),
             "sandwich": sandwich,
         },
         "verify": _section(doc, "verify"),
@@ -309,43 +321,49 @@ def suite_norm_lemma(
     )
 
 
-def _barrier_fixtures(g: GroupSpec, drifts: dict[str, float]) -> list[tuple[BarrierEval, str]]:
-    """Catalog instances with classified drifts (config-overridable)."""
+def _barrier_fixtures(g: GroupSpec, drifts: dict[str, float]) -> list[tuple[BarrierEval, str, str]]:
+    """Catalog instances with classified drifts, each with its drift key."""
     m, n = g.m, g.n
     table = [
-        ("cylinder", drifts.get("cylinder", -2.0 * (m - 1)), "solution"),
-        ("gauge", drifts.get("gauge_super", 1.0), "supersolution"),
-        ("gauge", drifts.get("gauge", -4.0 * n), "subsolution"),
-        ("euclid_ball", drifts.get("euclid_ball_super", 0.0), "supersolution"),
-        ("euclid_ball", drifts.get("euclid_ball", -2.0 * (m - 1) - 4.0), "subsolution"),
-        ("sqrt_gauge", drifts.get("sqrt_gauge_super", 0.0), "supersolution"),
-        ("sqrt_gauge", drifts.get("sqrt_gauge", -2.0 * n), "subsolution"),
+        ("cylinder", "cylinder", -2.0 * (m - 1), "solution"),
+        ("gauge", "gauge_super", 1.0, "supersolution"),
+        ("gauge", "gauge", -4.0 * n, "subsolution"),
+        ("euclid_ball", "euclid_ball_super", 0.0, "supersolution"),
+        ("euclid_ball", "euclid_ball", -2.0 * (m - 1) - 4.0, "subsolution"),
+        ("sqrt_gauge", "sqrt_gauge_super", 0.0, "supersolution"),
+        ("sqrt_gauge", "sqrt_gauge", -2.0 * n, "subsolution"),
     ]
-    out = []
-    for kind, c, expect in table:
-        if kind != "cylinder" and not is_heisenberg_like(g):
-            continue
-        out.append((make_barrier(kind, g, c, 1.0), expect))
-    return out
+    return [
+        (make_barrier(kind, g, drifts.get(key, c), 1.0), expect, key)
+        for kind, key, c, expect in table
+        if kind == "cylinder" or is_heisenberg_like(g)
+    ]
+
+
+# blocks of 2 * count candidates that _sample_points draws at most
+_SAMPLE_BLOCKS = 500
 
 
 def _sample_points(g: GroupSpec, rng, count: int, region=None, scale: float = 1.4):
     """count uniform draws in [-scale, scale]^n with |x_h| >= 1e-3 inside region.
 
-    Candidates are filtered in blocks; the generator is then left just past
+    Candidates are filtered in blocks, and fewer points come back when
+    _SAMPLE_BLOCKS blocks hold too few; the generator is then left just past
     the last candidate used, as drawing one candidate at a time would.
     """
     state = rng.bit_generator.state
-    x, ok = np.empty((0, g.n)), np.zeros(0, dtype=bool)
-    while ok.sum() < count:
-        x = np.concatenate([x, rng.uniform(-scale, scale, size=(2 * count, g.n))])
+    kept, drawn = np.empty((0, g.n)), 0
+    while len(kept) < count and drawn < _SAMPLE_BLOCKS * 2 * count:
+        x = rng.uniform(-scale, scale, size=(2 * count, g.n))
         ok = np.linalg.norm(x[:, : g.m], axis=-1) >= 1e-3
         if region is not None:
             ok &= np.broadcast_to(region(x), ok.shape)
-    used = int(np.flatnonzero(ok)[count - 1]) + 1
-    rng.bit_generator.state = state
-    rng.uniform(-scale, scale, size=(used, g.n))
-    return x[:used][ok[:used]]
+        idx = np.flatnonzero(ok)[: count - len(kept)]
+        kept, drawn = np.concatenate([kept, x[idx]]), drawn + len(x)
+    if len(kept) == count:
+        rng.bit_generator.state = state
+        rng.uniform(-scale, scale, size=(drawn - len(x) + int(idx[-1]) + 1, g.n))
+    return kept
 
 
 def suite_barriers(
@@ -362,19 +380,18 @@ def suite_barriers(
     lines: list[str] = []
     ok = True
 
-    for barrier, expect in _barrier_fixtures(g, drifts):
+    for barrier, expect, key in _barrier_fixtures(g, drifts):
         spec = barrier.spec
         label = f"{spec.kind}(c={spec.c:g})"
         pts = _sample_points(g, rng, samples, region=barrier.region)
-        t = 0.25
-        j = barrier.field.jet(pts, t)
-        q = horizontal_gradient(g, j, pts)
-        A = horizontal_hessian(g, j, pts)
-        op_jet = j.dt + operator_bounds(q, A).lower
+        if len(pts) < samples:
+            raise ConfigError(f"verify.barrier_drifts.{key}: region admits {len(pts)} of {samples} points")
+        # one jet batch; at these regular points sub_residual is u_t + F(Xu, X2u)
+        v = check_point(g, barrier.field, pts, 0.25)
         op_closed = barrier.closed_form_operator(pts)
-        worst_op = float(np.max(np.abs(op_jet - op_closed) / np.maximum(1.0, np.abs(op_closed))))
-        worst_grad = float(np.max(np.abs(q - barrier.closed_hgrad(pts))))
-        worst_hess = float(np.max(np.abs(A - barrier.closed_hhess(pts))))
+        worst_op = float(np.max(np.abs(v.sub_residual - op_closed) / np.maximum(1.0, np.abs(op_closed))))
+        worst_grad = float(np.max(np.abs(v.hgrad - barrier.closed_hgrad(pts))))
+        worst_hess = float(np.max(np.abs(v.hhess - barrier.closed_hhess(pts))))
         match_ok = max(worst_op, worst_grad, worst_hess) <= tol
         ok = ok and match_ok
         lines.append(
@@ -391,7 +408,8 @@ def suite_barriers(
                 f"({'ok' if exact_ok else 'NOT EXACT'})"
             )
 
-        report = sweep(g, barrier.field, [(x, t) for x in pts], expect, tol, region=barrier.region)
+        report = SweepReport(expect=expect, tolerance=tol)
+        report.add(v)
         ok = ok and report.passed
         lines.append(f"{label}: {report.summary()}")
 
@@ -499,26 +517,23 @@ SUITES = (
 def run_verify(doc: dict, suites: list[str] | None = None) -> tuple[bool, str]:
     g = build_group(doc)
     vf = _section(doc, "verify")
-    samples = _get(vf, "verify", "samples", 500, _integer_at_least(1))
-    tol = _get(vf, "verify", "tolerance", 1e-9, float)
-    seed = _get(vf, "verify", "seed", 0, _integer_at_least(0))
+    samples = _get(vf, "verify", "samples", 500, _number(1, integer=True))
+    tol = _get(vf, "verify", "tolerance", 1e-9, _number(0.0))
+    seed = _get(vf, "verify", "seed", 0, _number(0, integer=True))
     drift_sec = _section(vf, "verify.barrier_drifts")
-    drifts = {k: _get(drift_sec, "verify.barrier_drifts", k, None, float) for k in drift_sec}
+    drifts = {k: _get(drift_sec, "verify.barrier_drifts", k, None, _number()) for k in drift_sec}
     selected = suites or _get(vf, "verify", "suites", None, list) or list(SUITES)
     for name in selected:
         if name not in SUITES:
             raise ConfigError(f"verify.suites: unknown suite {name!r} (choose from {SUITES})")
 
     results: list[SuiteResult] = []
+    specs = [g, m3n5()] if g.m == 2 else [g]  # also exercise a higher-step-two spec
     for name in selected:
         if name == "group-axioms":
-            results.append(suite_group_axioms(g, max(samples, 1000), 1e-12, seed))
-            if g.m == 2:  # also exercise a higher-step-two spec
-                results.append(suite_group_axioms(m3n5(), max(samples, 1000), 1e-12, seed))
+            results += [suite_group_axioms(h, max(samples, 1000), 1e-12, seed) for h in specs]
         elif name == "norm-lemma":
-            results.append(suite_norm_lemma(g, max(samples, 1000), 1e-10, seed))
-            if g.m == 2:
-                results.append(suite_norm_lemma(m3n5(), max(samples, 1000), 1e-10, seed))
+            results += [suite_norm_lemma(h, max(samples, 1000), 1e-10, seed) for h in specs]
         elif name == "barriers":
             results.append(suite_barriers(g, samples, tol, seed, drifts))
         elif name == "envelopes":
@@ -540,24 +555,17 @@ def cmd_verify(args) -> int:
     return 0 if passed else 1
 
 
-_BARRIER_DEFAULT_C = {
-    "cylinder": lambda g: -2.0 * (g.m - 1),
-    "gauge": lambda g: 0.0,
-    "euclid_ball": lambda g: 0.0,
-    "sqrt_gauge": lambda g: -2.0 * g.n,
-}
-
-
 def cmd_barrier(args) -> int:
     doc = load_config(args.config)
     g = build_group(doc)
     kind = args.kind
-    if kind not in _BARRIER_DEFAULT_C:
+    default_c = {"cylinder": -2.0 * (g.m - 1), "gauge": 0.0, "euclid_ball": 0.0, "sqrt_gauge": -2.0 * g.n}
+    if kind not in default_c:
         raise ConfigError(f"--kind: unknown barrier kind {kind!r}")
     initial = _section(doc, "initial")
-    run_sec = _section(doc, "run")
-    r = _get(initial, "initial", "r", 1.0, float)
-    c = _get(initial, "initial", "c", _BARRIER_DEFAULT_C[kind](g), float)
+    r = _get(initial, "initial", "r", 1.0, _number())
+    c = _get(initial, "initial", "c", default_c[kind], _number())
+    out_dir = _out_dir(doc, args.out)
     barrier = make_barrier(kind, g, c, r)
     expect = barrier.classification
 
@@ -577,15 +585,10 @@ def cmd_barrier(args) -> int:
     verdict = check_point(g, barrier.field, points, 0.0)
     numeric = verdict.sub_residual
     mismatch = np.abs(closed - numeric) > 1e-9 * np.maximum(1.0, np.abs(closed))
-    sign_ok = np.ones(len(points), dtype=bool)
-    if expect in ("subsolution", "solution"):
-        sign_ok &= verdict.sub_residual <= 1e-9
-    if expect in ("supersolution", "solution"):
-        sign_ok &= verdict.super_residual >= -1e-9
+    sign_ok = classification_holds(expect, verdict.sub_residual, verdict.super_residual, 1e-9)
     status = np.where(~in_region, "outside-region", np.where(sign_ok & ~mismatch, "ok", "fail"))
     n_fail = int(np.sum(status == "fail"))
 
-    out_dir = args.out or run_sec.get("out_dir", "out")
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"barrier_{kind}.csv")
     with open(path, "w") as fh:
@@ -646,9 +649,8 @@ def cmd_evolve(args) -> int:
     doc = load_config(args.config)
     g = build_group(doc)
     cfg = build_solver_config(doc, g)
-    run_sec = _section(doc, "run")
-    out_dir = args.out or run_sec.get("out_dir", "out")
-    sandwich = _get(run_sec, "run", "sandwich", False, _boolean)
+    out_dir = _out_dir(doc, args.out)
+    sandwich = _get(_section(doc, "run"), "run", "sandwich", False, _json(bool, "true or false"))
     if sandwich and cfg.scheme == "regularized":
         status = _write_outputs(cfg, out_dir, doc, g, sandwich)
         if status != 0:

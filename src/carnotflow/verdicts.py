@@ -12,9 +12,9 @@ is just f_t; otherwise the envelope residuals are necessary bounds
 (f_t + F_* for the subsolution side, f_t + F^* for the supersolution side)
 rather than a full two-sided test, and the verdict records that regime.
 
-Every check runs on a batch: one exact-jet evaluation over a (P, n) array
-of points, one batched operator evaluation, and array reductions; the
-single-point APIs are batches of one.
+Every residual check is one check_point call (one jet, projection and
+operator batch over (P, n) points) plus array reductions, and
+classification_holds is the one rule for which residual a class bounds.
 
 The module also provides the homogeneous-norm lemma checks (closed-form
 horizontal derivatives of N = |x_h|^4 + |x_v|^2 and the x/y symmetry of the
@@ -25,7 +25,6 @@ horizontal derivatives both vanish wherever the gradient does.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
 
 import numpy as np
 import numpy.typing as npt
@@ -49,6 +48,7 @@ __all__ = [
     "REGIME_CHAR_ENVELOPE",
     "PointVerdict",
     "check_point",
+    "classification_holds",
     "SweepReport",
     "sweep",
     "NormLemmaReport",
@@ -70,8 +70,8 @@ class PointVerdict:
     sub_residual passes (as a subsolution) when <= tolerance; super_residual
     passes (as a supersolution) when >= -tolerance.  In the regular regime
     the two coincide; in the characteristic-nonnull-hessian regime they are
-    envelope bounds, not equivalent conditions.  For a batch, x is (P, n)
-    and regime and the residuals hold one entry per point.
+    envelope bounds, not equivalent conditions; hgrad and hhess hold Xf and
+    X2f.  For a batch, x is (P, n) and every other entry has P leading rows.
     """
 
     x: npt.NDArray
@@ -79,6 +79,8 @@ class PointVerdict:
     regime: str | npt.NDArray
     sub_residual: float | npt.NDArray
     super_residual: float | npt.NDArray
+    hgrad: npt.NDArray
+    hhess: npt.NDArray
 
 
 def check_point(
@@ -94,14 +96,23 @@ def check_point(
     """
     x = np.asarray(x, dtype=float)
     j = f.jet(x, t)
-    ops = operator_bounds(horizontal_gradient(g, j, x), horizontal_hessian(g, j, x), eps_sing)
+    q, A = horizontal_gradient(g, j, x), horizontal_hessian(g, j, x)
+    ops = operator_bounds(q, A, eps_sing)
     null = ~ops.regular & (ops.spectral <= eps_sing)
     regime = np.where(
         ops.regular, REGIME_REGULAR, np.where(null, REGIME_CHAR_NULL, REGIME_CHAR_ENVELOPE)
     )
     sub = j.dt + np.where(null, 0.0, ops.lower)
     sup = j.dt + np.where(null, 0.0, ops.upper)
-    return PointVerdict(x, t, regime[()], sub[()], sup[()])
+    return PointVerdict(x, t, regime[()], sub[()], sup[()], q, A)
+
+
+def classification_holds(expect: str, sub_residual, super_residual, tolerance: float):
+    """Elementwise: a sub- or solution needs sub_residual <= tolerance, a
+    super- or solution super_residual >= -tolerance; other classes neither."""
+    sub_ok = expect not in ("subsolution", "solution") or np.asarray(sub_residual) <= tolerance
+    sup_ok = expect not in ("supersolution", "solution") or np.asarray(super_residual) >= -tolerance
+    return sub_ok & sup_ok
 
 
 @dataclass
@@ -132,12 +143,7 @@ class SweepReport:
 
     @property
     def passed(self) -> bool:
-        ok = True
-        if self.expect in ("subsolution", "solution"):
-            ok = ok and self.worst_sub <= self.tolerance
-        if self.expect in ("supersolution", "solution"):
-            ok = ok and self.worst_super >= -self.tolerance
-        return ok
+        return bool(classification_holds(self.expect, self.worst_sub, self.worst_super, self.tolerance))
 
     def summary(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -151,29 +157,24 @@ class SweepReport:
 def sweep(
     g: GroupSpec,
     f: ScalarField,
-    points: Iterable,
+    x,
     expect: str,
     tolerance: float = 1e-12,
     eps_sing: float = DEFAULT_EPS_SING,
     region=None,
+    t=0.0,
 ) -> SweepReport:
-    """Run check_point over (x,) or (x, t) samples and summarize.
+    """Run check_point over the points x, (P, n) or (n,), and summarize.
 
-    points is an iterable of samples or a (P, n) array.  Points without an
-    explicit time are evaluated at t = 0.  Samples where the optional
-    region predicate (called once on the (P, n) batch) is False are skipped
+    t is a number or one time per point.  Points where the optional region
+    predicate (called once on the (P, n) batch) is False are skipped
     (barriers with a region-restricted classification use this to stay on
-    their own turf).  All kept samples are checked as one batch.
+    their own turf).  All kept points are checked as one batch.
     """
     if expect not in ("subsolution", "supersolution", "solution"):
         raise ValueError(f"expect must be a classification, got {expect!r}")
-    xs, ts = [], []
-    for p in points:
-        timed = isinstance(p, tuple) and len(p) == 2 and np.ndim(p[0]) == 1
-        xs.append(p[0] if timed else p)
-        ts.append(p[1] if timed else 0.0)
-    x = np.asarray(xs, dtype=float).reshape(-1, g.n)
-    t = np.asarray(ts, dtype=float)
+    x = np.asarray(x, dtype=float).reshape(-1, g.n)
+    t = np.broadcast_to(np.asarray(t, dtype=float), x.shape[:1])
     if region is not None:
         keep = np.broadcast_to(region(x), t.shape)
         x, t = x[keep], t[keep]
@@ -313,16 +314,12 @@ def restricted_test_class_filter(
 ) -> bool:
     """Admissibility of f for the restricted comparison class near x.
 
-    Samples the lattice x + {-rho, 0, rho}^n and requires that at every
-    sampled point where the horizontal gradient vanishes (|Xf| <= eps_sing)
-    the horizontal Hessian vanishes too (spectral norm <= eps_sing).
-    Fields in this class never hit the envelope regime, so the pointwise
-    verdicts are two-sided everywhere on the sampled lattice.
+    Samples the lattice x + {-rho, 0, rho}^n and requires that no sampled
+    point is in the envelope regime: where |Xf| <= eps_sing, the horizontal
+    Hessian vanishes too (spectral norm <= eps_sing).  For fields in this
+    class the pointwise verdicts are two-sided everywhere on the lattice.
     """
-    x = np.asarray(x, dtype=float)
     offsets = np.array([-rho, 0.0, rho])
     grids = np.meshgrid(*([offsets] * g.n), indexing="ij")
-    pts = x + np.stack([a.ravel() for a in grids], axis=-1)
-    j = f.jet(pts, t)
-    ops = operator_bounds(horizontal_gradient(g, j, pts), horizontal_hessian(g, j, pts), eps_sing)
-    return not np.any(~ops.regular & (ops.spectral > eps_sing))
+    pts = np.asarray(x, dtype=float) + np.stack([a.ravel() for a in grids], axis=-1)
+    return not np.any(check_point(g, f, pts, t, eps_sing).regime == REGIME_CHAR_ENVELOPE)

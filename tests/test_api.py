@@ -11,13 +11,13 @@ MODULES = (groups, calculus, barriers, verdicts, solver)
 # up in a diff of this file.
 PUBLIC = [
     "BARRIER_KINDS", "BarrierEval", "BarrierSpec", "Const", "Coord", "Engine",
-    "EnvelopePair", "Expr", "FrontCloud", "GridField", "GroupSpec", "InitialSpec",
-    "Jet", "NormLemmaReport", "OperatorBounds", "PointVerdict", "Power", "Product",
+    "Expr", "FrontCloud", "GridField", "GroupSpec", "InitialSpec", "Jet",
+    "NormLemmaReport", "OperatorBounds", "PointVerdict", "Power", "Product",
     "REGIME_CHAR_ENVELOPE", "REGIME_CHAR_NULL", "REGIME_REGULAR", "RunResult",
     "SQRT_GAUGE_EXCLUSION", "ScalarField", "SmoothMap1D", "SolverConfig", "Sum",
     "SweepReport", "TimeVar", "bracket", "change_of_variables_check",
-    "check_norm_lemma", "check_point", "compose", "dilate", "extinction_time",
-    "extract_front", "full_operator_G", "gauge", "gauge_distance",
+    "check_norm_lemma", "check_point", "classification_holds", "compose", "dilate",
+    "extinction_time", "extract_front", "gauge", "gauge_distance",
     "gauge_profile_hgrad", "gauge_profile_hhess", "gauge_profile_value",
     "heisenberg", "homogeneous_norm", "horizontal_gradient", "horizontal_hessian",
     "init", "inverse", "is_heisenberg_like", "left_translation_jacobian", "m3n5",

@@ -5,9 +5,10 @@ import pytest
 
 from carnotflow import (
     BARRIER_KINDS,
+    REGIME_REGULAR,
     change_of_variables_check,
+    check_point,
     extinction_time,
-    full_operator_G,
     gauge_profile_hgrad,
     gauge_profile_hhess,
     gauge_profile_value,
@@ -258,6 +259,8 @@ class TestConvexityWitness:
 def test_full_operator_matches_closed_form_for_gauge():
     bar = make_barrier("gauge", HEIS, c=0.0, r=1.0)
     x = np.array([0.5, 0.5, -0.2])
-    out = full_operator_G(HEIS, x, bar.field.jet(x, t=0.1))
-    # with drift c = 0 the closed operator value is exactly F at x
-    assert out == pytest.approx(bar.closed_form_operator(x), abs=1e-10)
+    v = check_point(HEIS, bar.field, x, t=0.1)
+    # with drift c = 0 the residual u_t + F is exactly F, the closed value at x
+    assert v.regime == REGIME_REGULAR
+    assert v.sub_residual == pytest.approx(bar.closed_form_operator(x), abs=1e-10)
+    assert v.super_residual == v.sub_residual

@@ -17,11 +17,9 @@ from carnotflow import (
     BARRIER_KINDS,
     Const,
     Coord,
-    EnvelopePair,
     Jet,
     ScalarField,
     TimeVar,
-    full_operator_G,
     heisenberg,
     horizontal_gradient,
     horizontal_hessian,
@@ -224,26 +222,6 @@ def test_envelopes_bound_operator(q, A):
     val = F(q, A)
     lower, upper = envelopes(A)
     assert lower - 1e-11 <= val <= upper + 1e-11
-
-
-def test_full_operator_returns_envelope_pair_at_characteristic_point():
-    f = norm_field(HEIS)
-    x = np.array([0.0, 0.0, 0.5])  # axis: XN = 0 and X2N = 0
-    out = full_operator_G(HEIS, x, f.jet(x))
-    assert isinstance(out, EnvelopePair)
-    assert out.lower == pytest.approx(0.0, abs=1e-13)
-    assert out.upper == pytest.approx(0.0, abs=1e-13)
-
-
-def test_full_operator_matches_f_at_regular_point():
-    f = norm_field(HEIS)
-    x = np.array([0.8, -0.1, 0.3])
-    j = f.jet(x)
-    out = full_operator_G(HEIS, x, j)
-    assert isinstance(out, float)
-    q = horizontal_gradient(HEIS, j, x)
-    A = horizontal_hessian(HEIS, j, x)
-    assert out == pytest.approx(F(q, A), abs=0)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -14,7 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import carnotflow.cli as cli
 import carnotflow.solver as solver
-from carnotflow import Engine
+from carnotflow import Engine, ScalarField, heisenberg, make_barrier
 from carnotflow.cli import main
 
 
@@ -155,6 +156,58 @@ class TestConfigErrors:
         assert main(["verify", "--config", cfg, "--suite", "barriers"]) == 2
         assert f"carnotflow: {field}: must be an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0, -1e-12])
+    def test_tolerance_must_be_finite_and_nonnegative(self, tmp_path, capsys, value):
+        cfg = write_config(tmp_path, {"verify": {"tolerance": value, "samples": 5}})
+        assert main(["verify", "--config", cfg, "--suite", "barriers"]) == 2
+        assert "carnotflow: verify.tolerance: must be a finite number >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "drifts, message",
+        [
+            ({"gauge": float("nan")}, "must be a finite number"),
+            ({"sqrt_gauge": float("-inf")}, "must be a finite number"),
+            ({"gauge": -1e-300}, "region admits 0 of 500 points"),
+            ({"euclid_ball": -2.0000001}, "region admits 0 of 500 points"),
+        ],
+    )
+    def test_drift_without_samples_refused_without_hanging(self, tmp_path, capsys, drifts, message):
+        # a region that admits no sample point once made the sampler loop forever
+        def too_slow(signum, frame):
+            raise TimeoutError("verify did not return within 20 s")
+
+        cfg = write_config(tmp_path, {"verify": {"barrier_drifts": drifts}})
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        signal.alarm(20)
+        try:
+            status = main(["verify", "--config", cfg, "--suite", "barriers"])
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert status == 2
+        (key,) = drifts
+        err = capsys.readouterr().err
+        assert err.startswith(f"carnotflow: verify.barrier_drifts.{key}: ") and message in err
+
+    @pytest.mark.parametrize("command", ["evolve", "barrier"])
+    @pytest.mark.parametrize("value", [5, "", None, ["out"]])
+    def test_out_dir_must_be_nonempty_string(self, tmp_path, capsys, monkeypatch, command, value):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, {**SMALL_RUN, "run": {**SMALL_RUN["run"], "out_dir": value}})
+        extra = ["--kind", "cylinder", "--lattice", "3"] if command == "barrier" else []
+        assert main([command, "--config", cfg] + extra) == 2
+        assert "carnotflow: run.out_dir: must be a non-empty string" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["config.json"]
+
+    @pytest.mark.parametrize("key", ["c", "r"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_barrier_numbers_must_be_finite(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, {"initial": {key: value}})
+        out = tmp_path / "o"
+        assert main(["barrier", "--kind", "gauge", "--config", cfg, "--out", str(out)]) == 2
+        assert f"carnotflow: initial.{key}: must be a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
     def test_sandwich_must_be_boolean(self, tmp_path, capsys, value):
         doc = {**SMALL_RUN, "run": {**SMALL_RUN["run"], "sandwich": value}}
@@ -207,6 +260,32 @@ class TestVerify:
         assert main(["verify", "--suite", "barriers", "--config", cfg]) == 1
         out = capsys.readouterr().out
         assert "FAIL" in out and "FAILURES above" in out
+
+    def test_barriers_suite_evaluates_one_jet_batch_per_fixture(self, monkeypatch):
+        calls = []
+        jet = ScalarField.jet
+
+        def counted(self, x, t=0.0):
+            calls.append(np.shape(x))
+            return jet(self, x, t)
+
+        monkeypatch.setattr(ScalarField, "jet", counted)
+        g = heisenberg()
+        assert cli.suite_barriers(g, samples=20).passed
+        assert calls == [(20, 3)] * len(cli._barrier_fixtures(g, {}))
+
+    def test_sample_points_match_one_at_a_time_draws(self):
+        g = heisenberg()
+        region = make_barrier("gauge", g, -3.0, 1.0).region
+        rng, ref = np.random.default_rng(7), np.random.default_rng(7)
+        pts = cli._sample_points(g, rng, 25, region=region)
+        want = []
+        while len(want) < 25:
+            x = ref.uniform(-1.4, 1.4, size=g.n)
+            if np.linalg.norm(x[:2]) >= 1e-3 and region(x):
+                want.append(x)
+        np.testing.assert_array_equal(pts, want)
+        assert rng.uniform() == ref.uniform()
 
     def test_m3n5_group_runs_group_suites(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"group": {"preset": "m3n5"}})
@@ -369,6 +448,12 @@ def test_console_entry_point_subprocess(tmp_path):
 NONFINITE = [float("nan"), float("inf"), float("-inf")]
 NOT_NUMBERS = ["fast", "", [0.5], {"v": 0.5}]
 NOT_OBJECTS = ["envelope_min", [[-2, 2]], 3.0, None]
+# the barriers suite's drifts on the Heisenberg group when none is overridden;
+# any other drift may turn a fixture's verdict to FAIL
+CLASSIFIED_DRIFTS = {
+    "cylinder": -2.0, "gauge_super": 1.0, "gauge": -12.0, "euclid_ball_super": 0.0,
+    "euclid_ball": -6.0, "sqrt_gauge_super": 0.0, "sqrt_gauge": -6.0,
+}
 
 # (section, key) -> (valid values, bad values, a word every refusal of a bad
 # value names); the grid stays at most 8^3, the runs at most 0.01 long and the
@@ -394,6 +479,7 @@ FIELDS = {
         "preset",
     ),
     ("initial", "r"): (st.floats(0.05, 5.0), st.sampled_from(NONFINITE + NOT_NUMBERS), "initial.r"),
+    ("initial", "c"): (st.floats(-4.0, 2.0), st.sampled_from(NONFINITE + NOT_NUMBERS), "initial.c"),
     ("initial", "relabel"): (
         st.sampled_from([None, "cubic"]),
         st.sampled_from(["quintic", ["cubic"], 3.0]),
@@ -413,6 +499,11 @@ FIELDS = {
         st.sampled_from(NONFINITE + NOT_NUMBERS),
         "snapshot_every",
     ),
+    ("run", "out_dir"): (
+        st.sampled_from(["out", "runs/a"]),
+        st.sampled_from([5, "", None, ["out"], 0.5]),
+        "run.out_dir",
+    ),
     ("run", "sandwich"): (
         st.booleans(),
         st.sampled_from(["false", "true", 0, 1, None, [True]]),
@@ -428,19 +519,37 @@ FIELDS = {
         st.sampled_from([0, -3, 2.7, 3.0, False, "5", None]),
         "verify.samples",
     ),
+    ("verify", "tolerance"): (
+        st.floats(1e-9, 1.0),
+        st.sampled_from(NONFINITE + NOT_NUMBERS + [-1.0, -1e-12]),
+        "verify.tolerance",
+    ),
+    ("verify", "barrier_drifts"): (
+        st.lists(st.sampled_from(sorted(CLASSIFIED_DRIFTS)), unique=True).map(
+            lambda keys: {key: CLASSIFIED_DRIFTS[key] for key in keys}
+        ),
+        st.sampled_from(
+            [{"gauge": v} for v in NONFINITE + ["x", -1e-300]] + [{"euclid_ball": -2.0000001}]
+        ),
+        "verify.barrier_drifts",
+    ),
 }
 SECTIONS = ("domain", "initial", "scheme", "run", "verify")
-# command -> (sections it requires to be objects, sections whose fields it reads)
+# command -> (sections it requires to be objects, (section, key) fields it reads)
 READS = {
-    "evolve": (set(SECTIONS), {"domain", "initial", "scheme", "run"}),
-    "verify": ({"verify"}, {"verify"}),
+    "evolve": (
+        set(SECTIONS),
+        {f for f in FIELDS if f[0] in ("domain", "initial", "scheme", "run")} - {("initial", "c")},
+    ),
+    "verify": ({"verify"}, {f for f in FIELDS if f[0] == "verify"}),
+    "barrier": ({"initial", "run"}, {("initial", "r"), ("initial", "c"), ("run", "out_dir")}),
 }
 
 
 @st.composite
 def config_documents(draw):
-    """A config document and its faults as (section, word a refusal names,
-    whether the whole section is bad); no faults: valid."""
+    """A config document and its faults as (section, key or None, word a
+    refusal names, whether the whole section is bad); no faults: valid."""
     doc, faults = {}, set()
     for (section, key), (valid, _, _) in FIELDS.items():
         if key in ("resolution", "t_end", "samples") or draw(st.booleans()):
@@ -448,10 +557,10 @@ def config_documents(draw):
     for section, key in draw(st.lists(st.sampled_from(sorted(FIELDS)), max_size=2)):
         _, bad, word = FIELDS[section, key]
         doc.setdefault(section, {})[key] = draw(bad)
-        faults.add((section, word, False))
+        faults.add((section, key, word, False))
     for section in draw(st.lists(st.sampled_from(SECTIONS), max_size=1)):
         doc[section] = draw(st.sampled_from(NOT_OBJECTS))
-        faults.add((section, f"{section}: must be an object", True))
+        faults.add((section, None, f"{section}: must be an object", True))
     return doc, faults
 
 
@@ -460,12 +569,21 @@ def config_documents(draw):
 def test_config_boundary_runs_or_refuses(case):
     doc, faults = case
     for command, (objects, fields) in READS.items():
-        named = {word for section, word, whole in faults if section in (objects if whole else fields)}
+        named = {
+            word
+            for section, key, word, whole in faults
+            if (section in objects if whole else (section, key) in fields)
+        }
         with tempfile.TemporaryDirectory() as tmp:
             cfg = os.path.join(tmp, "config.json")
             with open(cfg, "w") as fh:
                 json.dump(doc, fh)
-            extra = ["--out", os.path.join(tmp, "out")] if command == "evolve" else ["--suite", "barriers"]
+            out = ["--out", os.path.join(tmp, "out")]
+            extra = {
+                "evolve": out,
+                "verify": ["--suite", "barriers"],
+                "barrier": ["--kind", "cylinder", "--lattice", "3"] + out,
+            }[command]
             err = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 status = main([command, "--config", cfg] + extra)

@@ -12,6 +12,7 @@ from carnotflow import (
     TimeVar,
     check_norm_lemma,
     check_point,
+    classification_holds,
     heisenberg,
     make_barrier,
     restricted_test_class_filter,
@@ -38,6 +39,9 @@ class TestRegimes:
         assert v.regime == REGIME_REGULAR
         assert v.sub_residual == pytest.approx(0.0, abs=1e-12)
         assert v.super_residual == v.sub_residual
+        # the verdict carries the projections it came from: Xw = -2 x_h, X2w = -2 I
+        np.testing.assert_array_equal(v.hgrad, [-2.0, -0.6])
+        np.testing.assert_array_equal(v.hhess, -2.0 * np.eye(2))
 
     def test_regular_residual_tracks_drift(self):
         v = check_point(HEIS, cylinder_field(1.5), np.array([0.8, 0.0, 0.0]))
@@ -81,6 +85,18 @@ class TestRegimes:
         assert wide.regime == REGIME_CHAR_NULL
 
 
+def test_classification_rule_bounds_one_side_per_class():
+    sub, sup = np.array([-1.0, 0.5, 0.0]), np.array([-0.5, 1.0, 0.0])
+    expected = {
+        "subsolution": [True, False, True],
+        "supersolution": [False, True, True],
+        "solution": [False, False, True],
+    }
+    for expect, holds in expected.items():
+        np.testing.assert_array_equal(classification_holds(expect, sub, sup, 0.1), holds)
+    assert classification_holds("none", sub, sup, 0.1) is True
+
+
 class TestSweep:
     def _lattice(self, k=5, lim=1.2):
         axes = [np.linspace(-lim, lim, k)] * 3
@@ -114,8 +130,8 @@ class TestSweep:
         assert 0 < rep.n_points < len(pts)
 
     def test_timed_samples(self):
-        samples = [(np.array([1.0, 0.0, 0.0]), 0.0), (np.array([0.5, 0.5, 1.0]), 0.7)]
-        rep = sweep(HEIS, cylinder_field(-2.0), samples, expect="solution")
+        x = np.array([[1.0, 0.0, 0.0], [0.5, 0.5, 1.0]])
+        rep = sweep(HEIS, cylinder_field(-2.0), x, expect="solution", t=np.array([0.0, 0.7]))
         assert rep.n_points == 2 and rep.passed
 
     @pytest.mark.parametrize("which", ["norm", "weighted-cylinder"])
@@ -132,9 +148,8 @@ class TestSweep:
             weight = Const(1.0) + sq_norm([2])
             f = ScalarField(Const(-0.7) * TimeVar() - weight * sq_norm(range(2)), HEIS)
             axis_regime = REGIME_CHAR_ENVELOPE
-        samples = list(zip(x, t))
-        rep = sweep(HEIS, f, samples, expect="solution", tolerance=np.inf)
-        single = [check_point(HEIS, f, p, s) for p, s in samples]
+        rep = sweep(HEIS, f, x, expect="solution", tolerance=np.inf, t=t)
+        single = [check_point(HEIS, f, p, s) for p, s in zip(x, t)]
         counts = {}
         for v in single:
             counts[v.regime] = counts.get(v.regime, 0) + 1
