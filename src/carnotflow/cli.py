@@ -24,9 +24,11 @@ Config sections (all optional, defaults in parentheses):
 Every section, and verify.barrier_drifts, must be a JSON object.
 verify.barrier_drifts overrides the drift constant c used for a kind's
 classified fixture (e.g. {"sqrt_gauge": 4.0}); it exists so a deliberately
-broken fixture demonstrably fails the suite.  Each drift must be finite and
-its region must admit the samples.  run.out_dir must be a non-empty string,
-even where --out overrides it.
+broken fixture demonstrably fails the suite.  Each key must name a fixture,
+each drift must be a finite number and its region must admit the samples.
+Numeric fields take JSON numbers only: booleans and numeric strings are
+refused.  run.out_dir must be a non-empty string, even where --out
+overrides it.
 
 Exit codes: 0 all checks pass / run completed; 1 scientific failure or
 instability; 2 unusable config or arguments.
@@ -115,13 +117,12 @@ def _get(section: dict, path: str, key: str, default, caster=None):
 
 
 def _number(least: float = -math.inf, integer: bool = False):
-    """Caster for _get: a finite number >= least; with integer, an int
-    (bools and floats are refused)."""
+    """Caster for _get: a finite JSON number >= least, as a float; with
+    integer, an int.  Booleans and strings are refused, numeric or not."""
 
     def cast(value):
-        if integer:
-            ok = isinstance(value, int) and not isinstance(value, bool)
-        else:
+        ok = isinstance(value, int if integer else (int, float)) and not isinstance(value, bool)
+        if ok and not integer:
             value = float(value)
             ok = math.isfinite(value)
         if not ok or value < least:
@@ -130,6 +131,15 @@ def _number(least: float = -math.inf, integer: bool = False):
         return value
 
     return cast
+
+
+def _box_side(side) -> tuple[float, float]:
+    """One domain.box entry: a pair of finite JSON numbers."""
+    lo, hi = side
+    try:
+        return _number()(lo), _number()(hi)
+    except ValueError:
+        raise ValueError(f"box side {side!r} must be two finite numbers") from None
 
 
 def _json(kind: type, what: str):
@@ -193,16 +203,20 @@ def build_group(doc: dict) -> GroupSpec:
 def build_solver_config(doc: dict, group: GroupSpec) -> SolverConfig:
     n = group.n
     domain = _section(doc, "domain")
-    box = _get(domain, "domain", "box", [[-2.0, 2.0]] * n,
-               lambda v: tuple((float(lo), float(hi)) for lo, hi in v))
+    box = _get(domain, "domain", "box", [[-2.0, 2.0]] * n, lambda v: tuple(map(_box_side, v)))
     resolution = _get(domain, "domain", "resolution", [32] * n)
     initial = _section(doc, "initial")
     scheme = _section(doc, "scheme")
     run_sec = _section(doc, "run")
+    number = _number()
+
+    def optional(v):
+        return v if v is None else number(v)
+
     try:
         init_spec = InitialSpec(
             preset=_get(initial, "initial", "preset", "cylinder", str),
-            r=_get(initial, "initial", "r", 1.0, float),
+            r=_get(initial, "initial", "r", 1.0, number),
             relabel=_get(initial, "initial", "relabel", None, lambda v: v if v is None else str(v)),
         )
         return SolverConfig(
@@ -211,11 +225,11 @@ def build_solver_config(doc: dict, group: GroupSpec) -> SolverConfig:
             resolution=resolution,
             initial=init_spec,
             scheme=_get(scheme, "scheme", "kind", "regularized", str),
-            delta_reg=_get(scheme, "scheme", "delta_reg", None, lambda v: v if v is None else float(v)),
-            eps_sing=_get(scheme, "scheme", "eps_sing", None, lambda v: v if v is None else float(v)),
-            cfl=_get(scheme, "scheme", "cfl", 0.25, float),
-            t_end=_get(run_sec, "run", "t_end", 0.5, float),
-            snapshot_every=_get(run_sec, "run", "snapshot_every", 0.0, float),
+            delta_reg=_get(scheme, "scheme", "delta_reg", None, optional),
+            eps_sing=_get(scheme, "scheme", "eps_sing", None, optional),
+            cfl=_get(scheme, "scheme", "cfl", 0.25, number),
+            t_end=_get(run_sec, "run", "t_end", 0.5, number),
+            snapshot_every=_get(run_sec, "run", "snapshot_every", 0.0, number),
         )
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"config: {exc}") from exc
@@ -321,10 +335,9 @@ def suite_norm_lemma(
     )
 
 
-def _barrier_fixtures(g: GroupSpec, drifts: dict[str, float]) -> list[tuple[BarrierEval, str, str]]:
-    """Catalog instances with classified drifts, each with its drift key."""
-    m, n = g.m, g.n
-    table = [
+def _fixture_table(m: int, n: int) -> list[tuple[str, str, float, str]]:
+    """(kind, drift key, classified drift, classification) per barriers-suite fixture."""
+    return [
         ("cylinder", "cylinder", -2.0 * (m - 1), "solution"),
         ("gauge", "gauge_super", 1.0, "supersolution"),
         ("gauge", "gauge", -4.0 * n, "subsolution"),
@@ -333,9 +346,13 @@ def _barrier_fixtures(g: GroupSpec, drifts: dict[str, float]) -> list[tuple[Barr
         ("sqrt_gauge", "sqrt_gauge_super", 0.0, "supersolution"),
         ("sqrt_gauge", "sqrt_gauge", -2.0 * n, "subsolution"),
     ]
+
+
+def _barrier_fixtures(g: GroupSpec, drifts: dict[str, float]) -> list[tuple[BarrierEval, str, str]]:
+    """Catalog instances with classified drifts, each with its drift key."""
     return [
         (make_barrier(kind, g, drifts.get(key, c), 1.0), expect, key)
-        for kind, key, c, expect in table
+        for kind, key, c, expect in _fixture_table(g.m, g.n)
         if kind == "cylinder" or is_heisenberg_like(g)
     ]
 
@@ -521,6 +538,10 @@ def run_verify(doc: dict, suites: list[str] | None = None) -> tuple[bool, str]:
     tol = _get(vf, "verify", "tolerance", 1e-9, _number(0.0))
     seed = _get(vf, "verify", "seed", 0, _number(0, integer=True))
     drift_sec = _section(vf, "verify.barrier_drifts")
+    keys = [key for _, key, _, _ in _fixture_table(g.m, g.n)]
+    for key in drift_sec:
+        if key not in keys:
+            raise ConfigError(f"verify.barrier_drifts.{key}: unknown fixture (choose from {keys})")
     drifts = {k: _get(drift_sec, "verify.barrier_drifts", k, None, _number()) for k in drift_sec}
     selected = suites or _get(vf, "verify", "suites", None, list) or list(SUITES)
     for name in selected:

@@ -19,9 +19,12 @@ running all three measures — rather than hides — the ambiguity of the
 continuum equation there.
 
 Boundary nodes copy their nearest interior neighbor after each step.  The
-time step is cfl * h_min^2 / (2 m S^2), where S^2 bounds the largest
-eigenvalue of t(sigma) sigma over the grid; crude, but stability is what is
-wanted at these grid sizes.
+time step is dt = cfl * 2 / Lambda, with Lambda the largest von Neumann
+symbol of the stencil of tr(a D^2), a = sigma t(sigma), over the interior
+nodes with the coefficients frozen at each node.  This is the operator
+where |Xu| << delta_reg, and every projected a(I - q^ q^T) has a smaller
+symbol, so forward Euler damps every Fourier mode for cfl in (0, 1]: cfl is
+the fraction of that stability bound that a step uses.
 
 Updates at distinct nodes are independent (one immutable input slab, one
 fresh output slab), so the interior is computed in chunks of rows along
@@ -34,6 +37,7 @@ fixed, so outputs are bit-identical from run to run and across processes.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -43,7 +47,7 @@ import numpy as np
 import numpy.typing as npt
 
 from .barriers import BarrierEval, psi_s_plus_s3
-from .groups import GroupSpec
+from .groups import GroupSpec, sigma
 
 __all__ = [
     "GridField",
@@ -257,6 +261,53 @@ def init(config: SolverConfig) -> GridField:
 
 # ----------------------------------------------------------------- engine ---
 
+# Grid points over the vertical angles in each round of the symbol search
+_SYMBOL_SAMPLES = 1024
+
+
+def _symbol_sup(rows: npt.NDArray, h: npt.NDArray) -> npt.NDArray:
+    """Supremum over theta of the symbol of the stencil of -tr(a D^2), per node.
+
+    rows has shape (P, nv, m), with rows[p, k] = B^(k) x_h at node p, so that
+    a = sigma t(sigma) with sigma = [I; rows[p]].  Central second differences
+    and four-point mixed terms multiply the mode exp(i theta . index) by
+    -P(theta), where
+
+        P(theta) = sum_a a_aa 2 (1 - cos theta_a) / h_a^2
+                   + sum_(a != c) a_ac sin theta_a sin theta_c / (h_a h_c)
+                 = sum_a a_aa (1 - cos theta_a)^2 / h_a^2 + |t(sigma) (sin theta / h)|^2.
+
+    A horizontal angle theta_j enters only through (1 - cos theta_j)^2 / h_j^2
+    + (sin theta_j / h_j + beta_j)^2, with beta = sum_k rows[k] sin phi_k /
+    h_(m+k) set by the vertical angles phi, and its maximum over theta_j is
+    (1 + sqrt(1 + h_j^2 beta_j^2))^2 / h_j^2.  What remains is a smooth
+    function of the nv vertical angles.  It is maximized on an odd grid of
+    about _SYMBOL_SAMPLES points (at least 5 per axis) over [-pi, pi]^nv,
+    which then shrinks to one cell either side of its best point until the
+    cell is below 1e-9.
+    Each grid holds its centre, so the value found never decreases.
+    """
+    count, nv, m = rows.shape
+    hh, hv = h[:m], h[m:]
+    side = max(5, 2 * (round(_SYMBOL_SAMPLES ** (1.0 / nv)) // 2) + 1)  # odd, and shrinks
+    steps = np.linspace(-1.0, 1.0, side)
+    offsets = np.stack(np.meshgrid(*[steps] * nv, indexing="ij"), axis=-1).reshape(-1, nv)
+    vertical = np.sum(rows * rows, axis=2) / hv ** 2  # a_(m+k, m+k) / h_(m+k)^2
+    nodes = np.arange(count)
+    center, half = np.zeros((count, 1, nv)), np.pi
+    while True:
+        phi = center + half * offsets
+        beta = np.einsum("pgk,pkj->pgj", np.sin(phi) / hv, rows)
+        value = np.einsum("pk,pgk->pg", vertical, (1.0 - np.cos(phi)) ** 2) + np.sum(
+            (1.0 + np.sqrt(1.0 + (hh * beta) ** 2)) ** 2 / hh ** 2, axis=-1
+        )
+        best = np.argmax(value, axis=1)
+        if half < 1e-9:
+            return value[nodes, best]
+        center = phi[nodes, best][:, None, :]
+        half *= 2.0 / (side - 1)
+
+
 # Interior nodes per row chunk of the operator pass, from a sweep over chunk
 # sizes at 32^3 and 64^3 (BENCH_3.json): in three dimensions a chunk's twenty
 # or so live derivative temporaries then take about a 2 MB L2 cache.  Larger
@@ -281,35 +332,22 @@ class Engine:
         self.delta2 = config.delta_reg_effective ** 2
         self.eps2 = config.eps_sing_effective ** 2
 
-        coords = np.meshgrid(*_axis_coords(config), indexing="ij", sparse=True)
-        # b[k][j] = (B^(k) x_h)_j, broadcast (stride-0) to the full grid shape
+        axes = _axis_coords(config)
+        coords = np.meshgrid(*axes, indexing="ij", sparse=True)
+        # b[k][j] = (B^(k) x_h)_j on the horizontal sub-grid: shape
+        # (r_0, ..., r_(m-1), 1, ..., 1), broadcast against the vertical axes
         self.b = [
-            [
-                np.broadcast_to(
-                    sum(g.B[k, j, i] * coords[i] for i in range(g.m)),
-                    config.resolution,
-                )
-                for j in range(g.m)
-            ]
+            [sum(g.B[k, j, i] * coords[i] for i in range(g.m)) for j in range(g.m)]
             for k in range(g.nv)
         ]
 
-        # S^2 = max over nodes of lambda_max(t(sigma) sigma) = 1 + lambda_max(C C^t),
-        # C the (n-m) x m block with rows b_k.
-        nv = g.nv
-        if nv == 1:
-            gram_max = float(np.max(sum(bj ** 2 for bj in self.b[0])))
-        else:
-            gram = np.empty(config.resolution + (nv, nv))
-            for k in range(nv):
-                for l in range(k, nv):
-                    entry = sum(self.b[k][j] * self.b[l][j] for j in range(g.m))
-                    gram[..., k, l] = entry
-                    gram[..., l, k] = entry
-            eig = np.linalg.eigvalsh(gram.reshape(-1, nv, nv))
-            gram_max = float(np.max(eig[:, -1]))
-        self.S2 = 1.0 + gram_max
-        self.dt = config.cfl * float(np.min(self.h)) ** 2 / (2.0 * g.m * self.S2)
+        # For fixed theta the symbol is a sum of squares of functions affine
+        # in x_h, so its supremum is convex in x_h and peaks at a corner of
+        # the interior horizontal sub-grid.
+        corners = np.zeros((2 ** g.m, g.n))
+        corners[:, : g.m] = list(itertools.product(*[(c[1], c[-2]) for c in axes[: g.m]]))
+        self.symbol_bound = float(np.max(_symbol_sup(sigma(g, corners)[:, g.m :], self.h)))
+        self.dt = config.cfl * 2.0 / self.symbol_bound
 
         # interior rows 1..rows of axis 0 in near-equal chunks of at most
         # _CHUNK_NODES interior nodes each (one row if a row is larger)
@@ -318,45 +356,73 @@ class Engine:
         nchunks = -(-rows // max(1, _CHUNK_NODES // row_nodes))
         bounds = np.linspace(1, rows + 1, nchunks + 1).astype(int)
         self.chunks = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
+        self._stages: dict = {}
 
     def close(self) -> None:
         pass
 
     # -- spatial operator ---------------------------------------------------
 
+    def _stage(self, r0: int, r1: int):
+        """Index tuples and frame coefficients of the derivative pass at rows
+        r0..r1-1, built on the first pass over that row range.
+
+        idx[()] selects the interior of the block u[r0-1 : r1+1], idx[a, s]
+        shifts it by s along axis a and idx[a, s, c, t] by s along a and t
+        along c.  bb[k][j] holds b_k[j] and bbbb[k, j, k2, l] the product
+        bb[k][j] * bb[k2][l] (j <= l) on those rows, in the horizontal-only
+        shape of self.b.
+        """
+        stage = self._stages.get((r0, r1))
+        if stage is None:
+            n, m, nv = self.n, self.m, self.n - self.m
+            lens = (r1 - r0 + 2,) + self.config.resolution[1:]
+
+            def index(shifts: dict) -> tuple:
+                return tuple(
+                    slice(1 + shifts.get(a, 0), lens[a] - 1 + shifts.get(a, 0)) for a in range(n)
+                )
+
+            idx = {(): index({})}
+            for a in range(n):
+                for s in (1, -1):
+                    idx[a, s] = index({a: s})
+                    for c in range(a + 1, n):
+                        for t in (1, -1):
+                            idx[a, s, c, t] = index({a: s, c: t})
+            rows = (slice(r0, r1),) + (slice(1, -1),) * (m - 1)
+            bb = [[self.b[k][j][rows] for j in range(m)] for k in range(nv)]
+            bbbb = {
+                (k, j, k2, l): bb[k][j] * bb[k2][l]
+                for j in range(m)
+                for l in range(j, m)
+                for k in range(nv)
+                for k2 in range(nv)
+            }
+            stage = self._stages[r0, r1] = (idx, bb, bbbb)
+        return stage
+
     def _derivatives(self, u: npt.NDArray, r0: int, r1: int):
         """trA, |q|^2, q^T A q and A[j, l] at global rows r0..r1-1 (q = Xu, A = X2u)."""
         n, m = self.n, self.m
-        sl0 = slice(r0 - 1, r1 + 1)
-        ub = u[sl0]
+        idx, bb, bbbb = self._stage(r0, r1)
+        ub = u[r0 - 1 : r1 + 1]
         h = self.h
-        inner = (slice(1, -1),) * n
 
-        def shifted(shifts: dict) -> npt.NDArray:
-            index = tuple(
-                slice(1 + shifts.get(a, 0), ub.shape[a] - 1 + shifts.get(a, 0))
-                for a in range(n)
-            )
-            return ub[index]
-
-        center = ub[inner]
-        d1 = [
-            (shifted({a: 1}) - shifted({a: -1})) / (2.0 * h[a]) for a in range(n)
-        ]
+        center = ub[idx[()]]
+        d1 = [(ub[idx[a, 1]] - ub[idx[a, -1]]) / (2.0 * h[a]) for a in range(n)]
         d2 = {}
         for a in range(n):
-            d2[a, a] = (shifted({a: 1}) - 2.0 * center + shifted({a: -1})) / h[a] ** 2
+            d2[a, a] = (ub[idx[a, 1]] - 2.0 * center + ub[idx[a, -1]]) / h[a] ** 2
             for c in range(a + 1, n):
                 d2[a, c] = d2[c, a] = (
-                    shifted({a: 1, c: 1})
-                    - shifted({a: 1, c: -1})
-                    - shifted({a: -1, c: 1})
-                    + shifted({a: -1, c: -1})
+                    ub[idx[a, 1, c, 1]]
+                    - ub[idx[a, 1, c, -1]]
+                    - ub[idx[a, -1, c, 1]]
+                    + ub[idx[a, -1, c, -1]]
                 ) / (4.0 * h[a] * h[c])
 
-        bb = [[self.b[k][j][sl0][inner] for j in range(m)] for k in range(self.n - m)]
         nv = self.n - m
-
         q = [
             d1[j] + sum(bb[k][j] * d1[m + k] for k in range(nv)) for j in range(m)
         ]
@@ -368,7 +434,7 @@ class Engine:
                     entry = entry + bb[k][l] * d2[j, m + k] + bb[k][j] * d2[l, m + k]
                 for k in range(nv):
                     for k2 in range(nv):
-                        entry = entry + bb[k][j] * bb[k2][l] * d2[m + k, m + k2]
+                        entry = entry + bbbb[k, j, k2, l] * d2[m + k, m + k2]
                 A[j, l] = A[l, j] = entry
 
         trA = sum(A[j, j] for j in range(m))
@@ -635,22 +701,24 @@ def residual_on_exact(
 # ------------------------------------------------------------- CSV output ---
 
 
-def _node_coordinate_columns(grid: GridField) -> list[npt.NDArray]:
-    mesh = np.meshgrid(
-        *[grid.axis_coords(a) for a in range(grid.values.ndim)], indexing="ij"
-    )
-    return [m.ravel() for m in mesh]
-
-
 def write_snapshot_csv(grid: GridField, path) -> None:
-    """Rows t,x1,...,xn,u in row-major node order, 17 significant digits."""
-    n = grid.values.ndim
-    cols = [np.full(grid.values.size, grid.time)]
-    cols.extend(_node_coordinate_columns(grid))
-    cols.append(grid.values.ravel())
+    """Rows t,x1,...,xn,u in row-major node order, 17 significant digits.
+
+    The bytes are those of np.savetxt with fmt="%.17g" over the stacked
+    columns.  t and each axis's coordinates are formatted once; per axis-0
+    slab, one format string holding those prefixes formats the u values.
+    Formatted floats hold no '%', so the prefixes pass through unchanged.
+    """
+    values = grid.values
+    n = values.ndim
     header = "t," + ",".join(f"x{i + 1}" for i in range(n)) + ",u"
-    np.savetxt(path, np.stack(cols, axis=-1), fmt="%.17g", delimiter=",",
-               header=header, comments="")
+    t = "%.17g," % grid.time
+    axes = [["%.17g," % x for x in grid.axis_coords(a).tolist()] for a in range(n)]
+    tails = ["".join(p) + "%.17g\n" for p in itertools.product(*axes[1:])]
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for x0, slab in zip(axes[0], values):
+            fh.write("".join([t + x0 + tail for tail in tails]) % tuple(slab.ravel().tolist()))
 
 
 def write_front_csv(cloud: FrontCloud, path) -> None:

@@ -130,6 +130,7 @@ class TestConfigErrors:
         "verify, field",
         [
             ({"barrier_drifts": {"sqrt_gauge": "x"}}, "verify.barrier_drifts.sqrt_gauge"),
+            ({"barrier_drifts": {"gauge_sup": 3.0}}, "verify.barrier_drifts.gauge_sup"),
             ({"suites": 5}, "verify.suites"),
         ],
     )
@@ -206,6 +207,41 @@ class TestConfigErrors:
         out = tmp_path / "o"
         assert main(["barrier", "--kind", "gauge", "--config", cfg, "--out", str(out)]) == 2
         assert f"carnotflow: initial.{key}: must be a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [True, False, "0.5", "1"])
+    @pytest.mark.parametrize(
+        "command, section, key, field",
+        [
+            ("evolve", "initial", "r", "initial.r: must be a finite number"),
+            ("evolve", "scheme", "cfl", "scheme.cfl: must be a finite number"),
+            ("evolve", "scheme", "delta_reg", "scheme.delta_reg: must be a finite number"),
+            ("evolve", "scheme", "eps_sing", "scheme.eps_sing: must be a finite number"),
+            ("evolve", "run", "t_end", "run.t_end: must be a finite number"),
+            ("evolve", "run", "snapshot_every", "run.snapshot_every: must be a finite number"),
+            ("evolve", "domain", "box", "domain.box: box side"),
+            ("barrier", "initial", "r", "initial.r: must be a finite number"),
+            ("barrier", "initial", "c", "initial.c: must be a finite number"),
+            ("verify", "verify", "tolerance", "verify.tolerance: must be a finite number"),
+            ("verify", "verify", "barrier_drifts", "verify.barrier_drifts.gauge: must be a finite number"),
+        ],
+    )
+    def test_numbers_must_be_json_numbers(self, tmp_path, capsys, command, section, key, field, value):
+        # float() would take a JSON boolean as 0 or 1 and "0.5" as 0.5
+        doc = json.loads(json.dumps(SMALL_RUN))
+        if key == "box":
+            value = [[-2, 2], [-2, 2], [-2, value]]
+        elif key == "barrier_drifts":
+            value = {"gauge": value}
+        doc.setdefault(section, {})[key] = value
+        out = tmp_path / "o"
+        extra = {
+            "evolve": ["--out", str(out)],
+            "barrier": ["--kind", "cylinder", "--lattice", "3", "--out", str(out)],
+            "verify": ["--suite", "barriers"],
+        }[command]
+        assert main([command, "--config", write_config(tmp_path, doc)] + extra) == 2
+        assert f"carnotflow: {field}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
@@ -322,8 +358,12 @@ class TestEvolve:
         assert (out / "front_0000.csv").read_text().splitlines()[0] == "t,x1,x2,x3"
 
     def test_sandwich_writes_companion_runs(self, tmp_path, capsys):
+        # delta as in acceptance criterion 9: at the default 1e-6 diam the
+        # regularized update leaves the bracket by dt delta^2 |qAq| / (|q|^2
+        # (|q|^2 + delta^2)) per step, about 1e-12 on this run
         doc = dict(SMALL_RUN)
         doc["run"] = {**SMALL_RUN["run"], "sandwich": True}
+        doc["scheme"] = {"delta_reg": 1e-8 * np.sqrt(48.0)}
         out = tmp_path / "run"
         cfg = write_config(tmp_path, doc)
         assert main(["evolve", "--config", cfg, "--out", str(out)]) == 0
@@ -446,7 +486,7 @@ def test_console_entry_point_subprocess(tmp_path):
 # ------------------------------------------------- config-boundary property ---
 
 NONFINITE = [float("nan"), float("inf"), float("-inf")]
-NOT_NUMBERS = ["fast", "", [0.5], {"v": 0.5}]
+NOT_NUMBERS = ["fast", "", [0.5], {"v": 0.5}, True, "0.5"]
 NOT_OBJECTS = ["envelope_min", [[-2, 2]], 3.0, None]
 # the barriers suite's drifts on the Heisenberg group when none is overridden;
 # any other drift may turn a fixture's verdict to FAIL
@@ -464,7 +504,7 @@ FIELDS = {
         st.floats(1.5, 3.0).map(lambda a: [[-a, a]] * 3),
         st.sampled_from(
             [[[-2, 2]] * 2, [[-2, 2]] * 4, "box", 5, [1, 2, 3]]
-            + [[[-2, 2], [-2, 2], [-2, v]] for v in NONFINITE + ["fast"]]
+            + [[[-2, 2], [-2, 2], [-2, v]] for v in NONFINITE + NOT_NUMBERS]
         ),
         "box",
     ),
@@ -529,7 +569,8 @@ FIELDS = {
             lambda keys: {key: CLASSIFIED_DRIFTS[key] for key in keys}
         ),
         st.sampled_from(
-            [{"gauge": v} for v in NONFINITE + ["x", -1e-300]] + [{"euclid_ball": -2.0000001}]
+            [{"gauge": v} for v in NONFINITE + NOT_NUMBERS + [-1e-300]]
+            + [{"euclid_ball": -2.0000001}, {"gauge_sup": 3.0}]
         ),
         "verify.barrier_drifts",
     ),

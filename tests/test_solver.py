@@ -25,6 +25,7 @@ from carnotflow import (
     write_front_csv,
     write_snapshot_csv,
 )
+from carnotflow.groups import sigma
 
 HEIS = heisenberg()
 BOX = ((-2.0, 2.0),) * 3
@@ -33,6 +34,16 @@ BOX = ((-2.0, 2.0),) * 3
 def config(res=12, **kw):
     kw.setdefault("t_end", 0.02)
     return SolverConfig(HEIS, BOX, (res,) * 3, **kw)
+
+
+def stencil_symbol(a, theta):
+    """-1 times the factor by which the tr(a D2) stencil multiplies the mode
+    exp(i theta . index): 2 a_aa (1 - cos theta_a) / h_a^2 from the second
+    differences plus a_ac sin theta_a sin theta_c / (h_a h_c) (a != c) from the
+    four-point mixed terms, with a already scaled by 1 / (h_a h_c)."""
+    s = np.sin(theta)
+    off = a - np.diag(np.diag(a))
+    return 2.0 * (1.0 - np.cos(theta)) @ np.diag(a) + np.einsum("pa,ab,pb->p", s, off, s)
 
 
 def exact_cylinder_values(grid, t, r=1.0):
@@ -152,6 +163,109 @@ class TestEngine:
     def test_dt_scales_with_cfl(self):
         a, b = Engine(config(cfl=0.2)), Engine(config(cfl=0.4))
         assert b.dt == pytest.approx(2 * a.dt)
+
+    @pytest.mark.parametrize("group, res", [("heisenberg", 12), ("m3n5", 6)])
+    def test_checkerboard_grows_above_the_bound_and_decays_below(self, request, group, res):
+        # on a constant background a checkerboard has zero central first
+        # differences, so q = 0 and one regularized step multiplies it at each
+        # node by 1 - dt sum_a 4 a_aa / h_a^2.  At cfl = 1, dt is the derived
+        # stability bound: 10% beyond it some node amplifies the checkerboard,
+        # 10% below it every node damps it.  The former dt = h^2 / (2 m S^2),
+        # about half the bound, would damp it at 1.1x as well.
+        g = HEIS if group == "heisenberg" else request.getfixturevalue("m3n5")
+        cfg = SolverConfig(g, ((-2.0, 2.0),) * g.n, (res,) * g.n, cfl=1.0)
+        eng = Engine(cfg)
+        sign = np.where(np.indices(cfg.resolution).sum(axis=0) % 2 == 0, 1.0, -1.0)
+        inner = (slice(1, -1),) * g.n
+        for factor, grows in ((1.1, True), (0.9, False)):
+            u = eng.advance(-1.0 + 1e-3 * sign, factor * eng.dt)
+            gain = float(np.max(np.abs(u[inner] + 1.0))) / 1e-3
+            assert (gain > 1.0) == grows, (factor, gain)
+
+    @pytest.mark.parametrize("group, res, side", [("heisenberg", 12, 121), ("m3n5", 6, 21)])
+    def test_symbol_bound_is_the_worst_interior_supremum(self, request, group, res, side):
+        # the per-node supremum over all interior nodes peaks at the corner
+        # nodes the engine searches; at the worst node, the symbol written out
+        # from the stencil and sampled on a dense theta grid stays below the
+        # bound and comes within 1% of it
+        g = HEIS if group == "heisenberg" else request.getfixturevalue("m3n5")
+        cfg = SolverConfig(g, ((-2.0, 2.0),) * g.n, (res,) * g.n)
+        eng = Engine(cfg)
+        h = cfg.spacing
+        grid = GridField(cfg.box, np.zeros(cfg.resolution))
+        inner = [grid.axis_coords(a)[1:-1] for a in range(g.m)]
+        pts = np.zeros(((res - 2) ** g.m, g.n))
+        pts[:, : g.m] = np.stack(np.meshgrid(*inner, indexing="ij"), axis=-1).reshape(-1, g.m)
+        frames = sigma(g, pts)
+        per_node = solver._symbol_sup(frames[:, g.m :], h)
+        assert np.max(per_node) == pytest.approx(eng.symbol_bound, rel=1e-12)
+
+        worst = frames[np.argmax(per_node)]
+        a = worst @ worst.T / np.outer(h, h)
+        angles = np.linspace(-np.pi, np.pi, side)
+        rest = np.stack(np.meshgrid(*[angles] * (g.n - 1), indexing="ij"), axis=-1).reshape(-1, g.n - 1)
+        dense = 0.0
+        for first in angles:  # one slab of the theta grid at a time
+            theta = np.concatenate([np.full((len(rest), 1), first), rest], axis=1)
+            dense = max(dense, float(np.max(stencil_symbol(a, theta))))
+        assert dense <= eng.symbol_bound * (1.0 + 1e-12)
+        assert eng.symbol_bound <= 1.01 * dense
+
+    def test_symbol_search_with_many_vertical_axes(self):
+        # nv = 6 (the free step-two group on 4 generators) leaves the fewest
+        # grid points per axis; the search must still shrink and end, and
+        # come out above every sampled theta
+        m, pairs = 4, [(i, j) for i in range(4) for j in range(i + 1, 4)]
+        B = np.zeros((len(pairs), m, m))
+        for k, (i, j) in enumerate(pairs):
+            B[k, i, j], B[k, j, i] = 1.0, -1.0
+        rng = np.random.default_rng(3)
+        xh = rng.uniform(-2.0, 2.0, size=(2, m))
+        h = rng.uniform(0.1, 0.3, size=m + len(pairs))
+        rows = np.einsum("kji,pi->pkj", B, xh)
+
+        def too_slow(signum, frame):
+            raise TimeoutError("the symbol search did not end within 20 s")
+
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        signal.alarm(20)
+        try:
+            sup = solver._symbol_sup(rows, h)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        theta = rng.uniform(-np.pi, np.pi, size=(4000, len(h)))
+        theta[0] = np.pi  # the checkerboard
+        for p in range(2):
+            frame = np.vstack([np.eye(m), rows[p]])
+            a = frame @ frame.T / np.outer(h, h)
+            assert np.max(stencil_symbol(a, theta)) <= sup[p] * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("group", ["heisenberg", "m3n5"])
+    def test_derivatives_on_any_row_range_match_the_chunks(self, request, group):
+        # the stencil data is kept per row range, so a range that is not a
+        # chunk (the whole interior, or rows 2..4) must give the same bits
+        if group == "heisenberg":
+            cfg = config(res=32, initial=InitialSpec(preset="gauge_ball"))
+        else:
+            g = request.getfixturevalue("m3n5")
+            cfg = SolverConfig(g, ((-2.0, 2.0),) * 5, (10,) * 5,
+                               initial=InitialSpec(preset="gauge_ball"))
+        u = init(cfg).values
+        u = u + 1e-3 * np.sin(np.arange(u.size)).reshape(u.shape)
+        eng = Engine(cfg)
+        assert len(eng.chunks) > 1
+        rows = cfg.resolution[0] - 2
+        whole = eng._derivatives(u, 1, rows + 1)
+        parts = [eng._derivatives(u, r0, r1) for r0, r1 in eng.chunks]
+        middle = eng._derivatives(u, 2, 5)
+        for i in range(3):
+            np.testing.assert_array_equal(whole[i], np.concatenate([p[i] for p in parts]))
+            np.testing.assert_array_equal(middle[i], whole[i][1:4])
+        assert whole[3].keys() == middle[3].keys()
+        for key in whole[3]:
+            np.testing.assert_array_equal(whole[3][key], np.concatenate([p[3][key] for p in parts]))
+            np.testing.assert_array_equal(middle[3][key], whole[3][key][1:4])
 
     @pytest.mark.parametrize("chunk_nodes", [solver._CHUNK_NODES, 1000])
     @pytest.mark.parametrize("fields", [1, 3])
@@ -281,7 +395,7 @@ class TestStepExactness:
 
 class TestSchemeSandwich:
     def test_regularized_update_between_envelopes(self):
-        res = run(config(), record_sandwich=True)
+        res = run(config(t_end=0.05), record_sandwich=True)
         assert res.sandwich_max_violation is not None
         assert res.sandwich_max_violation < 1e-12
         assert res.n_steps > 10
@@ -308,7 +422,7 @@ class TestRun:
         previous = signal.signal(signal.SIGALRM, too_slow)
         signal.alarm(20)
         try:
-            res = run(config(res=6, t_end=0.01, snapshot_every=1e-20))
+            res = run(config(res=6, t_end=0.03, snapshot_every=1e-20))
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
@@ -447,6 +561,19 @@ class TestCsv:
         assert data.shape == (216, 5)
         np.testing.assert_array_equal(data[:, 4].reshape(6, 6, 6), grid.values)
         assert np.all(data[:, 0] == grid.time)
+
+    def test_snapshot_bytes_match_savetxt(self, tmp_path):
+        # the former writer, np.savetxt over stacked (t, x1..xn, u) columns,
+        # on signed zeros, subnormal-range values, integers and a negative t
+        values = np.arange(60, dtype=float).reshape(3, 4, 5) - 30.0
+        values.flat[:4] = [-0.0, 1e-300, -1e-300, 1.0 / 3.0]
+        grid = GridField(((-0.5, 2.5), (-2.0, 2.0), (0.1, 0.6)), values, -0.25)
+        write_snapshot_csv(grid, tmp_path / "snap.csv")
+        mesh = np.meshgrid(*[grid.axis_coords(a) for a in range(3)], indexing="ij")
+        cols = [np.full(values.size, grid.time)] + [x.ravel() for x in mesh] + [values.ravel()]
+        np.savetxt(tmp_path / "savetxt.csv", np.stack(cols, axis=-1), fmt="%.17g",
+                   delimiter=",", header="t,x1,x2,x3,u", comments="")
+        assert (tmp_path / "snap.csv").read_bytes() == (tmp_path / "savetxt.csv").read_bytes()
 
     def test_front_round_trip(self, tmp_path):
         cloud = extract_front(init(config(res=8)))
