@@ -335,9 +335,10 @@ def suite_norm_lemma(
     )
 
 
-def _fixture_table(m: int, n: int) -> list[tuple[str, str, float, str]]:
-    """(kind, drift key, classified drift, classification) per barriers-suite fixture."""
-    return [
+def _barrier_fixtures(g: GroupSpec, drifts: dict[str, float]) -> list[tuple[BarrierEval, str, str]]:
+    """Catalog instances with classified drifts, each with its drift key."""
+    m, n = g.m, g.n
+    table = [
         ("cylinder", "cylinder", -2.0 * (m - 1), "solution"),
         ("gauge", "gauge_super", 1.0, "supersolution"),
         ("gauge", "gauge", -4.0 * n, "subsolution"),
@@ -346,13 +347,9 @@ def _fixture_table(m: int, n: int) -> list[tuple[str, str, float, str]]:
         ("sqrt_gauge", "sqrt_gauge_super", 0.0, "supersolution"),
         ("sqrt_gauge", "sqrt_gauge", -2.0 * n, "subsolution"),
     ]
-
-
-def _barrier_fixtures(g: GroupSpec, drifts: dict[str, float]) -> list[tuple[BarrierEval, str, str]]:
-    """Catalog instances with classified drifts, each with its drift key."""
     return [
         (make_barrier(kind, g, drifts.get(key, c), 1.0), expect, key)
-        for kind, key, c, expect in _fixture_table(g.m, g.n)
+        for kind, key, c, expect in table
         if kind == "cylinder" or is_heisenberg_like(g)
     ]
 
@@ -538,10 +535,12 @@ def run_verify(doc: dict, suites: list[str] | None = None) -> tuple[bool, str]:
     tol = _get(vf, "verify", "tolerance", 1e-9, _number(0.0))
     seed = _get(vf, "verify", "seed", 0, _number(0, integer=True))
     drift_sec = _section(vf, "verify.barrier_drifts")
-    keys = [key for _, key, _, _ in _fixture_table(g.m, g.n)]
+    keys = [key for _, _, key in _barrier_fixtures(g, {})]
     for key in drift_sec:
         if key not in keys:
-            raise ConfigError(f"verify.barrier_drifts.{key}: unknown fixture (choose from {keys})")
+            raise ConfigError(
+                f"verify.barrier_drifts.{key}: no such fixture on this group (choose from {keys})"
+            )
     drifts = {k: _get(drift_sec, "verify.barrier_drifts", k, None, _number()) for k in drift_sec}
     selected = suites or _get(vf, "verify", "suites", None, list) or list(SUITES)
     for name in selected:
@@ -663,6 +662,7 @@ def _write_outputs(cfg: SolverConfig, out_dir: str, doc: dict, g: GroupSpec, san
         print("evolve: no extinction before t_end")
     if record:
         print(f"evolve: sandwich max violation {result.sandwich_max_violation:.3e}")
+        print(f"evolve: regularization gap {result.regularization_gap:.3e}")
     return 0
 
 

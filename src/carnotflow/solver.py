@@ -23,8 +23,11 @@ time step is dt = cfl * 2 / Lambda, with Lambda the largest von Neumann
 symbol of the stencil of tr(a D^2), a = sigma t(sigma), over the interior
 nodes with the coefficients frozen at each node.  This is the operator
 where |Xu| << delta_reg, and every projected a(I - q^ q^T) has a smaller
-symbol, so forward Euler damps every Fourier mode for cfl in (0, 1]: cfl is
-the fraction of that stability bound that a step uses.
+symbol, so for cfl in (0, 1] forward Euler amplifies no Fourier mode of the
+frozen-coefficient stencil (at cfl = 1 the worst mode keeps its modulus and
+flips sign): cfl is the fraction of that stability bound that a step uses.
+Lambda comes from a branch-and-bound search that returns an upper bound on
+the supremum, so a missed maximum cannot push dt past the stability bound.
 
 Updates at distinct nodes are independent (one immutable input slab, one
 fresh output slab), so the interior is computed in chunks of rows along
@@ -261,12 +264,15 @@ def init(config: SolverConfig) -> GridField:
 
 # ----------------------------------------------------------------- engine ---
 
-# Grid points over the vertical angles in each round of the symbol search
+# Cells of the first grid over the vertical angles, per node, and the most
+# cells the symbol search splits at once
 _SYMBOL_SAMPLES = 1024
+_SYMBOL_CELLS = 1 << 18
 
 
-def _symbol_sup(rows: npt.NDArray, h: npt.NDArray) -> npt.NDArray:
-    """Supremum over theta of the symbol of the stencil of -tr(a D^2), per node.
+def _symbol_sup(rows: npt.NDArray, h: npt.NDArray, rtol: float = 1e-9) -> float:
+    """Upper bound on the supremum over theta and over the nodes of the symbol
+    of the stencil of -tr(a D^2), within rtol of it.
 
     rows has shape (P, nv, m), with rows[p, k] = B^(k) x_h at node p, so that
     a = sigma t(sigma) with sigma = [I; rows[p]].  Central second differences
@@ -280,32 +286,58 @@ def _symbol_sup(rows: npt.NDArray, h: npt.NDArray) -> npt.NDArray:
     A horizontal angle theta_j enters only through (1 - cos theta_j)^2 / h_j^2
     + (sin theta_j / h_j + beta_j)^2, with beta = sum_k rows[k] sin phi_k /
     h_(m+k) set by the vertical angles phi, and its maximum over theta_j is
-    (1 + sqrt(1 + h_j^2 beta_j^2))^2 / h_j^2.  What remains is a smooth
-    function of the nv vertical angles.  It is maximized on an odd grid of
-    about _SYMBOL_SAMPLES points (at least 5 per axis) over [-pi, pi]^nv,
-    which then shrinks to one cell either side of its best point until the
-    cell is below 1e-9.
-    Each grid holds its centre, so the value found never decreases.
+    g(beta_j) = (1 + s_j)^2 / h_j^2, s_j = sqrt(1 + h_j^2 beta_j^2).  What
+    remains, f(phi), is maximized by branch and bound over cells of
+    [-pi, pi]^nv.  On a cell of half-width w about c,
+
+        f <= f(c) + w |grad f(c)|_1 + M w^2 / 2,
+        M = 9/4 sum_k a_(m+k, m+k) / h_(m+k)^2
+            + 8 sum_j (sum_k |rows[k, j]| / h_(m+k))^2,
+
+    since 0 < g'' = 2 + 2 / s^3 <= 4, |g'| <= 4 |beta| and the second
+    derivative of (1 - cos phi)^2 is at most 9/4.  A cell whose bound is
+    within rtol of the best value found is settled and keeps its bound, the
+    others are halved along every axis, until no cell is left or the next
+    split would exceed _SYMBOL_CELLS cells.  The largest bound kept is
+    returned, so it never falls below the supremum; at the cell budget it
+    can lie well above it.
     """
     count, nv, m = rows.shape
     hh, hv = h[:m], h[m:]
-    side = max(5, 2 * (round(_SYMBOL_SAMPLES ** (1.0 / nv)) // 2) + 1)  # odd, and shrinks
-    steps = np.linspace(-1.0, 1.0, side)
-    offsets = np.stack(np.meshgrid(*[steps] * nv, indexing="ij"), axis=-1).reshape(-1, nv)
+    coef = rows / hv[:, None]  # beta_j = sum_k coef[k, j] sin phi_k
     vertical = np.sum(rows * rows, axis=2) / hv ** 2  # a_(m+k, m+k) / h_(m+k)^2
-    nodes = np.arange(count)
-    center, half = np.zeros((count, 1, nv)), np.pi
+    reach = np.sum(np.abs(coef), axis=1)  # bounds |beta_j|
+    curvature = 2.25 * np.sum(vertical, axis=1) + 8.0 * np.sum(reach ** 2, axis=1)
+    side = max(2, round(_SYMBOL_SAMPLES ** (1.0 / nv)))
+    half = np.pi / side
+    axis = -np.pi + half * (2 * np.arange(side) + 1)
+    cells = np.stack(np.meshgrid(*[axis] * nv, indexing="ij"), axis=-1).reshape(-1, nv)
+    node = np.repeat(np.arange(count), len(cells))
+    phi = np.tile(cells, (count, 1))
+    signs = np.array(list(itertools.product((-0.5, 0.5), repeat=nv)))
+    best = bound = -np.inf
     while True:
-        phi = center + half * offsets
-        beta = np.einsum("pgk,pkj->pgj", np.sin(phi) / hv, rows)
-        value = np.einsum("pk,pgk->pg", vertical, (1.0 - np.cos(phi)) ** 2) + np.sum(
-            (1.0 + np.sqrt(1.0 + (hh * beta) ** 2)) ** 2 / hh ** 2, axis=-1
+        sin, cos = np.sin(phi), np.cos(phi)
+        beta = sum(sin[:, k, None] * coef[node, k] for k in range(nv))
+        root = np.sqrt(1.0 + (hh * beta) ** 2)
+        value = np.sum(vertical[node] * (1.0 - cos) ** 2, axis=1) + np.sum(
+            (1.0 + root) ** 2 / hh ** 2, axis=1
         )
-        best = np.argmax(value, axis=1)
-        if half < 1e-9:
-            return value[nodes, best]
-        center = phi[nodes, best][:, None, :]
-        half *= 2.0 / (side - 1)
+        dg = 2.0 * beta * (1.0 + 1.0 / root)  # g'(beta)
+        slope = 2.0 * vertical[node] * (1.0 - cos) * sin + cos * np.stack(
+            [np.sum(coef[node, k] * dg, axis=1) for k in range(nv)], axis=1
+        )
+        upper = value + half * np.sum(np.abs(slope), axis=1) + 0.5 * curvature[node] * half ** 2
+        best = max(best, float(np.max(value)))
+        live = upper > best * (1.0 + rtol)
+        bound = max(bound, best, float(np.max(upper[~live], initial=-np.inf)))
+        if not np.any(live):
+            return bound
+        if np.count_nonzero(live) * len(signs) > _SYMBOL_CELLS:
+            return max(bound, float(np.max(upper)))
+        node = np.repeat(node[live], len(signs))
+        phi = (phi[live][:, None, :] + half * signs).reshape(-1, nv)
+        half /= 2.0
 
 
 # Interior nodes per row chunk of the operator pass, from a sweep over chunk
@@ -346,7 +378,7 @@ class Engine:
         # the interior horizontal sub-grid.
         corners = np.zeros((2 ** g.m, g.n))
         corners[:, : g.m] = list(itertools.product(*[(c[1], c[-2]) for c in axes[: g.m]]))
-        self.symbol_bound = float(np.max(_symbol_sup(sigma(g, corners)[:, g.m :], self.h)))
+        self.symbol_bound = _symbol_sup(sigma(g, corners)[:, g.m :], self.h)
         self.dt = config.cfl * 2.0 / self.symbol_bound
 
         # interior rows 1..rows of axis 0 in near-equal chunks of at most
@@ -454,15 +486,27 @@ class Engine:
             eig = np.linalg.eigvalsh(Amat)
         return -trA + qAq / np.where(mask, qq, 1.0), sing, eig
 
-    def operators(self, u: npt.NDArray, schemes: Sequence[str]) -> list[npt.NDArray]:
-        """Op(u) on the interior for each scheme, from one derivative pass per chunk."""
+    def operators(
+        self, u: npt.NDArray, schemes: Sequence[str], gap: bool = False
+    ) -> list[npt.NDArray]:
+        """Op(u) on the interior for each scheme, from one derivative pass per chunk.
+
+        With gap, one more array follows from the same derivative pass: F -
+        F_delta = delta^2 q^T A q / (|q|^2 (|q|^2 + delta^2)), by which the
+        regularized operator falls short of its delta -> 0 limit F(q, A) (0
+        where q = 0).
+        """
         for scheme in schemes:
             if scheme not in SCHEMES:
                 raise ValueError(f"unknown scheme {scheme!r}")
-        outs = [np.empty(tuple(r - 2 for r in u.shape)) for _ in schemes]
+        outs = [np.empty(tuple(r - 2 for r in u.shape)) for _ in range(len(schemes) + gap)]
         envelopes = any(scheme != "regularized" for scheme in schemes)
         for r0, r1 in self.chunks:
             trA, qq, qAq, A = self._derivatives(u, r0, r1)
+            if gap:
+                block = outs[-1][r0 - 1 : r1 - 1]
+                block[...] = 0.0
+                np.divide(self.delta2 * qAq, qq * (qq + self.delta2), out=block, where=qq > 0.0)
             if envelopes:
                 env, sing, eig = self._envelope_stage(trA, qq, qAq, A)
             for out, scheme in zip(outs, schemes):
@@ -513,6 +557,7 @@ class RunResult:
     dt: float
     n_steps: int
     sandwich_max_violation: float | None = None
+    regularization_gap: float | None = None
 
 
 def _has_positive_interior(values: npt.NDArray) -> bool:
@@ -530,9 +575,16 @@ def run(
     The initial slab is always the first snapshot, the final slab (at
     t_end, or at the extinction step) the last.  With record_sandwich, the
     envelope_min / envelope_max updates are computed from the same slab as
-    every regularized update and the worst node-wise violation of
-    (min-update >= regularized >= max-update ordering flipped: the larger
-    operator value shrinks u faster) is recorded.
+    every regularized update, and two numbers are recorded.  The
+    regularized operator falls short of its delta -> 0 limit F by the known
+    gap delta^2 q^T A q / (|q|^2 (|q|^2 + delta^2)), so its update differs
+    from the limit's by dt times that; regularization_gap is the worst
+    |difference|.  sandwich_max_violation is the worst node-wise amount by
+    which the regularized update, with that difference taken out, leaves the
+    envelope bracket (max-update <= update <= min-update: the larger
+    operator value shrinks u faster).  F lies in the bracket, so this is
+    rounding at any delta unless the schemes are out of order, or q = 0
+    exactly where X2u is definite.
 
     Raises:
         RuntimeError: if values become nonfinite (CFL violated or data
@@ -550,13 +602,13 @@ def run(
     grid = init(config)
     emit(grid)
     extinct: float | None = None
-    violation = 0.0
+    violation = gap = 0.0
     steps = 0
     inner = (slice(1, -1),) * len(config.resolution)
 
     if not _has_positive_interior(grid.values):
-        extinct = 0.0
-        return RunResult(snapshots, extinct, 0.0, 0, violation if record_sandwich else None)
+        sandwich = (violation, gap) if record_sandwich else (None, None)
+        return RunResult(snapshots, 0.0, 0.0, 0, *sandwich)
 
     eng = Engine(config)
     t = 0.0
@@ -566,17 +618,19 @@ def run(
     while t < config.t_end - _TIME_SLOP * max(1.0, config.t_end):
         dt = min(eng.dt, config.t_end - t)
         if record_sandwich:
-            op_reg, op_min, op_max = eng.operators(u, SCHEMES)
+            op_reg, op_min, op_max, op_gap = eng.operators(u, SCHEMES, gap=True)
             new = eng._euler(u, dt, op_reg)
             base = u[inner]
-            upd = new[inner]
+            shift = dt * op_gap
+            limit = new[inner] - shift  # the update with delta -> 0
             hi = base - dt * op_min  # smallest operator -> largest update
             lo = base - dt * op_max
             violation = max(
                 violation,
-                float(np.max(lo - upd, initial=0.0)),
-                float(np.max(upd - hi, initial=0.0)),
+                float(np.max(lo - limit, initial=0.0)),
+                float(np.max(limit - hi, initial=0.0)),
             )
+            gap = max(gap, float(np.max(np.abs(shift), initial=0.0)))
             u = new
         else:
             u = eng.advance(u, dt)
@@ -598,13 +652,8 @@ def run(
     if snapshots[-1].time < t:  # the final slab, unless the cadence just emitted it
         emit(GridField(config.box, u.copy(), t))
 
-    return RunResult(
-        snapshots,
-        extinct,
-        eng.dt,
-        steps,
-        violation if record_sandwich else None,
-    )
+    sandwich = (violation, gap) if record_sandwich else (None, None)
+    return RunResult(snapshots, extinct, eng.dt, steps, *sandwich)
 
 
 # --------------------------------------------------------- front geometry ---

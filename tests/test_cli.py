@@ -130,14 +130,30 @@ class TestConfigErrors:
         "verify, field",
         [
             ({"barrier_drifts": {"sqrt_gauge": "x"}}, "verify.barrier_drifts.sqrt_gauge"),
-            ({"barrier_drifts": {"gauge_sup": 3.0}}, "verify.barrier_drifts.gauge_sup"),
             ({"suites": 5}, "verify.suites"),
+            ({"barrier_drifts": {"gauge_sup": 3.0}}, "verify.barrier_drifts.gauge_sup"),
         ],
     )
     def test_bad_verify_field_refused(self, tmp_path, capsys, verify, field):
         cfg = write_config(tmp_path, {"verify": verify})
         assert main(["verify", "--config", cfg]) == 2
         assert f"carnotflow: {field}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["gauge", "sqrt_gauge_super", "euclid_ball"])
+    def test_drift_for_fixture_absent_on_group_refused(self, tmp_path, capsys, key):
+        # on m3n5 the barriers suite runs only the cylinder fixture, so a
+        # drift for a gauge-type fixture would otherwise be silently ignored
+        doc = {"group": {"preset": "m3n5"}, "verify": {"barrier_drifts": {key: 3.0}}}
+        cfg = write_config(tmp_path, doc)
+        assert main(["verify", "--config", cfg, "--suite", "barriers"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"carnotflow: verify.barrier_drifts.{key}: no such fixture on this group")
+        assert "['cylinder']" in err
+
+    def test_cylinder_drift_still_read_on_m3n5(self, tmp_path, capsys):
+        doc = {"group": {"preset": "m3n5"}, "verify": {"barrier_drifts": {"cylinder": 3.0}, "samples": 20}}
+        cfg = write_config(tmp_path, doc)
+        assert main(["verify", "--config", cfg, "--suite", "barriers"]) == 1
 
     @pytest.mark.parametrize(
         "verify, field",
@@ -358,12 +374,8 @@ class TestEvolve:
         assert (out / "front_0000.csv").read_text().splitlines()[0] == "t,x1,x2,x3"
 
     def test_sandwich_writes_companion_runs(self, tmp_path, capsys):
-        # delta as in acceptance criterion 9: at the default 1e-6 diam the
-        # regularized update leaves the bracket by dt delta^2 |qAq| / (|q|^2
-        # (|q|^2 + delta^2)) per step, about 1e-12 on this run
         doc = dict(SMALL_RUN)
         doc["run"] = {**SMALL_RUN["run"], "sandwich": True}
-        doc["scheme"] = {"delta_reg": 1e-8 * np.sqrt(48.0)}
         out = tmp_path / "run"
         cfg = write_config(tmp_path, doc)
         assert main(["evolve", "--config", cfg, "--out", str(out)]) == 0
@@ -374,6 +386,9 @@ class TestEvolve:
         line = [l for l in stdout.splitlines() if "sandwich max violation" in l]
         assert len(line) == 1
         assert float(line[0].rsplit(" ", 1)[1]) < 1e-12
+        line = [l for l in stdout.splitlines() if "regularization gap" in l]
+        assert len(line) == 1
+        assert 0.0 < float(line[0].rsplit(" ", 1)[1]) < 1e-9
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_instability_exits_one_with_partial_outputs(self, tmp_path, capsys, monkeypatch):

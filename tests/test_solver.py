@@ -5,6 +5,7 @@ import signal
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 import carnotflow.solver as solver
 from carnotflow import (
@@ -197,8 +198,8 @@ class TestEngine:
         pts = np.zeros(((res - 2) ** g.m, g.n))
         pts[:, : g.m] = np.stack(np.meshgrid(*inner, indexing="ij"), axis=-1).reshape(-1, g.m)
         frames = sigma(g, pts)
-        per_node = solver._symbol_sup(frames[:, g.m :], h)
-        assert np.max(per_node) == pytest.approx(eng.symbol_bound, rel=1e-12)
+        per_node = [solver._symbol_sup(frame[None, g.m :], h) for frame in frames]
+        assert max(per_node) == pytest.approx(eng.symbol_bound, rel=2e-9)
 
         worst = frames[np.argmax(per_node)]
         a = worst @ worst.T / np.outer(h, h)
@@ -211,17 +212,20 @@ class TestEngine:
         assert dense <= eng.symbol_bound * (1.0 + 1e-12)
         assert eng.symbol_bound <= 1.01 * dense
 
-    def test_symbol_search_with_many_vertical_axes(self):
-        # nv = 6 (the free step-two group on 4 generators) leaves the fewest
-        # grid points per axis; the search must still shrink and end, and
-        # come out above every sampled theta
+    @pytest.mark.parametrize("nv", [1, 3, 4, 5, 6])
+    def test_symbol_search_bounds_every_local_maximum(self, nv):
+        # the first nv brackets of the free step-two group on 4 generators;
+        # L-BFGS-B started from 40 angles per node finds local maxima of the
+        # symbol written out from the stencil.  The bound lies above all of
+        # them, and for nv <= 4, where the search ends by its tolerance and
+        # not by its cell budget, within 1e-8 of the best
         m, pairs = 4, [(i, j) for i in range(4) for j in range(i + 1, 4)]
-        B = np.zeros((len(pairs), m, m))
-        for k, (i, j) in enumerate(pairs):
+        B = np.zeros((nv, m, m))
+        for k, (i, j) in enumerate(pairs[:nv]):
             B[k, i, j], B[k, j, i] = 1.0, -1.0
-        rng = np.random.default_rng(3)
+        rng = np.random.default_rng(nv)
         xh = rng.uniform(-2.0, 2.0, size=(2, m))
-        h = rng.uniform(0.1, 0.3, size=m + len(pairs))
+        h = rng.uniform(0.1, 0.3, size=m + nv)
         rows = np.einsum("kji,pi->pkj", B, xh)
 
         def too_slow(signum, frame):
@@ -230,16 +234,21 @@ class TestEngine:
         previous = signal.signal(signal.SIGALRM, too_slow)
         signal.alarm(20)
         try:
-            sup = solver._symbol_sup(rows, h)
+            bound = solver._symbol_sup(rows, h)
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
-        theta = rng.uniform(-np.pi, np.pi, size=(4000, len(h)))
-        theta[0] = np.pi  # the checkerboard
+        found = 0.0
         for p in range(2):
             frame = np.vstack([np.eye(m), rows[p]])
             a = frame @ frame.T / np.outer(h, h)
-            assert np.max(stencil_symbol(a, theta)) <= sup[p] * (1.0 + 1e-12)
+            found = max(found, float(stencil_symbol(a, np.full((1, m + nv), np.pi))[0]))
+            for start in rng.uniform(-np.pi, np.pi, size=(40, m + nv)):
+                res = minimize(lambda t: -stencil_symbol(a, t[None])[0], start, method="L-BFGS-B")
+                found = max(found, -res.fun)
+        assert found <= bound * (1.0 + 1e-12)
+        if nv <= 4:
+            assert bound <= found * (1.0 + 1e-8)
 
     @pytest.mark.parametrize("group", ["heisenberg", "m3n5"])
     def test_derivatives_on_any_row_range_match_the_chunks(self, request, group):
@@ -399,6 +408,42 @@ class TestSchemeSandwich:
         assert res.sandwich_max_violation is not None
         assert res.sandwich_max_violation < 1e-12
         assert res.n_steps > 10
+
+    def test_regularization_gap_is_reported_apart_and_scales_with_delta_squared(self):
+        # the regularized update leaves the envelope bracket by dt delta^2
+        # |qAq| / (|q|^2 (|q|^2 + delta^2)) per step; that is the recorded
+        # gap, while the violation of the widened bracket stays rounding
+        delta = 1e-6 * math.sqrt(48.0)
+        small = run(config(t_end=0.05, delta_reg=delta), record_sandwich=True)
+        large = run(config(t_end=0.05, delta_reg=10.0 * delta), record_sandwich=True)
+        assert small.sandwich_max_violation < 1e-14 and large.sandwich_max_violation < 1e-14
+        assert small.regularization_gap > 0.0
+        assert large.regularization_gap / small.regularization_gap == pytest.approx(100.0, rel=1e-3)
+        assert run(config(), record_sandwich=False).regularization_gap is None
+
+    @pytest.mark.parametrize("fault", ["regular", "singular"])
+    def test_violation_shows_envelopes_out_of_order(self, monkeypatch, fault):
+        # taking the known gap out must not hide a fault in the schemes, also
+        # at singular nodes, where the gap is largest: envelope values off by
+        # 1e-6 at regular nodes, or eigenvalues scaled by 0.9 at singular ones
+        cfg = config(res=32, t_end=0.005, eps_sing=0.05, initial=InitialSpec(preset="gauge_ball"))
+        assert run(cfg, record_sandwich=True).sandwich_max_violation < 1e-13
+        if fault == "regular":
+            stage = Engine._envelope_stage
+
+            def faulty(self, *args):
+                env, sing, eig = stage(self, *args)
+                return env + 1e-6, sing, eig
+
+            monkeypatch.setattr(Engine, "_envelope_stage", faulty)
+        else:
+            eigvalsh = np.linalg.eigvalsh
+            monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: 0.9 * eigvalsh(a))
+        res = run(cfg, record_sandwich=True)
+        if fault == "regular":
+            assert res.sandwich_max_violation == pytest.approx(1e-6 * res.dt, rel=1e-3)
+        else:
+            assert res.sandwich_max_violation > 1e-8
 
     def test_recording_requires_regularized_trajectory(self):
         with pytest.raises(ValueError, match="regularized"):
