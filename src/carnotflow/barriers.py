@@ -459,7 +459,8 @@ def change_of_variables_check(
     j = U.jet(x, t)
     q = horizontal_gradient(g, j, x)
     A = horizontal_hessian(g, j, x)
-    refuse_points(x, _sq(q) == 0.0, "change-of-variables check needs a noncharacteristic point")
+    F = operator_bounds(q, A)
+    refuse_points(x, ~F.regular, "change-of-variables check needs a noncharacteristic point")
     zero = np.zeros(np.shape(j.value))
     d1 = psi.d1(j.value) + zero
     refuse_points(x, ~(d1 > 0.0), "psi must be increasing at U(x)")
@@ -467,7 +468,7 @@ def change_of_variables_check(
     # second-order propagation through psi o U
     AW = d1[..., None, None] * A + d2 * np.einsum("...i,...j->...ij", q, q)
     lhs = operator_bounds(d1[..., None] * q, AW).lower
-    rhs = d1 * operator_bounds(q, A).lower
+    rhs = d1 * F.lower
     return (np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs)))[()]
 
 

@@ -16,7 +16,8 @@ which is valid in step two: sigma depends only on x_h and the first-order
 correction terms cancel in the symmetrization.  The level-set curvature
 operator is F(q, A) = -tr[(I - qq/|q|^2) A]; at q = 0 it is replaced by its
 semicontinuous envelopes  -tr A + lambda_min(A)  and  -tr A + lambda_max(A).
-:func:`operator_bounds` evaluates F and both envelopes over a batch.
+:func:`operator_bounds` evaluates F and both envelopes over a batch (singular
+where |q|^2 <= eps_sing^2); the solver's envelope schemes run the same code.
 """
 from __future__ import annotations
 
@@ -295,27 +296,44 @@ class OperatorBounds(NamedTuple):
     spectral: npt.NDArray
 
 
-def operator_bounds(q: npt.NDArray, A: npt.NDArray, eps_sing: float = 0.0) -> OperatorBounds:
-    """The curvature operator F(q, A) and its envelopes, over a batch.
+def _contract(q, A):
+    """tr A, |q|^2 and q^T A q from components q[j] and all A[j, l], in one order."""
+    m = len(q)
+    trA = sum(A[j, j] for j in range(m))
+    qq = sum(qj ** 2 for qj in q)
+    qAq = sum(q[j] * A[j, l] * q[l] for j in range(m) for l in range(m))
+    return trA, qq, qAq
 
-    q has shape (..., m) and A (..., m, m).  Where |q| > eps_sing (regular),
-    lower and upper both hold F(q, A) = -tr A + q.A.q/|q|^2; elsewhere they
-    hold the envelopes -tr A + lambda_min(A) and -tr A + lambda_max(A), from
-    one batched eigvalsh, and spectral holds max |lambda(A)| (0 at regular
-    points).  For one point (q of shape (m,)) every entry is a scalar.
-    """
-    q = np.asarray(q, dtype=float)
-    A = np.asarray(A, dtype=float)
-    qq = np.einsum("...i,...i->...", q, q)
-    trA = np.asarray(np.trace(A, axis1=-2, axis2=-1))
-    regular = np.asarray(np.sqrt(qq) > eps_sing)
-    F = -trA + np.einsum("...i,...ij,...j->...", q, A, q) / np.where(regular, qq, 1.0)
-    lower, upper, spectral = np.array(F), np.array(F), np.zeros(F.shape)
-    sing = ~regular
-    if np.any(sing):
-        eig = np.linalg.eigvalsh(A[sing])
+
+def _bounds(trA, qq, qAq, A, eps2: float) -> OperatorBounds:
+    """:func:`operator_bounds` from the output and the components A of
+    :func:`_contract` (at least 1-d); one eigvalsh covers the singular points."""
+    regular = qq > eps2
+    lower = -trA + qAq / np.where(regular, qq, 1.0)
+    upper, spectral = lower.copy(), np.zeros(lower.shape)
+    sing = np.nonzero(~regular)
+    if sing[0].size:
+        m = round(len(A) ** 0.5)  # A holds all m * m components, sorted(A) is row-major
+        Asing = np.stack([A[jl][sing] for jl in sorted(A)], axis=-1).reshape(-1, m, m)
+        eig = np.linalg.eigvalsh(Asing)
         lower[sing] = -trA[sing] + eig[:, 0]
         upper[sing] = -trA[sing] + eig[:, -1]
         spectral[sing] = np.maximum(np.abs(eig[:, 0]), np.abs(eig[:, -1]))
-    return OperatorBounds(lower[()], upper[()], regular[()], spectral[()])
+    return OperatorBounds(lower, upper, regular, spectral)
 
+
+def operator_bounds(q: npt.NDArray, A: npt.NDArray, eps_sing: float = 0.0) -> OperatorBounds:
+    """The curvature operator F(q, A) and its envelopes, over a batch.
+
+    q has shape (..., m) and A (..., m, m).  Where |q|^2 > eps_sing^2
+    (regular), lower and upper both hold F(q, A) = -tr A + q.A.q/|q|^2;
+    elsewhere they hold the envelopes -tr A + lambda_min(A) and -tr A +
+    lambda_max(A), and spectral holds max |lambda(A)| (0 at regular points).
+    For one point (q of shape (m,)) every entry is a scalar.
+    """
+    shape, m = np.shape(q)[:-1], np.shape(q)[-1]
+    q = np.reshape(np.asarray(q, dtype=float), (-1, m)).T
+    A = np.reshape(np.asarray(A, dtype=float), (-1, m, m))
+    A = {(j, l): A[:, j, l] for j in range(m) for l in range(m)}
+    bounds = _bounds(*_contract(q, A), A, eps_sing ** 2)
+    return OperatorBounds(*(a.reshape(shape)[()] for a in bounds))

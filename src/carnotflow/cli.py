@@ -26,9 +26,10 @@ verify.barrier_drifts overrides the drift constant c used for a kind's
 classified fixture (e.g. {"sqrt_gauge": 4.0}); it exists so a deliberately
 broken fixture demonstrably fails the suite.  Each key must name a fixture,
 each drift must be a finite number and its region must admit the samples.
-Numeric fields take JSON numbers only: booleans and numeric strings are
-refused.  run.out_dir must be a non-empty string, even where --out
-overrides it.
+Numeric fields, group.m, group.n and the entries of group.B included, take
+JSON numbers only: booleans and numeric strings are refused, and m and n
+must be integers with n > m >= 2.  run.out_dir must be a non-empty string,
+even where --out overrides it.  barrier --lattice must be at least 1.
 
 Exit codes: 0 all checks pass / run completed; 1 scientific failure or
 instability; 2 unusable config or arguments.
@@ -142,6 +143,17 @@ def _box_side(side) -> tuple[float, float]:
         raise ValueError(f"box side {side!r} must be two finite numbers") from None
 
 
+def _matrices(value) -> list:
+    """group.B: a list of matrices whose entries are finite JSON numbers."""
+
+    def entries(v):
+        return [entries(x) for x in v] if isinstance(v, list) else _number()(v)
+
+    if not isinstance(value, list):
+        raise ValueError(f"must be a list of matrices, got {value!r}")
+    return [np.array(entries(mat)) for mat in value]
+
+
 def _json(kind: type, what: str):
     """Caster for _get: a value of the given JSON type; a string must not be empty."""
 
@@ -186,14 +198,12 @@ def build_group(doc: dict) -> GroupSpec:
         if preset == "m3n5":
             return m3n5()
         raise ConfigError(f"group.preset: unknown preset {preset!r}")
-    try:
-        m = int(section["m"])
-        n = int(section["n"])
-        B = [np.array(mat, dtype=float) for mat in section["B"]]
-    except KeyError as exc:
-        raise ConfigError(f"group.{exc.args[0]}: missing") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"group: {exc}") from exc
+    for key in ("m", "n", "B"):
+        if key not in section:
+            raise ConfigError(f"group.{key}: missing")
+    m = _get(section, "group", "m", None, _number(2, integer=True))
+    n = _get(section, "group", "n", None, _number(m + 1, integer=True))
+    B = _get(section, "group", "B", None, _matrices)
     try:
         return validate_spec(m, n, B)
     except ValueError as exc:
@@ -462,15 +472,13 @@ def suite_envelopes(
     worst = 0.0
     for m in (2, 3):
         dirs = _sphere_directions(m, directions)
-        for _ in range(matrices):
-            raw = rng.normal(size=(m, m))
-            A = (raw + raw.T) / 2.0
-            A /= np.linalg.norm(A)
-            quad = np.einsum("ij,jk,ik->i", dirs, A, dirs)
-            sampled_lo = -np.trace(A) + float(np.min(quad))
-            sampled_hi = -np.trace(A) + float(np.max(quad))
-            bounds = operator_bounds(np.zeros(m), A)
-            worst = max(worst, abs(sampled_lo - bounds.lower), abs(sampled_hi - bounds.upper))
+        raw = rng.normal(size=(matrices, m, m))
+        A = (raw + np.swapaxes(raw, 1, 2)) / 2.0
+        A /= np.linalg.norm(A, axis=(1, 2))[:, None, None]
+        bounds = operator_bounds(np.zeros((matrices, m)), A)
+        for a, lower, upper in zip(A, bounds.lower, bounds.upper):  # one row of samples live
+            quad, trA = np.einsum("ij,jk,ik->i", dirs, a, dirs), np.trace(a)
+            worst = max(worst, abs(-trA + np.min(quad) - lower), abs(-trA + np.max(quad) - upper))
     return SuiteResult(
         f"envelopes ({matrices} matrices x m in {{2,3}}, {directions} directions, tol {tol:.0e})",
         worst <= tol,
@@ -586,6 +594,8 @@ def cmd_barrier(args) -> int:
     r = _get(initial, "initial", "r", 1.0, _number())
     c = _get(initial, "initial", "c", default_c[kind], _number())
     out_dir = _out_dir(doc, args.out)
+    if args.lattice < 1:
+        raise ConfigError(f"--lattice: must be at least 1, got {args.lattice}")
     barrier = make_barrier(kind, g, c, r)
     expect = barrier.classification
 
@@ -597,8 +607,6 @@ def cmd_barrier(args) -> int:
         skip |= homogeneous_norm(g, points) <= 1e-8
     skipped_origin = int(np.sum(skip))
     points = points[~skip]
-    if not len(points):
-        raise ConfigError("barrier sampling produced no admissible points")
     in_region = barrier.region(points)
     closed = barrier.closed_form_operator(points)
     # one jet batch: at the regular points the residual is u_t + F(Xu, X2u)

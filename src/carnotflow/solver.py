@@ -7,11 +7,11 @@ differences (four-point stencils for mixed terms), composed into horizontal
 quantities through the frame columns sigma(x) = [I; B x_h], which only
 requires the per-node coefficient rows b_k(x) = B^(k) x_h.
 
-Singular nodes (|Xu| below a threshold) are where F is undefined; three
+Singular nodes (|Xu|^2 <= eps_sing^2) are where F is undefined; three
 interchangeable schemes handle them:
 
     regularized   F with |Xu|^2 -> |Xu|^2 + delta_reg^2 in the projection,
-    envelope_min  F where |Xu| > eps_sing, else -tr(X2u) + lambda_min(X2u),
+    envelope_min  F at regular nodes, else -tr(X2u) + lambda_min(X2u),
     envelope_max  same with lambda_max.
 
 The envelope pair brackets every reasonable choice at singular nodes, so
@@ -32,11 +32,12 @@ the supremum, so a missed maximum cannot push dt past the stability bound.
 Updates at distinct nodes are independent (one immutable input slab, one
 fresh output slab), so the interior is computed in chunks of rows along
 axis 0, each small enough for its temporaries to stay in cache.  Per chunk,
-one derivative pass computes the central differences and the horizontal
-quantities tr A, |q|^2, q^T A q and A, and a short tail per scheme turns them
-into operator values, so a step that needs all three schemes differentiates
-once.  Chunks run in order in the calling thread; the arithmetic per node is
-fixed, so outputs are bit-identical from run to run and across processes.
+one derivative pass gives q = Xu, A = X2u and, by calculus._contract, tr A,
+|q|^2 and q^T A q; the regularized scheme is one line on those and the
+envelope pair is calculus._bounds, the code of operator_bounds, so a step
+with all three schemes differentiates once.  Chunks run in order in the
+calling thread; the arithmetic per node is fixed, so outputs are
+bit-identical from run to run and across processes.
 """
 from __future__ import annotations
 
@@ -50,6 +51,7 @@ import numpy as np
 import numpy.typing as npt
 
 from .barriers import BarrierEval, psi_s_plus_s3
+from .calculus import _bounds, _contract
 from .groups import GroupSpec, sigma
 
 __all__ = [
@@ -469,22 +471,7 @@ class Engine:
                         entry = entry + bbbb[k, j, k2, l] * d2[m + k, m + k2]
                 A[j, l] = A[l, j] = entry
 
-        trA = sum(A[j, j] for j in range(m))
-        qq = sum(qj ** 2 for qj in q)
-        qAq = sum(q[j] * A[j, l] * q[l] for j in range(m) for l in range(m))
-        return trA, qq, qAq, A
-
-    def _envelope_stage(self, trA, qq, qAq, A):
-        """Envelope F off the singular nodes, their indices, and eigvalsh(X2u) there (or None)."""
-        mask = qq > self.eps2
-        sing = np.nonzero(~mask)
-        eig = None
-        if sing[0].size:
-            Amat = np.empty((sing[0].size, self.m, self.m))
-            for j, l in A:
-                Amat[:, j, l] = A[j, l][sing]
-            eig = np.linalg.eigvalsh(Amat)
-        return -trA + qAq / np.where(mask, qq, 1.0), sing, eig
+        return (*_contract(q, A), A)
 
     def operators(
         self, u: npt.NDArray, schemes: Sequence[str], gap: bool = False
@@ -500,24 +487,21 @@ class Engine:
             if scheme not in SCHEMES:
                 raise ValueError(f"unknown scheme {scheme!r}")
         outs = [np.empty(tuple(r - 2 for r in u.shape)) for _ in range(len(schemes) + gap)]
-        envelopes = any(scheme != "regularized" for scheme in schemes)
         for r0, r1 in self.chunks:
             trA, qq, qAq, A = self._derivatives(u, r0, r1)
             if gap:
                 block = outs[-1][r0 - 1 : r1 - 1]
                 block[...] = 0.0
                 np.divide(self.delta2 * qAq, qq * (qq + self.delta2), out=block, where=qq > 0.0)
-            if envelopes:
-                env, sing, eig = self._envelope_stage(trA, qq, qAq, A)
+            if set(schemes) - {"regularized"}:
+                bounds = _bounds(trA, qq, qAq, A, self.eps2)
             for out, scheme in zip(outs, schemes):
                 block = out[r0 - 1 : r1 - 1]
                 if scheme == "regularized":
                     block[...] = -trA + qAq / (qq + self.delta2)
-                    continue
-                block[...] = env
-                if eig is not None:
-                    lam = eig[:, 0] if scheme == "envelope_min" else eig[:, -1]
-                    block[sing] = -trA[sing] + lam
+                else:
+                    block[...] = bounds.lower if scheme == "envelope_min" else bounds.upper
+            bounds = None  # held through the next chunk, it slowed the operator pass 4%
         return outs
 
     def operator(self, u: npt.NDArray, scheme: str | None = None) -> npt.NDArray:

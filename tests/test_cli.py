@@ -25,6 +25,7 @@ def write_config(tmp_path, doc, name="config.json"):
     return str(path)
 
 
+HEISENBERG = {"m": 2, "n": 3, "B": [[[0, 1], [-1, 0]]]}
 SMALL_RUN = {
     "domain": {"box": [[-2, 2]] * 3, "resolution": [10, 10, 10]},
     "run": {"t_end": 0.05, "snapshot_every": 0.02},
@@ -240,15 +241,25 @@ class TestConfigErrors:
             ("barrier", "initial", "c", "initial.c: must be a finite number"),
             ("verify", "verify", "tolerance", "verify.tolerance: must be a finite number"),
             ("verify", "verify", "barrier_drifts", "verify.barrier_drifts.gauge: must be a finite number"),
+        ]
+        + [
+            (command, "group", key, f"group.{key}: must be {what}")
+            for command in ("evolve", "barrier", "verify")
+            for key, what in (("m", "an integer"), ("n", "an integer"), ("B", "a finite number"))
         ],
     )
     def test_numbers_must_be_json_numbers(self, tmp_path, capsys, command, section, key, field, value):
-        # float() would take a JSON boolean as 0 or 1 and "0.5" as 0.5
+        # float() would take a JSON boolean as 0 or 1 and "0.5" as 0.5, int()
+        # would take "1" as 1
         doc = json.loads(json.dumps(SMALL_RUN))
         if key == "box":
             value = [[-2, 2], [-2, 2], [-2, value]]
         elif key == "barrier_drifts":
             value = {"gauge": value}
+        elif section == "group":
+            doc["group"] = json.loads(json.dumps(HEISENBERG))
+            if key == "B":
+                value = [[[0, value], [-1, 0]]]
         doc.setdefault(section, {})[key] = value
         out = tmp_path / "o"
         extra = {
@@ -258,6 +269,25 @@ class TestConfigErrors:
         }[command]
         assert main([command, "--config", write_config(tmp_path, doc)] + extra) == 2
         assert f"carnotflow: {field}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["evolve", "barrier", "verify"])
+    @pytest.mark.parametrize(
+        "key, group",
+        [("m", {"m": 2.7}), ("n", {"n": 3.9}), ("m", {"m": 2.0}), ("m", {"m": 1}), ("n", {"n": 2}),
+         ("n", {"m": 3, "n": 3})],
+    )
+    def test_group_dimensions_must_be_integers(self, tmp_path, capsys, command, key, group):
+        # int() would truncate 2.7 to 2 and 3.9 to 3, a valid group; n must exceed m
+        doc = {**SMALL_RUN, "group": {**HEISENBERG, **group}}
+        out = tmp_path / "o"
+        extra = {
+            "evolve": ["--out", str(out)],
+            "barrier": ["--kind", "cylinder", "--lattice", "3", "--out", str(out)],
+            "verify": ["--suite", "envelopes"],
+        }[command]
+        assert main([command, "--config", write_config(tmp_path, doc)] + extra) == 2
+        assert f"carnotflow: group.{key}: must be an integer" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
@@ -454,6 +484,18 @@ class TestBarrier:
         assert main(["barrier", "--kind", "cone"]) == 2
         assert "--kind" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lattice", ["-1", "0"])
+    def test_lattice_below_one_refused(self, tmp_path, capsys, lattice):
+        out = tmp_path / "o"
+        assert main(["barrier", "--kind", "gauge", "--lattice", lattice, "--out", str(out)]) == 2
+        assert f"carnotflow: --lattice: must be at least 1, got {lattice}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_one_point_lattice(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["barrier", "--kind", "gauge", "--lattice", "1", "--out", str(out)]) == 0
+        assert len((out / "barrier_gauge.csv").read_text().splitlines()) == 2
+
     def test_drift_override_from_config(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"initial": {"c": 0.0, "r": 2.0}})
         out = tmp_path / "o"
@@ -513,8 +555,19 @@ CLASSIFIED_DRIFTS = {
 # (section, key) -> (valid values, bad values, a word every refusal of a bad
 # value names); the grid stays at most 8^3, the runs at most 0.01 long and the
 # barriers suite at most 12 points per fixture, so resolution, t_end and
-# samples are never left to their defaults
+# samples are never left to their defaults; the group is always given by m, n
+# and B, so that a fault in one of them is checked and not hidden by a preset
 FIELDS = {
+    ("group", "m"): (st.sampled_from([2]), st.sampled_from([2.7, 2.0, 1, "2", True, None, [2]]), "group.m"),
+    ("group", "n"): (st.sampled_from([3]), st.sampled_from([3.9, 3.0, 2, "3", False, None]), "group.n"),
+    ("group", "B"): (
+        st.sampled_from([HEISENBERG["B"], [[[0.0, 1.0], [-1.0, 0.0]]]]),
+        st.sampled_from(
+            ["B", 5, [[[0, 1], [1, 0]]], [[[0, 1], [-1]]]]
+            + [[[[0, v], [-1, 0]]] for v in NONFINITE + [True, False, "1", None]]
+        ),
+        "group.B",
+    ),
     ("domain", "box"): (
         st.floats(1.5, 3.0).map(lambda a: [[-a, a]] * 3),
         st.sampled_from(
@@ -590,15 +643,19 @@ FIELDS = {
         "verify.barrier_drifts",
     ),
 }
-SECTIONS = ("domain", "initial", "scheme", "run", "verify")
+SECTIONS = ("group", "domain", "initial", "scheme", "run", "verify")
+GROUP = {f for f in FIELDS if f[0] == "group"}
 # command -> (sections it requires to be objects, (section, key) fields it reads)
 READS = {
     "evolve": (
         set(SECTIONS),
-        {f for f in FIELDS if f[0] in ("domain", "initial", "scheme", "run")} - {("initial", "c")},
+        {f for f in FIELDS if f[0] != "verify"} - {("initial", "c")},
     ),
-    "verify": ({"verify"}, {f for f in FIELDS if f[0] == "verify"}),
-    "barrier": ({"initial", "run"}, {("initial", "r"), ("initial", "c"), ("run", "out_dir")}),
+    "verify": ({"group", "verify"}, GROUP | {f for f in FIELDS if f[0] == "verify"}),
+    "barrier": (
+        {"group", "initial", "run"},
+        GROUP | {("initial", "r"), ("initial", "c"), ("run", "out_dir")},
+    ),
 }
 
 
@@ -608,7 +665,7 @@ def config_documents(draw):
     refusal names, whether the whole section is bad); no faults: valid."""
     doc, faults = {}, set()
     for (section, key), (valid, _, _) in FIELDS.items():
-        if key in ("resolution", "t_end", "samples") or draw(st.booleans()):
+        if section == "group" or key in ("resolution", "t_end", "samples") or draw(st.booleans()):
             doc.setdefault(section, {})[key] = draw(valid)
     for section, key in draw(st.lists(st.sampled_from(sorted(FIELDS)), max_size=2)):
         _, bad, word = FIELDS[section, key]

@@ -21,6 +21,7 @@ from carnotflow import (
     horizontal_hessian,
     init,
     make_barrier,
+    operator_bounds,
     residual_on_exact,
     run,
     write_front_csv,
@@ -306,6 +307,41 @@ class TestEngine:
                 np.testing.assert_array_equal(op, eng.operator(u, scheme))
             u = eng.advance(u, eng.dt, "regularized")
 
+    @pytest.mark.parametrize("group", ["heisenberg", "m3n5"])
+    def test_envelopes_are_operator_bounds_of_the_solver_jets(self, request, monkeypatch, group):
+        # the envelope schemes and the jet layer's operator_bounds are one
+        # operator: fed the solver's own Xu and X2u at every interior node,
+        # operator_bounds gives both envelopes bit for bit.  Both grids have
+        # singular nodes (32 on m3n5 with this eps_sing).
+        if group == "heisenberg":
+            cfg = config(res=32, eps_sing=0.05, initial=InitialSpec(preset="gauge_ball"))
+        else:
+            g = request.getfixturevalue("m3n5")
+            cfg = SolverConfig(g, ((-2.0, 2.0),) * 5, (10,) * 5, eps_sing=1.0,
+                               initial=InitialSpec(preset="gauge_ball"))
+        m = cfg.group.m
+        jets = []
+        contract = solver._contract
+
+        def recorded(q, A):
+            jets.append((
+                np.array([qj.ravel() for qj in q]).T,
+                np.array([[A[j, l].ravel() for l in range(m)] for j in range(m)]).transpose(2, 0, 1),
+            ))
+            return contract(q, A)
+
+        monkeypatch.setattr(solver, "_contract", recorded)
+        u = init(cfg).values
+        eng = Engine(cfg)
+        lower, upper = eng.operators(u, ("envelope_min", "envelope_max"))
+        assert len(jets) == len(eng.chunks) > 1
+        q, A = (np.concatenate(parts) for parts in zip(*jets))
+        assert q.shape == (lower.size, m) and A.shape == (lower.size, m, m)
+        bounds = operator_bounds(q, A, cfg.eps_sing_effective)
+        assert np.count_nonzero(~bounds.regular) > 0
+        np.testing.assert_array_equal(bounds.lower, lower.ravel())
+        np.testing.assert_array_equal(bounds.upper, upper.ravel())
+
     def test_sandwich_run_differentiates_once_per_step(self, monkeypatch):
         rows = []
         derivatives = Engine._derivatives
@@ -429,13 +465,14 @@ class TestSchemeSandwich:
         cfg = config(res=32, t_end=0.005, eps_sing=0.05, initial=InitialSpec(preset="gauge_ball"))
         assert run(cfg, record_sandwich=True).sandwich_max_violation < 1e-13
         if fault == "regular":
-            stage = Engine._envelope_stage
+            bounds = solver._bounds
 
-            def faulty(self, *args):
-                env, sing, eig = stage(self, *args)
-                return env + 1e-6, sing, eig
+            def faulty(*args):
+                b = bounds(*args)
+                off = np.where(b.regular, 1e-6, 0.0)
+                return b._replace(lower=b.lower + off, upper=b.upper + off)
 
-            monkeypatch.setattr(Engine, "_envelope_stage", faulty)
+            monkeypatch.setattr(solver, "_bounds", faulty)
         else:
             eigvalsh = np.linalg.eigvalsh
             monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: 0.9 * eigvalsh(a))
