@@ -21,15 +21,20 @@ Config sections (all optional, defaults in parentheses):
     verify  {"suites" (all), "samples" (500), "tolerance" (1e-9),
              "seed" (0), "barrier_drifts" ({})}
 
-Every section, and verify.barrier_drifts, must be a JSON object.
-verify.barrier_drifts overrides the drift constant c used for a kind's
-classified fixture (e.g. {"sqrt_gauge": 4.0}); it exists so a deliberately
-broken fixture demonstrably fails the suite.  Each key must name a fixture,
-each drift must be a finite number and its region must admit the samples.
+A section or key not listed above is refused, as is a section that is
+read and is not a JSON object.  verify.suites must be a non-empty list of
+suite names.  verify.barrier_drifts overrides the drift constant c used for
+a kind's classified fixture (e.g. {"sqrt_gauge": 4.0}); it exists so a
+deliberately broken fixture demonstrably fails the suite.  Each key must
+name a fixture, each drift must be a finite number and its region must
+admit the samples.
 Numeric fields, group.m, group.n and the entries of group.B included, take
 JSON numbers only: booleans and numeric strings are refused, and m and n
 must be integers with n > m >= 2.  run.out_dir must be a non-empty string,
 even where --out overrides it.  barrier --lattice must be at least 1.
+evolve and extinction refuse initial data whose front touches the box or
+that puts no interior node inside {u0 > 0}.  A refused command writes
+nothing.
 
 Exit codes: 0 all checks pass / run completed; 1 scientific failure or
 instability; 2 unusable config or arguments.
@@ -41,7 +46,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -71,7 +76,9 @@ from .groups import (
 from .solver import (
     InitialSpec,
     SolverConfig,
+    _has_positive_interior,
     extract_front,
+    init,
     run,
     write_front_csv,
     write_snapshot_csv,
@@ -95,6 +102,17 @@ __all__ = [
 
 class ConfigError(Exception):
     """Config rejected; the message carries the offending field path."""
+
+
+# the keys of each config section, as the module docstring lists them
+_KEYS = {
+    "group": ("preset", "m", "n", "B"),
+    "domain": ("box", "resolution"),
+    "initial": ("preset", "r", "c", "relabel"),
+    "scheme": ("kind", "delta_reg", "eps_sing", "cfl"),
+    "run": ("t_end", "snapshot_every", "out_dir", "sandwich"),
+    "verify": ("suites", "samples", "tolerance", "seed", "barrier_drifts"),
+}
 
 
 def _section(parent: dict, path: str) -> dict:
@@ -186,6 +204,13 @@ def load_config(path: str | None) -> dict:
         ) from exc
     if not isinstance(doc, dict):
         raise ConfigError("config: top level must be an object")
+    for name, section in doc.items():
+        if name not in _KEYS:
+            raise ConfigError(f"{name}: unknown section (choose from {tuple(_KEYS)})")
+        # a section that is not an object is refused where a command reads it
+        for key in section if isinstance(section, dict) else ():
+            if key not in _KEYS[name]:
+                raise ConfigError(f"{name}.{key}: unknown key (choose from {_KEYS[name]})")
     return doc
 
 
@@ -210,54 +235,47 @@ def build_group(doc: dict) -> GroupSpec:
         raise ConfigError(f"group.B: {exc}") from exc
 
 
+def _fields(doc: dict, path: str, casters: dict) -> dict:
+    """The keys of section path that the document holds, each read through its caster."""
+    section = _section(doc, path)
+    return {key: _get(section, path, key, None, cast) for key, cast in casters.items() if key in section}
+
+
 def build_solver_config(doc: dict, group: GroupSpec) -> SolverConfig:
+    """The document's solver config; InitialSpec and SolverConfig supply
+    every default but the box ([-2, 2]^n) and the resolution (32^n)."""
     n = group.n
     domain = _section(doc, "domain")
     box = _get(domain, "domain", "box", [[-2.0, 2.0]] * n, lambda v: tuple(map(_box_side, v)))
     resolution = _get(domain, "domain", "resolution", [32] * n)
-    initial = _section(doc, "initial")
-    scheme = _section(doc, "scheme")
-    run_sec = _section(doc, "run")
     number = _number()
 
-    def optional(v):
-        return v if v is None else number(v)
+    def optional(cast):  # null keeps the default
+        return lambda v: v if v is None else cast(v)
 
+    initial = _fields(doc, "initial", {"preset": str, "r": number, "relabel": optional(str)})
+    scheme = _fields(
+        doc, "scheme", {"kind": str, "delta_reg": optional(number), "eps_sing": optional(number), "cfl": number}
+    )
+    timing = _fields(doc, "run", {"t_end": number, "snapshot_every": number})
+    if "kind" in scheme:
+        scheme["scheme"] = scheme.pop("kind")
     try:
-        init_spec = InitialSpec(
-            preset=_get(initial, "initial", "preset", "cylinder", str),
-            r=_get(initial, "initial", "r", 1.0, number),
-            relabel=_get(initial, "initial", "relabel", None, lambda v: v if v is None else str(v)),
-        )
-        return SolverConfig(
-            group=group,
-            box=box,
-            resolution=resolution,
-            initial=init_spec,
-            scheme=_get(scheme, "scheme", "kind", "regularized", str),
-            delta_reg=_get(scheme, "scheme", "delta_reg", None, optional),
-            eps_sing=_get(scheme, "scheme", "eps_sing", None, optional),
-            cfl=_get(scheme, "scheme", "cfl", 0.25, number),
-            t_end=_get(run_sec, "run", "t_end", 0.5, number),
-            snapshot_every=_get(run_sec, "run", "snapshot_every", 0.0, number),
-        )
+        return SolverConfig(group, box, resolution, InitialSpec(**initial), **scheme, **timing)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"config: {exc}") from exc
 
 
-def effective_config_dict(doc: dict, group: GroupSpec, cfg: SolverConfig, sandwich: bool) -> dict:
+def effective_config_dict(doc: dict, cfg: SolverConfig, sandwich: bool) -> dict:
     """Defaults-filled config that reproduces the run exactly."""
+    group = cfg.group
     return {
         "group": {"m": group.m, "n": group.n, "B": group.B.tolist()},
         "domain": {
             "box": [list(side) for side in cfg.box],
             "resolution": list(cfg.resolution),
         },
-        "initial": {
-            "preset": cfg.initial.preset,
-            "r": cfg.initial.r,
-            "relabel": cfg.initial.relabel,
-        },
+        "initial": asdict(cfg.initial),
         "scheme": {
             "kind": cfg.scheme,
             "delta_reg": cfg.delta_reg_effective,
@@ -536,6 +554,13 @@ SUITES = (
 )
 
 
+def _suite_names(value) -> list:
+    """Caster for verify.suites: a non-empty JSON list of suite names."""
+    if not isinstance(value, list) or not value or any(name not in SUITES for name in value):
+        raise ValueError(f"must be a non-empty list of names from {SUITES}, got {value!r}")
+    return value
+
+
 def run_verify(doc: dict, suites: list[str] | None = None) -> tuple[bool, str]:
     g = build_group(doc)
     vf = _section(doc, "verify")
@@ -550,10 +575,7 @@ def run_verify(doc: dict, suites: list[str] | None = None) -> tuple[bool, str]:
                 f"verify.barrier_drifts.{key}: no such fixture on this group (choose from {keys})"
             )
     drifts = {k: _get(drift_sec, "verify.barrier_drifts", k, None, _number()) for k in drift_sec}
-    selected = suites or _get(vf, "verify", "suites", None, list) or list(SUITES)
-    for name in selected:
-        if name not in SUITES:
-            raise ConfigError(f"verify.suites: unknown suite {name!r} (choose from {SUITES})")
+    selected = suites or _get(vf, "verify", "suites", None, _suite_names) or list(SUITES)
 
     results: list[SuiteResult] = []
     specs = [g, m3n5()] if g.m == 2 else [g]  # also exercise a higher-step-two spec
@@ -602,9 +624,8 @@ def cmd_barrier(args) -> int:
     axes = [np.linspace(-1.5, 1.5, args.lattice)] * g.n
     points = np.stack([a.ravel() for a in np.meshgrid(*axes, indexing="ij")], axis=-1)
 
+    # the axis x_h = 0 holds the origin, where sqrt_gauge is not differentiable
     skip = np.linalg.norm(points[:, : g.m], axis=-1) < 1e-6
-    if kind == "sqrt_gauge":
-        skip |= homogeneous_norm(g, points) <= 1e-8
     skipped_origin = int(np.sum(skip))
     points = points[~skip]
     in_region = barrier.region(points)
@@ -631,18 +652,20 @@ def cmd_barrier(args) -> int:
     return 0 if n_fail == 0 else 1
 
 
-def _run(cfg: SolverConfig, **kwargs):
-    """`run`, with initial data whose front touches the box refused as config."""
+def _check_initial(cfg: SolverConfig) -> None:
+    """Refuse initial data that cannot start a run: a front that touches the
+    box, or no interior node inside {u0 > 0}, which would be extinct at t=0."""
     try:
-        return run(cfg, **kwargs)
+        grid = init(cfg)
     except ValueError as exc:
         raise ConfigError(f"initial: {exc}") from exc
+    if not _has_positive_interior(grid.values):
+        raise ConfigError("initial: no interior node has u0 > 0; enlarge r or refine the grid")
 
 
-def _write_outputs(cfg: SolverConfig, out_dir: str, doc: dict, g: GroupSpec, sandwich: bool) -> int:
+def _write_outputs(cfg: SolverConfig, out_dir: str, effective: dict, sandwich: bool) -> int:
     """One run with its CSVs and config echo; under run.sandwich, a regularized
     run also records the sandwich violation."""
-    effective = effective_config_dict(doc, g, cfg, sandwich)
     record = sandwich and cfg.scheme == "regularized"
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "config_effective.json"), "w") as fh:
@@ -658,7 +681,7 @@ def _write_outputs(cfg: SolverConfig, out_dir: str, doc: dict, g: GroupSpec, san
         counter["i"] = i + 1
 
     try:
-        result = _run(cfg, record_sandwich=record, on_snapshot=writer)
+        result = run(cfg, record_sandwich=record, on_snapshot=writer)
     except RuntimeError as exc:
         print(f"evolve: aborted, {exc}", file=sys.stderr)
         print(f"evolve: partial outputs in {out_dir}", file=sys.stderr)
@@ -676,29 +699,27 @@ def _write_outputs(cfg: SolverConfig, out_dir: str, doc: dict, g: GroupSpec, san
 
 def cmd_evolve(args) -> int:
     doc = load_config(args.config)
-    g = build_group(doc)
-    cfg = build_solver_config(doc, g)
+    cfg = build_solver_config(doc, build_group(doc))
     out_dir = _out_dir(doc, args.out)
     sandwich = _get(_section(doc, "run"), "run", "sandwich", False, _json(bool, "true or false"))
-    if sandwich and cfg.scheme == "regularized":
-        status = _write_outputs(cfg, out_dir, doc, g, sandwich)
+    runs = [(cfg, out_dir)]
+    if sandwich and cfg.scheme == "regularized":  # companion envelope runs for inspection
+        runs += [(replace(cfg, scheme=s), os.path.join(out_dir, s)) for s in ("envelope_min", "envelope_max")]
+    # the echoes read run.out_dir and the verify section, refused ahead of the initial data
+    echoes = [effective_config_dict(doc, sub, sandwich) for sub, _ in runs]
+    _check_initial(cfg)
+    for (sub, path), echo in zip(runs, echoes):
+        status = _write_outputs(sub, path, echo, sandwich)
         if status != 0:
             return status
-        # companion envelope runs for inspection
-        for scheme in ("envelope_min", "envelope_max"):
-            sub = build_solver_config({**doc, "scheme": {**_section(doc, "scheme"), "kind": scheme}}, g)
-            status = _write_outputs(sub, os.path.join(out_dir, scheme), doc, g, sandwich)
-            if status != 0:
-                return status
-        return 0
-    return _write_outputs(cfg, out_dir, doc, g, sandwich)
+    return 0
 
 
 def cmd_extinction(args) -> int:
     doc = load_config(args.config)
-    g = build_group(doc)
-    cfg = build_solver_config(doc, g)
-    result = _run(cfg)
+    cfg = build_solver_config(doc, build_group(doc))
+    _check_initial(cfg)
+    result = run(cfg)
     if result.extinction_time is not None:
         print(f"extinction: t={result.extinction_time:.6g}")
     else:

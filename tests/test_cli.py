@@ -80,6 +80,48 @@ class TestConfigErrors:
         assert field in err and "finite" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "section, key, value, field",
+        [
+            ("run", "t_end", -0.01, "t_end must be nonnegative"),
+            ("run", "snapshot_every", -0.01, "snapshot_every must be nonnegative"),
+            ("scheme", "delta_reg", 0.0, "delta_reg must be positive"),
+            ("scheme", "delta_reg", -1e-6, "delta_reg must be positive"),
+            ("scheme", "eps_sing", 0.0, "eps_sing must be positive"),
+            ("scheme", "eps_sing", -1.0, "eps_sing must be positive"),
+            ("domain", "box", [[-2, 2], [2, -2], [-2, 2]], "degenerate box side (2.0, -2.0)"),
+        ],
+    )
+    def test_out_of_range_value_refused(self, tmp_path, capsys, section, key, value, field):
+        doc = {**SMALL_RUN, section: {**SMALL_RUN.get(section, {}), key: value}}
+        out = tmp_path / "o"
+        assert main(["evolve", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+        assert f"carnotflow: config: {field}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ({"sheme": {"kind": "envelope_min"}}, "sheme: unknown section"),
+            ({"scheme": {"kindd": "envelope_min"}}, "scheme.kindd: unknown key"),
+            ({"initial": {"radius": 0.5}}, "initial.radius: unknown key"),
+            ({"verify": {"suite": ["barriers"]}}, "verify.suite: unknown key"),
+            ({"group": {"preset": "heisenberg", "m": 2, "dim": 3}}, "group.dim: unknown key"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["verify", "barrier", "evolve", "extinction"])
+    def test_unknown_section_or_key_refused(self, tmp_path, capsys, command, doc, field):
+        # a misspelled key used to leave its default in force and exit 0
+        out = tmp_path / "o"
+        extra = {
+            "barrier": ["--kind", "cylinder", "--lattice", "3", "--out", str(out)],
+            "evolve": ["--out", str(out)],
+        }.get(command, [])
+        cfg = write_config(tmp_path, {**SMALL_RUN, **doc})
+        assert main([command, "--config", cfg] + extra) == 2
+        assert capsys.readouterr().err.startswith(f"carnotflow: {field}")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["verify", "evolve"])
     def test_nonfinite_group_matrices_refused(self, tmp_path, capsys, command):
         doc = {**SMALL_RUN, "group": {"m": 2, "n": 3, "B": [[[0, float("nan")], [float("nan"), 0]]]}}
@@ -132,6 +174,11 @@ class TestConfigErrors:
         [
             ({"barrier_drifts": {"sqrt_gauge": "x"}}, "verify.barrier_drifts.sqrt_gauge"),
             ({"suites": 5}, "verify.suites"),
+            ({"suites": {"barriers": 1}}, "verify.suites"),
+            ({"suites": "barriers"}, "verify.suites"),
+            ({"suites": []}, "verify.suites"),
+            ({"suites": ["barriers", "nope"]}, "verify.suites"),
+            ({"suites": [["barriers"]]}, "verify.suites"),
             ({"barrier_drifts": {"gauge_sup": 3.0}}, "verify.barrier_drifts.gauge_sup"),
         ],
     )
@@ -290,6 +337,20 @@ class TestConfigErrors:
         assert f"carnotflow: group.{key}: must be an integer" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["evolve", "barrier", "verify"])
+    @pytest.mark.parametrize("key", ["m", "n", "B"])
+    def test_group_fields_must_all_be_given(self, tmp_path, capsys, command, key):
+        doc = {**SMALL_RUN, "group": {k: v for k, v in HEISENBERG.items() if k != key}}
+        out = tmp_path / "o"
+        extra = {
+            "evolve": ["--out", str(out)],
+            "barrier": ["--kind", "cylinder", "--lattice", "3", "--out", str(out)],
+            "verify": ["--suite", "envelopes"],
+        }[command]
+        assert main([command, "--config", write_config(tmp_path, doc)] + extra) == 2
+        assert f"carnotflow: group.{key}: missing" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
     def test_sandwich_must_be_boolean(self, tmp_path, capsys, value):
         doc = {**SMALL_RUN, "run": {**SMALL_RUN["run"], "sandwich": value}}
@@ -310,10 +371,24 @@ class TestConfigErrors:
     @pytest.mark.parametrize("command", ["evolve", "extinction"])
     def test_front_touching_box_refused(self, tmp_path, capsys, command):
         cfg = write_config(tmp_path, {**SMALL_RUN, "initial": {"r": 5.0}})
-        extra = ["--out", str(tmp_path / "o")] if command == "evolve" else []
+        out = tmp_path / "o"
+        extra = ["--out", str(out)] if command == "evolve" else []
         assert main([command, "--config", cfg] + extra) == 2
         err = capsys.readouterr().err
         assert err.startswith("carnotflow: initial:") and "touches the boundary" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["evolve", "extinction"])
+    @pytest.mark.parametrize("r", [-1.0, 0.0, 0.001])
+    def test_initial_set_without_interior_node_refused(self, tmp_path, capsys, command, r):
+        # at 8^3 the interior node nearest the axis has |x_h|^2 = 0.125, so
+        # these runs used to report extinction at t=0 and exit 0
+        doc = {"initial": {"r": r}, "domain": {"resolution": [8, 8, 8]}}
+        out = tmp_path / "o"
+        extra = ["--out", str(out)] if command == "evolve" else []
+        assert main([command, "--config", write_config(tmp_path, doc)] + extra) == 2
+        assert capsys.readouterr().err.startswith("carnotflow: initial: no interior node has u0 > 0")
+        assert not out.exists()
 
     def test_invalid_group_matrices(self, tmp_path, capsys):
         doc = {"group": {"m": 2, "n": 3, "B": [[[0, 1], [1, 0]]]}}
@@ -474,11 +549,15 @@ class TestBarrier:
 
     def test_axis_points_skipped_and_counted(self, tmp_path, capsys):
         out = tmp_path / "o"
-        assert main(["barrier", "--kind", "cylinder", "--lattice", "5",
-                     "--out", str(out)]) == 0
-        # the 5-lattice has one x_h = 0 column of 5 points
-        assert "5 points skipped" in capsys.readouterr().out
-        assert len((out / "barrier_cylinder.csv").read_text().splitlines()) == 121
+        for kind in ("cylinder", "sqrt_gauge"):
+            assert main(["barrier", "--kind", kind, "--lattice", "5",
+                         "--out", str(out)]) == 0
+            # the 5-lattice has one x_h = 0 column of 5 points; it holds the
+            # origin, where sqrt_gauge is not differentiable
+            assert "5 points skipped" in capsys.readouterr().out
+            rows = np.loadtxt(out / f"barrier_{kind}.csv", delimiter=",", skiprows=1, usecols=range(5))
+            assert rows.shape == (120, 5)
+            assert np.all(np.hypot(rows[:, 0], rows[:, 1]) > 0.5) and np.all(np.isfinite(rows))
 
     def test_unknown_kind(self, capsys):
         assert main(["barrier", "--kind", "cone"]) == 2
@@ -674,6 +753,13 @@ def config_documents(draw):
     for section in draw(st.lists(st.sampled_from(SECTIONS), max_size=1)):
         doc[section] = draw(st.sampled_from(NOT_OBJECTS))
         faults.add((section, None, f"{section}: must be an object", True))
+    # an unknown section, or an unknown key in an object section, which every
+    # command refuses
+    for section in draw(st.lists(st.sampled_from(SECTIONS + ("",)), max_size=1)):
+        parent, path = (doc.setdefault(section, {}), f"{section}.kindd") if section else (doc, "sheme")
+        if isinstance(parent, dict):
+            parent[path.rsplit(".", 1)[-1]] = draw(st.sampled_from([1, {}]))
+            faults.add((None, None, f"{path}: unknown", False))
     return doc, faults
 
 
@@ -685,7 +771,7 @@ def test_config_boundary_runs_or_refuses(case):
         named = {
             word
             for section, key, word, whole in faults
-            if (section in objects if whole else (section, key) in fields)
+            if section is None or (section in objects if whole else (section, key) in fields)
         }
         with tempfile.TemporaryDirectory() as tmp:
             cfg = os.path.join(tmp, "config.json")
