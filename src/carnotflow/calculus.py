@@ -296,21 +296,55 @@ class OperatorBounds(NamedTuple):
     spectral: npt.NDArray
 
 
-def _contract(q, A):
-    """tr A, |q|^2 and q^T A q from components q[j] and all A[j, l], in one order."""
+def _sum(out, terms):
+    """sum(terms) written into out, in sum()'s order 0 + t0 + t1 + ...
+
+    The leading 0 + turns a -0.0 into +0.0, as sum() does.  Each term is
+    added before the next is drawn, so terms may share one scratch array.
+    """
+    terms = iter(terms)
+    np.add(next(terms), 0, out=out)
+    for term in terms:
+        np.add(out, term, out=out)
+    return out
+
+
+def _contract(q, A, out=None):
+    """tr A, |q|^2 and q^T A q from components q[j] and all A[j, l], in one order.
+
+    out, if given, holds four arrays of the shape of q[0]: the first three
+    receive the results and the fourth is scratch.
+    """
     m = len(q)
-    trA = sum(A[j, j] for j in range(m))
-    qq = sum(qj ** 2 for qj in q)
-    qAq = sum(q[j] * A[j, l] * q[l] for j in range(m) for l in range(m))
+    trA, qq, qAq, work = out if out is not None else [np.empty(np.shape(q[0])) for _ in range(4)]
+    _sum(trA, (A[j, j] for j in range(m)))
+    _sum(qq, (np.square(qj, out=work) for qj in q))
+    _sum(qAq, (
+        np.multiply(np.multiply(q[j], A[j, l], out=work), q[l], out=work)
+        for j in range(m)
+        for l in range(m)
+    ))
     return trA, qq, qAq
 
 
-def _bounds(trA, qq, qAq, A, eps2: float) -> OperatorBounds:
+def _bounds(trA, qq, qAq, A, eps2: float, out=None) -> OperatorBounds:
     """:func:`operator_bounds` from the output and the components A of
-    :func:`_contract` (at least 1-d); one eigvalsh covers the singular points."""
-    regular = qq > eps2
-    lower = -trA + qAq / np.where(regular, qq, 1.0)
-    upper, spectral = lower.copy(), np.zeros(lower.shape)
+    :func:`_contract` (at least 1-d); one eigvalsh covers the singular points.
+
+    out, if given, holds the four arrays of the result, in its field order
+    (regular is boolean), with the shape of qq.
+    """
+    if out is None:
+        shape = np.shape(qq)
+        out = (np.empty(shape, bool), np.empty(shape), np.empty(shape), np.empty(shape))
+    regular, lower, upper, spectral = out
+    np.greater(qq, eps2, out=regular)
+    np.copyto(upper, 1.0)
+    np.copyto(upper, qq, where=regular)
+    np.negative(trA, out=lower)
+    np.add(lower, np.divide(qAq, upper, out=upper), out=lower)
+    np.copyto(upper, lower)
+    spectral[...] = 0.0
     sing = np.nonzero(~regular)
     if sing[0].size:
         m = round(len(A) ** 0.5)  # A holds all m * m components, sorted(A) is row-major

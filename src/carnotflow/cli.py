@@ -33,8 +33,9 @@ JSON numbers only: booleans and numeric strings are refused, and m and n
 must be integers with n > m >= 2.  run.out_dir must be a non-empty string,
 even where --out overrides it.  barrier --lattice must be at least 1.
 evolve and extinction refuse initial data whose front touches the box or
-that puts no interior node inside {u0 > 0}.  A refused command writes
-nothing.
+that puts no interior node inside {u0 > 0}.  evolve echoes the verify
+section into config_effective.json, so it refuses a verify field that
+verify would refuse.  A refused command writes nothing.
 
 Exit codes: 0 all checks pass / run completed; 1 scientific failure or
 instability; 2 unusable config or arguments.
@@ -269,6 +270,7 @@ def build_solver_config(doc: dict, group: GroupSpec) -> SolverConfig:
 def effective_config_dict(doc: dict, cfg: SolverConfig, sandwich: bool) -> dict:
     """Defaults-filled config that reproduces the run exactly."""
     group = cfg.group
+    _verify_fields(doc, group)  # the verify section is echoed as given, so verify must accept it
     return {
         "group": {"m": group.m, "n": group.n, "B": group.B.tolist()},
         "domain": {
@@ -561,8 +563,9 @@ def _suite_names(value) -> list:
     return value
 
 
-def run_verify(doc: dict, suites: list[str] | None = None) -> tuple[bool, str]:
-    g = build_group(doc)
+def _verify_fields(doc: dict, g: GroupSpec) -> tuple:
+    """The verify section's samples, tolerance, seed, barrier drifts and
+    suites (None when it names none), each checked on the group g."""
     vf = _section(doc, "verify")
     samples = _get(vf, "verify", "samples", 500, _number(1, integer=True))
     tol = _get(vf, "verify", "tolerance", 1e-9, _number(0.0))
@@ -575,7 +578,13 @@ def run_verify(doc: dict, suites: list[str] | None = None) -> tuple[bool, str]:
                 f"verify.barrier_drifts.{key}: no such fixture on this group (choose from {keys})"
             )
     drifts = {k: _get(drift_sec, "verify.barrier_drifts", k, None, _number()) for k in drift_sec}
-    selected = suites or _get(vf, "verify", "suites", None, _suite_names) or list(SUITES)
+    return samples, tol, seed, drifts, _get(vf, "verify", "suites", None, _suite_names)
+
+
+def run_verify(doc: dict, suites: list[str] | None = None) -> tuple[bool, str]:
+    g = build_group(doc)
+    samples, tol, seed, drifts, configured = _verify_fields(doc, g)
+    selected = suites or configured or list(SUITES)
 
     results: list[SuiteResult] = []
     specs = [g, m3n5()] if g.m == 2 else [g]  # also exercise a higher-step-two spec

@@ -29,14 +29,18 @@ flips sign): cfl is the fraction of that stability bound that a step uses.
 Lambda comes from a branch-and-bound search that returns an upper bound on
 the supremum, so a missed maximum cannot push dt past the stability bound.
 
-Updates at distinct nodes are independent (one immutable input slab, one
-fresh output slab), so the interior is computed in chunks of rows along
-axis 0, each small enough for its temporaries to stay in cache.  Per chunk,
-one derivative pass gives q = Xu, A = X2u and, by calculus._contract, tr A,
-|q|^2 and q^T A q; the regularized scheme is one line on those and the
-envelope pair is calculus._bounds, the code of operator_bounds, so a step
-with all three schemes differentiates once.  Chunks run in order in the
-calling thread; the arithmetic per node is fixed, so outputs are
+Updates at distinct nodes are independent (one input slab that the step
+only reads, one output slab), so the interior is computed in chunks of rows
+along axis 0, each small enough for its temporaries to stay in cache.  Per
+chunk, one derivative pass gives q = Xu, A = X2u and, by
+calculus._contract, tr A, |q|^2 and q^T A q; the regularized scheme is one
+line on those and the envelope pair is calculus._bounds, the code of
+operator_bounds, so a step with all three schemes differentiates once.
+The chunk temporaries live in one workspace that the Engine holds, and
+`run` steps between a pair of slabs that it allocates once, so a step
+allocates no arrays of the grid's size: every ufunc writes into a held
+buffer (out=), in the order the expressions state.  Chunks run in order in
+the calling thread; the arithmetic per node is fixed, so outputs are
 bit-identical from run to run and across processes.
 """
 from __future__ import annotations
@@ -45,13 +49,13 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 import numpy.typing as npt
 
 from .barriers import BarrierEval, psi_s_plus_s3
-from .calculus import _bounds, _contract
+from .calculus import _bounds, _contract, _sum
 from .groups import GroupSpec, sigma
 
 __all__ = [
@@ -350,12 +354,26 @@ def _symbol_sup(rows: npt.NDArray, h: npt.NDArray, rtol: float = 1e-9) -> float:
 _CHUNK_NODES = 16384
 
 
-class Engine:
-    """Precomputed stencil data for one (group, grid, scheme) combination.
+class _Workspace(NamedTuple):
+    """Views of an engine's held chunk buffers on one row range."""
 
-    Reusable across steps and holds no resources; `run` builds one
-    internally.  `close` is a no-op that remains only for the benchmark's
-    callers in perfbench/.
+    d1: list  # first differences by axis; q[j] in place for j < m
+    d2: dict  # second differences d2[a, c] = d2[c, a]; A[j, l] in place for j, l < m
+    acc: npt.NDArray  # scratch
+    tmp: npt.NDArray  # scratch
+    flags: npt.NDArray  # boolean scratch
+    contract: tuple  # tr A, |q|^2, q^T A q and tmp: the out of calculus._contract
+    bounds: tuple  # flags and three more: the out of calculus._bounds
+
+
+class Engine:
+    """Stencil data and step buffers for one (group, grid, scheme) combination.
+
+    Reusable across steps; `run` builds one internally.  The engine holds
+    one workspace for the derivative pass of a chunk, sized to the longest
+    chunk and allocated on the first operator pass, so that a step
+    allocates no chunk temporaries.  It holds no other resources: `close` is
+    a no-op that remains only for the benchmark's callers in perfbench/.
     """
 
     def __init__(self, config: SolverConfig):
@@ -391,6 +409,8 @@ class Engine:
         bounds = np.linspace(1, rows + 1, nchunks + 1).astype(int)
         self.chunks = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
         self._stages: dict = {}
+        self._held: tuple | None = None  # the chunk workspace, see _workspace
+        self._views: dict = {}
 
     def close(self) -> None:
         pass
@@ -436,91 +456,154 @@ class Engine:
             stage = self._stages[r0, r1] = (idx, bb, bbbb)
         return stage
 
+    def _workspace(self, rows: int) -> _Workspace:
+        """The held chunk buffers, as views on their first rows along axis 0.
+
+        The buffers are allocated on the first call, for the longest chunk,
+        and again for a longer row range if a caller passes one.  Each view
+        is a contiguous prefix of its buffer.
+        """
+        views = self._views.get(rows)
+        if views is None:
+            n = self.n
+            pairs = [(a, c) for a in range(n) for c in range(a, n)]
+            if self._held is None or len(self._held[1]) < rows:
+                cap = max([rows] + [r1 - r0 for r0, r1 in self.chunks])
+                shape = (cap,) + tuple(r - 2 for r in self.config.resolution[1:])
+                self._held = (np.empty((n + len(pairs) + 8,) + shape), np.empty(shape, bool))
+                self._views = {}
+            floats, flags = self._held
+            buffers = iter(floats[:, :rows])
+            d1 = [next(buffers) for _ in range(n)]
+            d2 = {}
+            for a, c in pairs:
+                d2[a, c] = d2[c, a] = next(buffers)
+            acc, tmp, trA, qq, qAq, lower, upper, spectral = buffers
+            views = self._views[rows] = _Workspace(
+                d1, d2, acc, tmp, flags[:rows],
+                (trA, qq, qAq, tmp), (flags[:rows], lower, upper, spectral),
+            )
+        return views
+
     def _derivatives(self, u: npt.NDArray, r0: int, r1: int):
-        """trA, |q|^2, q^T A q and A[j, l] at global rows r0..r1-1 (q = Xu, A = X2u)."""
-        n, m = self.n, self.m
+        """trA, |q|^2, q^T A q and A[j, l] at global rows r0..r1-1 (q = Xu, A = X2u).
+
+        The arrays are views of the engine's held chunk workspace: they stay
+        valid until the next call on this engine.
+        """
+        n, m, nv = self.n, self.m, self.n - self.m
         idx, bb, bbbb = self._stage(r0, r1)
+        w = self._workspace(r1 - r0)
+        d1, d2, tmp = w.d1, w.d2, w.tmp
         ub = u[r0 - 1 : r1 + 1]
         h = self.h
 
         center = ub[idx[()]]
-        d1 = [(ub[idx[a, 1]] - ub[idx[a, -1]]) / (2.0 * h[a]) for a in range(n)]
-        d2 = {}
         for a in range(n):
-            d2[a, a] = (ub[idx[a, 1]] - 2.0 * center + ub[idx[a, -1]]) / h[a] ** 2
+            np.subtract(ub[idx[a, 1]], ub[idx[a, -1]], out=d1[a])
+            np.divide(d1[a], 2.0 * h[a], out=d1[a])
+        for a in range(n):
+            out = d2[a, a]
+            np.multiply(center, 2.0, out=out)
+            np.subtract(ub[idx[a, 1]], out, out=out)
+            np.add(out, ub[idx[a, -1]], out=out)
+            np.divide(out, h[a] ** 2, out=out)
             for c in range(a + 1, n):
-                d2[a, c] = d2[c, a] = (
-                    ub[idx[a, 1, c, 1]]
-                    - ub[idx[a, 1, c, -1]]
-                    - ub[idx[a, -1, c, 1]]
-                    + ub[idx[a, -1, c, -1]]
-                ) / (4.0 * h[a] * h[c])
+                out = d2[a, c]
+                np.subtract(ub[idx[a, 1, c, 1]], ub[idx[a, 1, c, -1]], out=out)
+                np.subtract(out, ub[idx[a, -1, c, 1]], out=out)
+                np.add(out, ub[idx[a, -1, c, -1]], out=out)
+                np.divide(out, 4.0 * h[a] * h[c], out=out)
 
-        nv = self.n - m
-        q = [
-            d1[j] + sum(bb[k][j] * d1[m + k] for k in range(nv)) for j in range(m)
-        ]
+        # q[j] and A[j, l] overwrite d1[j] and d2[j, l], which nothing else reads
+        q = d1[:m]
+        for j in range(m):
+            terms = (np.multiply(bb[k][j], d1[m + k], out=tmp) for k in range(nv))
+            np.add(d1[j], _sum(w.acc, terms), out=d1[j])
         A = {}
         for j in range(m):
             for l in range(j, m):
                 entry = d2[j, l]
                 for k in range(nv):
-                    entry = entry + bb[k][l] * d2[j, m + k] + bb[k][j] * d2[l, m + k]
+                    np.add(entry, np.multiply(bb[k][l], d2[j, m + k], out=tmp), out=entry)
+                    np.add(entry, np.multiply(bb[k][j], d2[l, m + k], out=tmp), out=entry)
                 for k in range(nv):
                     for k2 in range(nv):
-                        entry = entry + bbbb[k, j, k2, l] * d2[m + k, m + k2]
+                        term = np.multiply(bbbb[k, j, k2, l], d2[m + k, m + k2], out=tmp)
+                        np.add(entry, term, out=entry)
                 A[j, l] = A[l, j] = entry
 
-        return (*_contract(q, A), A)
+        return (*_contract(q, A, out=w.contract), A)
 
     def operators(
-        self, u: npt.NDArray, schemes: Sequence[str], gap: bool = False
+        self,
+        u: npt.NDArray,
+        schemes: Sequence[str],
+        gap: bool = False,
+        out: Sequence[npt.NDArray] | None = None,
     ) -> list[npt.NDArray]:
         """Op(u) on the interior for each scheme, from one derivative pass per chunk.
 
         With gap, one more array follows from the same derivative pass: F -
         F_delta = delta^2 q^T A q / (|q|^2 (|q|^2 + delta^2)), by which the
         regularized operator falls short of its delta -> 0 limit F(q, A) (0
-        where q = 0).
+        where q = 0).  The arrays are new unless out, one array of the
+        interior shape per result, is given; then they are written and
+        returned.
         """
         for scheme in schemes:
             if scheme not in SCHEMES:
                 raise ValueError(f"unknown scheme {scheme!r}")
-        outs = [np.empty(tuple(r - 2 for r in u.shape)) for _ in range(len(schemes) + gap)]
+        if out is None:
+            out = [np.empty(tuple(r - 2 for r in u.shape)) for _ in range(len(schemes) + gap)]
         for r0, r1 in self.chunks:
             trA, qq, qAq, A = self._derivatives(u, r0, r1)
+            w = self._workspace(r1 - r0)
             if gap:
-                block = outs[-1][r0 - 1 : r1 - 1]
+                block = out[-1][r0 - 1 : r1 - 1]
                 block[...] = 0.0
-                np.divide(self.delta2 * qAq, qq * (qq + self.delta2), out=block, where=qq > 0.0)
+                np.multiply(qAq, self.delta2, out=w.acc)
+                np.multiply(qq, np.add(qq, self.delta2, out=w.tmp), out=w.tmp)
+                np.divide(w.acc, w.tmp, out=block, where=np.greater(qq, 0.0, out=w.flags))
             if set(schemes) - {"regularized"}:
-                bounds = _bounds(trA, qq, qAq, A, self.eps2)
-            for out, scheme in zip(outs, schemes):
-                block = out[r0 - 1 : r1 - 1]
+                bounds = _bounds(trA, qq, qAq, A, self.eps2, out=w.bounds)
+            for values, scheme in zip(out, schemes):
+                block = values[r0 - 1 : r1 - 1]
                 if scheme == "regularized":
-                    block[...] = -trA + qAq / (qq + self.delta2)
+                    np.divide(qAq, np.add(qq, self.delta2, out=w.tmp), out=w.tmp)
+                    np.add(np.negative(trA, out=w.acc), w.tmp, out=block)
                 else:
                     block[...] = bounds.lower if scheme == "envelope_min" else bounds.upper
-            bounds = None  # held through the next chunk, it slowed the operator pass 4%
-        return outs
+        return list(out)
 
-    def operator(self, u: npt.NDArray, scheme: str | None = None) -> npt.NDArray:
-        """Spatial operator Op(u) on the interior (shape resolution - 2)."""
+    def operator(
+        self, u: npt.NDArray, scheme: str | None = None, out: npt.NDArray | None = None
+    ) -> npt.NDArray:
+        """Spatial operator Op(u) on the interior (shape resolution - 2), new
+        unless written into out."""
         scheme = self.config.scheme if scheme is None else scheme
-        return self.operators(u, (scheme,))[0]
+        return self.operators(u, (scheme,), out=None if out is None else [out])[0]
 
     def advance(
-        self, u: npt.NDArray, dt: float, scheme: str | None = None
+        self,
+        u: npt.NDArray,
+        dt: float,
+        scheme: str | None = None,
+        out: npt.NDArray | None = None,
     ) -> npt.NDArray:
-        """One forward-Euler update with nearest-interior boundary fill."""
-        return self._euler(u, dt, self.operator(u, scheme))
+        """One forward-Euler update with nearest-interior boundary fill, new
+        unless written into out (an array of u's shape other than u)."""
+        new = np.empty_like(u) if out is None else out
+        self.operator(u, scheme, out=new[(slice(1, -1),) * u.ndim])
+        return self._euler(u, dt, new)
 
-    def _euler(self, u: npt.NDArray, dt: float, op: npt.NDArray) -> npt.NDArray:
-        """u - dt * op on the interior; boundary nodes copy their neighbor."""
+    def _euler(self, u: npt.NDArray, dt: float, new: npt.NDArray) -> npt.NDArray:
+        """Turn new, which holds op = Op(u) on its interior, into u - dt * op
+        there, in place; boundary nodes copy their neighbor."""
         n = u.ndim
         inner = (slice(1, -1),) * n
-        new = np.empty_like(u)
-        new[inner] = u[inner] - dt * op
+        step = new[inner]
+        np.subtract(u[inner], np.multiply(step, dt, out=step), out=step)
         for a in range(n):
             idx_lo = [slice(None)] * n
             idx_hi = [slice(None)] * n
@@ -597,30 +680,37 @@ def run(
     eng = Engine(config)
     t = 0.0
     u = grid.values
+    # each step writes the slab of the pair that u is not, so grid.values,
+    # which snapshot 0 holds, is never written
+    slabs = (np.empty_like(u), np.empty_like(u))
+    if record_sandwich:
+        op_min, op_max, op_gap, limit = (np.empty(u[inner].shape) for _ in range(4))
     se = config.snapshot_every
     next_snap = se if se > 0 else np.inf
     while t < config.t_end - _TIME_SLOP * max(1.0, config.t_end):
         dt = min(eng.dt, config.t_end - t)
+        new = slabs[steps % 2]
         if record_sandwich:
-            op_reg, op_min, op_max, op_gap = eng.operators(u, SCHEMES, gap=True)
-            new = eng._euler(u, dt, op_reg)
-            base = u[inner]
-            shift = dt * op_gap
-            limit = new[inner] - shift  # the update with delta -> 0
-            hi = base - dt * op_min  # smallest operator -> largest update
-            lo = base - dt * op_max
+            base, update = u[inner], new[inner]
+            eng.operators(u, SCHEMES, gap=True, out=[update, op_min, op_max, op_gap])
+            eng._euler(u, dt, new)
+            shift = np.multiply(op_gap, dt, out=op_gap)
+            np.subtract(update, shift, out=limit)  # the update with delta -> 0
+            # smallest operator -> largest update
+            hi = np.subtract(base, np.multiply(op_min, dt, out=op_min), out=op_min)
+            lo = np.subtract(base, np.multiply(op_max, dt, out=op_max), out=op_max)
             violation = max(
                 violation,
-                float(np.max(lo - limit, initial=0.0)),
-                float(np.max(limit - hi, initial=0.0)),
+                float(np.max(np.subtract(lo, limit, out=lo), initial=0.0)),
+                float(np.max(np.subtract(limit, hi, out=hi), initial=0.0)),
             )
-            gap = max(gap, float(np.max(np.abs(shift), initial=0.0)))
-            u = new
+            gap = max(gap, float(np.max(np.abs(shift, out=shift), initial=0.0)))
         else:
-            u = eng.advance(u, dt)
+            eng.advance(u, dt, out=new)
+        u = new
         t += dt
         steps += 1
-        if not np.all(np.isfinite(u)):
+        if not (math.isfinite(np.max(u)) and math.isfinite(np.min(u))):
             raise RuntimeError(
                 f"nonfinite values after step {steps} (t={t:.6g}); "
                 "reduce cfl or check the initial data"

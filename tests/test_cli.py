@@ -180,12 +180,21 @@ class TestConfigErrors:
             ({"suites": ["barriers", "nope"]}, "verify.suites"),
             ({"suites": [["barriers"]]}, "verify.suites"),
             ({"barrier_drifts": {"gauge_sup": 3.0}}, "verify.barrier_drifts.gauge_sup"),
+            ({"seed": -1, "suites": "x"}, "verify.seed"),
+            ({"samples": 0}, "verify.samples"),
+            ({"tolerance": -1.0}, "verify.tolerance"),
         ],
     )
-    def test_bad_verify_field_refused(self, tmp_path, capsys, verify, field):
-        cfg = write_config(tmp_path, {"verify": verify})
-        assert main(["verify", "--config", cfg]) == 2
+    @pytest.mark.parametrize("command", ["verify", "evolve"])
+    def test_bad_verify_field_refused(self, tmp_path, capsys, command, verify, field):
+        # evolve echoes the verify section into config_effective.json, so it
+        # refuses what verify refuses, before it writes anything
+        cfg = write_config(tmp_path, {**SMALL_RUN, "verify": verify})
+        out = tmp_path / "o"
+        extra = ["--out", str(out)] if command == "evolve" else []
+        assert main([command, "--config", cfg] + extra) == 2
         assert f"carnotflow: {field}:" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("key", ["gauge", "sqrt_gauge_super", "euclid_ball"])
     def test_drift_for_fixture_absent_on_group_refused(self, tmp_path, capsys, key):
@@ -471,6 +480,14 @@ class TestEvolve:
         for a, b in zip(snaps, sorted(out2.glob("snap_*.csv"))):
             assert a.read_bytes() == b.read_bytes()
 
+    def test_echo_accepted_by_verify(self, tmp_path, capsys):
+        doc = {**SMALL_RUN, "verify": {"seed": 3, "samples": 20, "suites": ["group-axioms"]}}
+        out = tmp_path / "run"
+        assert main(["evolve", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["verify", "--config", str(out / "config_effective.json")]) == 0
+        assert "[PASS] group-axioms" in capsys.readouterr().out
+
     def test_snapshot_headers(self, tmp_path):
         out = tmp_path / "run"
         cfg = write_config(tmp_path, SMALL_RUN)
@@ -726,10 +743,9 @@ SECTIONS = ("group", "domain", "initial", "scheme", "run", "verify")
 GROUP = {f for f in FIELDS if f[0] == "group"}
 # command -> (sections it requires to be objects, (section, key) fields it reads)
 READS = {
-    "evolve": (
-        set(SECTIONS),
-        {f for f in FIELDS if f[0] != "verify"} - {("initial", "c")},
-    ),
+    # evolve checks the verify fields it echoes; whether a drift's region
+    # admits the samples is found only by running the barriers suite
+    "evolve": (set(SECTIONS), set(FIELDS) - {("initial", "c"), ("verify", "barrier_drifts")}),
     "verify": ({"group", "verify"}, GROUP | {f for f in FIELDS if f[0] == "verify"}),
     "barrier": (
         {"group", "initial", "run"},

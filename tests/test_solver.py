@@ -2,6 +2,7 @@
 
 import math
 import signal
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -266,9 +267,15 @@ class TestEngine:
         eng = Engine(cfg)
         assert len(eng.chunks) > 1
         rows = cfg.resolution[0] - 2
-        whole = eng._derivatives(u, 1, rows + 1)
-        parts = [eng._derivatives(u, r0, r1) for r0, r1 in eng.chunks]
-        middle = eng._derivatives(u, 2, 5)
+
+        def derivatives(r0, r1):
+            # copies: the results are views of the engine's workspace
+            trA, qq, qAq, A = eng._derivatives(u, r0, r1)
+            return trA.copy(), qq.copy(), qAq.copy(), {key: a.copy() for key, a in A.items()}
+
+        whole = derivatives(1, rows + 1)
+        parts = [derivatives(r0, r1) for r0, r1 in eng.chunks]
+        middle = derivatives(2, 5)
         for i in range(3):
             np.testing.assert_array_equal(whole[i], np.concatenate([p[i] for p in parts]))
             np.testing.assert_array_equal(middle[i], whole[i][1:4])
@@ -323,12 +330,12 @@ class TestEngine:
         jets = []
         contract = solver._contract
 
-        def recorded(q, A):
+        def recorded(q, A, **kwargs):
             jets.append((
                 np.array([qj.ravel() for qj in q]).T,
                 np.array([[A[j, l].ravel() for l in range(m)] for j in range(m)]).transpose(2, 0, 1),
             ))
-            return contract(q, A)
+            return contract(q, A, **kwargs)
 
         monkeypatch.setattr(solver, "_contract", recorded)
         u = init(cfg).values
@@ -379,6 +386,21 @@ class TestEngine:
         assert len(singular_chunks) == len(eng.chunks) > 1
         assert sum(singular_chunks) > 0
         assert len(eig_calls) == sum(singular_chunks)
+
+    def test_successive_calls_return_arrays_they_own(self):
+        # the engine reuses its chunk workspace, never the arrays it returns
+        cfg = config(res=10, eps_sing=0.1, initial=InitialSpec(preset="gauge_ball"))
+        u = init(cfg).values
+        eng = Engine(cfg)
+        first = eng.operators(u, solver.SCHEMES, gap=True)
+        second = eng.operators(u, solver.SCHEMES, gap=True)
+        steps = [eng.advance(u, eng.dt), eng.advance(u, eng.dt)]
+        arrays = [u] + first + second + steps
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1 :]:
+                assert not np.shares_memory(a, b)
+        for a, b in zip(first + steps[:1], second + steps[1:]):
+            np.testing.assert_array_equal(a, b)
 
     def test_operator_rejects_unknown_scheme(self):
         with pytest.raises(ValueError, match="scheme"):
@@ -467,8 +489,8 @@ class TestSchemeSandwich:
         if fault == "regular":
             bounds = solver._bounds
 
-            def faulty(*args):
-                b = bounds(*args)
+            def faulty(*args, **kwargs):
+                b = bounds(*args, **kwargs)
                 off = np.where(b.regular, 1e-6, 0.0)
                 return b._replace(lower=b.lower + off, upper=b.upper + off)
 
@@ -537,6 +559,56 @@ class TestRun:
         seen = []
         res = run(config(res=10, t_end=0.05), on_snapshot=lambda g: seen.append(g.time))
         assert seen == [s.time for s in res.snapshots]
+
+    @pytest.mark.parametrize("sandwich", [False, True])
+    def test_snapshots_own_their_values(self, monkeypatch, sandwich):
+        # steps write a reused pair of slabs; what on_snapshot saw (copied
+        # then) is what the run returns, no snapshot shares memory with
+        # another or with a slab, and snapshot 0 keeps the initial data
+        slabs, seen = {}, []
+        euler = Engine._euler
+
+        def recorded(self, u, dt, new):
+            slabs[id(new)] = new
+            return euler(self, u, dt, new)
+
+        monkeypatch.setattr(Engine, "_euler", recorded)
+        cfg = config(res=10, t_end=0.01, snapshot_every=1e-9)
+        res = run(cfg, record_sandwich=sandwich, on_snapshot=lambda g: seen.append(g.values.copy()))
+        assert res.n_steps > 2 and len(res.snapshots) == res.n_steps + 1 == len(seen)
+        assert len(slabs) == 2
+        for values, snap in zip(seen, res.snapshots):
+            np.testing.assert_array_equal(values, snap.values)
+        np.testing.assert_array_equal(res.snapshots[0].values, init(cfg).values)
+        arrays = [snap.values for snap in res.snapshots] + list(slabs.values())
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1 :]:
+                assert not np.shares_memory(a, b)
+
+    @pytest.mark.parametrize("sandwich", [False, True])
+    def test_a_step_allocates_no_full_grids(self, sandwich):
+        # with a snapshot after every step, one step and one snapshot copy
+        # (1.3 interior grids here) lie between two calls of on_snapshot.
+        # After the first two steps, which build the engine, its workspace
+        # and its stencil data, that must allocate less than three interior
+        # grids at its peak.
+        cfg = config(res=24, t_end=0.006, snapshot_every=1e-9, initial=InitialSpec(preset="gauge_ball"))
+        grid = 22 ** 3 * 8
+        rises, start = [], []
+
+        def measure(snap):
+            rises.append(tracemalloc.get_traced_memory()[1] - start[-1])
+            tracemalloc.reset_peak()
+            start.append(tracemalloc.get_traced_memory()[0])
+
+        tracemalloc.start()
+        try:
+            start.append(tracemalloc.get_traced_memory()[0])
+            res = run(cfg, record_sandwich=sandwich, on_snapshot=measure)
+        finally:
+            tracemalloc.stop()
+        assert res.n_steps >= 6 and len(rises) == res.n_steps + 1
+        assert max(rises[3:]) < 3 * grid, [round(r / grid, 2) for r in rises]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_unstable_step_raises(self, monkeypatch):
