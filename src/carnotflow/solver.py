@@ -372,8 +372,9 @@ class Engine:
     Reusable across steps; `run` builds one internally.  The engine holds
     one workspace for the derivative pass of a chunk, sized to the longest
     chunk and allocated on the first operator pass, so that a step
-    allocates no chunk temporaries.  It holds no other resources: `close` is
-    a no-op that remains only for the benchmark's callers in perfbench/.
+    allocates no chunk temporaries; calls on one engine must therefore not
+    overlap in time.  It holds no other resources: `close` is a no-op that
+    remains only for the benchmark's callers in perfbench/.
     """
 
     def __init__(self, config: SolverConfig):
@@ -540,7 +541,7 @@ class Engine:
         u: npt.NDArray,
         schemes: Sequence[str],
         gap: bool = False,
-        out: Sequence[npt.NDArray] | None = None,
+        out: list[npt.NDArray] | None = None,
     ) -> list[npt.NDArray]:
         """Op(u) on the interior for each scheme, from one derivative pass per chunk.
 
@@ -574,7 +575,7 @@ class Engine:
                     np.add(np.negative(trA, out=w.acc), w.tmp, out=block)
                 else:
                     block[...] = bounds.lower if scheme == "envelope_min" else bounds.upper
-        return list(out)
+        return out
 
     def operator(
         self, u: npt.NDArray, scheme: str | None = None, out: npt.NDArray | None = None
