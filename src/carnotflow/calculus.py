@@ -174,10 +174,23 @@ def _outer(a: npt.NDArray, b: npt.NDArray) -> npt.NDArray:
 
 
 class Product(Expr):
+    """a * b by the product rule.
+
+    When a factor is a Const c (one number or one per point), the jet is c
+    times the other factor's value, gradient, Hessian and dt: the product
+    rule's other terms carry the Const's zero derivatives, and skipping them
+    leaves every value as it was but possibly the sign of a zero.
+    """
+
     def __init__(self, a: Expr, b: Expr):
         self.a, self.b = a, b
 
     def eval(self, x, t):
+        if isinstance(self.a, Const) or isinstance(self.b, Const):
+            const, other = (self.a, self.b) if isinstance(self.a, Const) else (self.b, self.a)
+            c = const.c
+            v, g, H, dt = other.eval(x, t)
+            return c * v, c[..., None] * g, c[..., None, None] * H, c * dt
         av, ag, aH, adt = self.a.eval(x, t)
         bv, bg, bH, bdt = self.b.eval(x, t)
         v = av * bv

@@ -270,7 +270,10 @@ def build_solver_config(doc: dict, group: GroupSpec) -> SolverConfig:
 def effective_config_dict(doc: dict, cfg: SolverConfig, sandwich: bool) -> dict:
     """Defaults-filled config that reproduces the run exactly."""
     group = cfg.group
-    _verify_fields(doc, group)  # the verify section is echoed as given, so verify must accept it
+    # the verify section is echoed as given, so verify must accept it
+    samples, _, seed, drifts, _ = _verify_fields(doc, group)
+    if drifts:
+        _fixture_samples(group, samples, seed, drifts)
     return {
         "group": {"m": group.m, "n": group.n, "B": group.B.tolist()},
         "domain": {
@@ -410,6 +413,26 @@ def _sample_points(g: GroupSpec, rng, count: int, region=None, scale: float = 1.
     return kept
 
 
+def _fixture_samples(
+    g: GroupSpec, samples: int, seed: int, drifts: dict[str, float]
+) -> list[tuple[BarrierEval, str, np.ndarray]]:
+    """Each catalog fixture of :func:`_barrier_fixtures` with its expected
+    classification and its sample points, drawn in fixture order from one
+    generator seeded with seed.
+
+    A drift whose region admits fewer than samples points is refused with
+    its field path, so every command that echoes the drifts can check them.
+    """
+    rng = np.random.default_rng(seed)
+    fixtures = []
+    for barrier, expect, key in _barrier_fixtures(g, drifts):
+        pts = _sample_points(g, rng, samples, region=barrier.region)
+        if len(pts) < samples:
+            raise ConfigError(f"verify.barrier_drifts.{key}: region admits {len(pts)} of {samples} points")
+        fixtures.append((barrier, expect, pts))
+    return fixtures
+
+
 def suite_barriers(
     g: GroupSpec,
     samples: int = 500,
@@ -419,17 +442,12 @@ def suite_barriers(
 ) -> SuiteResult:
     """Closed forms vs jet recomputation, exactness of the solution
     cylinder, and the classified sign of every catalog fixture."""
-    rng = np.random.default_rng(seed)
-    drifts = drifts or {}
     lines: list[str] = []
     ok = True
 
-    for barrier, expect, key in _barrier_fixtures(g, drifts):
+    for barrier, expect, pts in _fixture_samples(g, samples, seed, drifts or {}):
         spec = barrier.spec
         label = f"{spec.kind}(c={spec.c:g})"
-        pts = _sample_points(g, rng, samples, region=barrier.region)
-        if len(pts) < samples:
-            raise ConfigError(f"verify.barrier_drifts.{key}: region admits {len(pts)} of {samples} points")
         # one jet batch; at these regular points sub_residual is u_t + F(Xu, X2u)
         v = check_point(g, barrier.field, pts, 0.25)
         op_closed = barrier.closed_form_operator(pts)
@@ -478,6 +496,22 @@ def _sphere_directions(m: int, count: int) -> np.ndarray:
     raise ValueError("direction lattice implemented for m in {2, 3}")
 
 
+def _sampled_envelopes(dirs: np.ndarray, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """min and max of F(q, a) = -tr a + q.a.q over the unit directions q
+    (rows of dirs), for each matrix a of A (shape (k, m, m)).
+
+    The direction monomials q_j q_l are formed once, so each matrix costs one
+    matrix-vector product; one matrix's samples are live at a time.
+    """
+    count, m = dirs.shape
+    mono = (dirs[:, :, None] * dirs[:, None, :]).reshape(count, m * m)
+    lo, hi = np.empty(len(A)), np.empty(len(A))
+    for i, a in enumerate(A):
+        quad, trA = mono @ a.ravel(), np.trace(a)
+        lo[i], hi[i] = -trA + np.min(quad), -trA + np.max(quad)
+    return lo, hi
+
+
 def suite_envelopes(
     matrices: int = 100, directions: int = 10_000, tol: float = 1e-3, seed: int = 0
 ) -> SuiteResult:
@@ -486,7 +520,8 @@ def suite_envelopes(
     F_*(0, A) = inf over |q|=1 of F(q, A) and F^* the sup; sampling the unit
     sphere bounds both from inside, which pins the eigenvalue formulas.
     Matrices are normalized to unit Frobenius norm so the tolerance is an
-    absolute one.
+    absolute one.  The samples come from :func:`_sampled_envelopes`, one
+    matrix-vector product per matrix against the directions' monomials.
     """
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -496,9 +531,8 @@ def suite_envelopes(
         A = (raw + np.swapaxes(raw, 1, 2)) / 2.0
         A /= np.linalg.norm(A, axis=(1, 2))[:, None, None]
         bounds = operator_bounds(np.zeros((matrices, m)), A)
-        for a, lower, upper in zip(A, bounds.lower, bounds.upper):  # one row of samples live
-            quad, trA = np.einsum("ij,jk,ik->i", dirs, a, dirs), np.trace(a)
-            worst = max(worst, abs(-trA + np.min(quad) - lower), abs(-trA + np.max(quad) - upper))
+        lo, hi = _sampled_envelopes(dirs, A)
+        worst = max(worst, float(np.max(np.abs(lo - bounds.lower))), float(np.max(np.abs(hi - bounds.upper))))
     return SuiteResult(
         f"envelopes ({matrices} matrices x m in {{2,3}}, {directions} directions, tol {tol:.0e})",
         worst <= tol,
@@ -649,11 +683,12 @@ def cmd_barrier(args) -> int:
 
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"barrier_{kind}.csv")
+    # one row template over plain-Python columns: x1..xn, closed, numeric at 17 digits
+    row = "%.17g," * (g.n + 2) + "%s,%s\n"
+    columns = [*points.T.tolist(), closed.tolist(), numeric.tolist(), verdict.regime.tolist(), status.tolist()]
     with open(path, "w") as fh:
-        fh.write(",".join([f"x{i+1}" for i in range(g.n)] + ["closed_op", "numeric_op", "regime", "verdict"]) + "\n")
-        for x, cl, nu, rg, st in zip(points, closed, numeric, verdict.regime, status):
-            coords = ",".join(f"{v:.17g}" for v in (*x, cl, nu))
-            fh.write(f"{coords},{rg},{st}\n")
+        header = ",".join([f"x{i+1}" for i in range(g.n)] + ["closed_op", "numeric_op", "regime", "verdict"])
+        fh.write(header + "\n" + "".join([row % r for r in zip(*columns)]))
     print(
         f"{kind}(c={c:g}, r={r:g}) expected {expect}: {len(points)} rows, "
         f"{n_fail} failures, {skipped_origin} points skipped near the axis/origin -> {path}"

@@ -18,6 +18,7 @@ from carnotflow import (
     Const,
     Coord,
     Jet,
+    Product,
     ScalarField,
     TimeVar,
     heisenberg,
@@ -312,3 +313,48 @@ def test_batched_regions_match_per_point():
         for c in (-13.0, -6.0, 0.0):
             region = make_barrier(kind, HEIS, c=c, r=1.0).region
             np.testing.assert_array_equal(region(x), [bool(region(p)) for p in x])
+
+
+def general_product(a, b):
+    """The product rule with every term, on the (value, grad, Hessian, dt)
+    tuples of two evaluated factors."""
+    av, ag, aH, adt = a
+    bv, bg, bH, bdt = b
+    v = av * bv
+    av, bv = np.asarray(av)[..., None], np.asarray(bv)[..., None]
+    g = av * bg + bv * ag
+    outer = ag[..., :, None] * bg[..., None, :], bg[..., :, None] * ag[..., None, :]
+    H = av[..., None] * bH + bv[..., None] * aH + outer[0] + outer[1]
+    dt = av[..., 0] * bdt + bv[..., 0] * adt
+    return v, g, H, dt
+
+
+def product_factors(g, P, seed):
+    """Catalog barrier expressions and quartic-distance expressions (whose
+    constants hold one value per point) over P points."""
+    base = np.random.default_rng(seed).uniform(-1.5, 1.5, size=(P, g.n))
+    kinds = BARRIER_KINDS if g.n == g.m + 1 else ("cylinder",)
+    exprs = [make_barrier(k, g, c=-1.3, r=0.8).field.expr for k in kinds]
+    return exprs + [_quartic_distance_expr(g, base, vary) for vary in ("x", "y")]
+
+
+@pytest.mark.parametrize("g", [HEIS, M3N5], ids=["heis", "m3n5"])
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_product_with_a_const_equals_the_general_product_rule(g, data):
+    P = data.draw(st.integers(1, 5))
+    x = data.draw(arrays(np.float64, (P, g.n), elements=st.floats(-1.5, 1.5, allow_nan=False)))
+    # stay clear of the sqrt gauge's excluded origin
+    x[np.linalg.norm(x[:, : g.m], axis=-1) < 1e-3, 0] = 0.5
+    t = data.draw(st.floats(0.0, 1.0) | arrays(np.float64, P, elements=st.floats(0.0, 1.0)))
+    scalar = st.floats(-3.0, 3.0, allow_nan=False)
+    c = data.draw(scalar | arrays(np.float64, P, elements=scalar))
+    shapes = ((P,), (P, g.n), (P, g.n, g.n), (P,))
+    for e in product_factors(g, P, data.draw(st.integers(0, 3))):
+        k = Const(c)
+        for product, want in (
+            (Product(k, e), general_product(k.eval(x, t), e.eval(x, t))),
+            (Product(e, k), general_product(e.eval(x, t), k.eval(x, t))),
+        ):
+            for got, ref, shape in zip(product.eval(x, t), want, shapes):
+                assert np.array_equal(np.broadcast_to(got, shape), np.broadcast_to(ref, shape))

@@ -245,16 +245,20 @@ class TestConfigErrors:
             ({"euclid_ball": -2.0000001}, "region admits 0 of 500 points"),
         ],
     )
-    def test_drift_without_samples_refused_without_hanging(self, tmp_path, capsys, drifts, message):
-        # a region that admits no sample point once made the sampler loop forever
+    @pytest.mark.parametrize("command", ["verify", "evolve"])
+    def test_drift_without_samples_refused_without_hanging(self, tmp_path, capsys, drifts, message, command):
+        # a region that admits no sample point once made the sampler loop
+        # forever; evolve echoes the drifts, so it draws the same samples
         def too_slow(signum, frame):
-            raise TimeoutError("verify did not return within 20 s")
+            raise TimeoutError(f"{command} did not return within 20 s")
 
         cfg = write_config(tmp_path, {"verify": {"barrier_drifts": drifts}})
+        out = tmp_path / "o"
+        extra = {"verify": ["--suite", "barriers"], "evolve": ["--out", str(out)]}[command]
         previous = signal.signal(signal.SIGALRM, too_slow)
         signal.alarm(20)
         try:
-            status = main(["verify", "--config", cfg, "--suite", "barriers"])
+            status = main([command, "--config", cfg] + extra)
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
@@ -262,6 +266,7 @@ class TestConfigErrors:
         (key,) = drifts
         err = capsys.readouterr().err
         assert err.startswith(f"carnotflow: verify.barrier_drifts.{key}: ") and message in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["evolve", "barrier"])
     @pytest.mark.parametrize("value", [5, "", None, ["out"]])
@@ -453,6 +458,24 @@ class TestVerify:
         np.testing.assert_array_equal(pts, want)
         assert rng.uniform() == ref.uniform()
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sampled_envelopes_match_the_einsum_reference(self, monkeypatch, seed):
+        calls = []
+        sampled = cli._sampled_envelopes
+
+        def recorded(dirs, A):
+            calls.append((dirs, A, *sampled(dirs, A)))
+            return calls[-1][2:]
+
+        monkeypatch.setattr(cli, "_sampled_envelopes", recorded)
+        assert cli.suite_envelopes(seed=seed).passed
+        assert [A.shape for _, A, _, _ in calls] == [(100, 2, 2), (100, 3, 3)]
+        for dirs, A, lo, hi in calls:
+            for a, low, high in zip(A, lo, hi):
+                quad, trA = np.einsum("ij,jk,ik->i", dirs, a, dirs), np.trace(a)
+                assert abs(low - (-trA + np.min(quad))) <= 1e-15
+                assert abs(high - (-trA + np.max(quad))) <= 1e-15
+
     def test_m3n5_group_runs_group_suites(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"group": {"preset": "m3n5"}})
         rc = main(["verify", "--suite", "group-axioms", "--suite", "norm-lemma",
@@ -575,6 +598,31 @@ class TestBarrier:
             rows = np.loadtxt(out / f"barrier_{kind}.csv", delimiter=",", skiprows=1, usecols=range(5))
             assert rows.shape == (120, 5)
             assert np.all(np.hypot(rows[:, 0], rows[:, 1]) > 0.5) and np.all(np.isfinite(rows))
+
+    @pytest.mark.parametrize("kind", ["cylinder", "gauge", "euclid_ball", "sqrt_gauge"])
+    def test_table_bytes_match_the_per_row_loop(self, tmp_path, capsys, monkeypatch, kind):
+        # the former writer formatted each row with f-strings, one row at a time
+        seen = []
+        check = cli.check_point
+
+        def recorded(g, field, points, t):
+            seen.append((points, check(g, field, points, t)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(cli, "check_point", recorded)
+        out = tmp_path / "o"
+        assert main(["barrier", "--kind", kind, "--lattice", "7", "--out", str(out)]) == 0
+        (points, verdict), = seen
+        g = heisenberg()
+        c = {"cylinder": -2.0, "gauge": 0.0, "euclid_ball": 0.0, "sqrt_gauge": -6.0}[kind]
+        closed = make_barrier(kind, g, c, 1.0).closed_form_operator(points)
+        table = (out / f"barrier_{kind}.csv").read_text()
+        status = [line.rsplit(",", 1)[1] for line in table.splitlines()[1:]]
+        want = "x1,x2,x3,closed_op,numeric_op,regime,verdict\n"
+        for x, cl, nu, rg, word in zip(points, closed, verdict.sub_residual, verdict.regime, status):
+            coords = ",".join(f"{v:.17g}" for v in (*x, cl, nu))
+            want += f"{coords},{rg},{word}\n"
+        assert table == want and len(status) == len(points)
 
     def test_unknown_kind(self, capsys):
         assert main(["barrier", "--kind", "cone"]) == 2
@@ -743,9 +791,8 @@ SECTIONS = ("group", "domain", "initial", "scheme", "run", "verify")
 GROUP = {f for f in FIELDS if f[0] == "group"}
 # command -> (sections it requires to be objects, (section, key) fields it reads)
 READS = {
-    # evolve checks the verify fields it echoes; whether a drift's region
-    # admits the samples is found only by running the barriers suite
-    "evolve": (set(SECTIONS), set(FIELDS) - {("initial", "c"), ("verify", "barrier_drifts")}),
+    # evolve checks the verify fields it echoes, and draws a drift's samples
+    "evolve": (set(SECTIONS), set(FIELDS) - {("initial", "c")}),
     "verify": ({"group", "verify"}, GROUP | {f for f in FIELDS if f[0] == "verify"}),
     "barrier": (
         {"group", "initial", "run"},
