@@ -350,8 +350,8 @@ def test_product_with_a_const_equals_the_general_product_rule(g, data):
     scalar = st.floats(-3.0, 3.0, allow_nan=False)
     c = data.draw(scalar | arrays(np.float64, P, elements=scalar))
     shapes = ((P,), (P, g.n), (P, g.n, g.n), (P,))
+    k = Const(c)
     for e in product_factors(g, P, data.draw(st.integers(0, 3))):
-        k = Const(c)
         for product, want in (
             (Product(k, e), general_product(k.eval(x, t), e.eval(x, t))),
             (Product(e, k), general_product(e.eval(x, t), k.eval(x, t))),
