@@ -331,7 +331,9 @@ def _contract(q, A, out=None):
     m = len(q)
     trA, qq, qAq, work = out if out is not None else [np.empty(np.shape(q[0])) for _ in range(4)]
     _sum(trA, (A[j, j] for j in range(m)))
-    _sum(qq, (np.square(qj, out=work) for qj in q))
+    np.square(q[0], out=qq)  # no leading 0 +: a square is never -0.0
+    for qj in q[1:]:
+        np.add(qq, np.square(qj, out=work), out=qq)
     _sum(qAq, (
         np.multiply(np.multiply(q[j], A[j, l], out=work), q[l], out=work)
         for j in range(m)
@@ -358,14 +360,15 @@ def _bounds(trA, qq, qAq, A, eps2: float, out=None) -> OperatorBounds:
     np.add(lower, np.divide(qAq, upper, out=upper), out=lower)
     np.copyto(upper, lower)
     spectral[...] = 0.0
-    sing = np.nonzero(~regular)
-    if sing[0].size:
+    if not regular.all():
+        sing = np.flatnonzero(~regular)  # flat C-order indices, for take and put
         m = round(len(A) ** 0.5)  # A holds all m * m components, sorted(A) is row-major
-        Asing = np.stack([A[jl][sing] for jl in sorted(A)], axis=-1).reshape(-1, m, m)
+        Asing = np.stack([np.take(A[jl], sing) for jl in sorted(A)], axis=-1).reshape(-1, m, m)
         eig = np.linalg.eigvalsh(Asing)
-        lower[sing] = -trA[sing] + eig[:, 0]
-        upper[sing] = -trA[sing] + eig[:, -1]
-        spectral[sing] = np.maximum(np.abs(eig[:, 0]), np.abs(eig[:, -1]))
+        trA_sing = np.take(trA, sing)
+        np.put(lower, sing, -trA_sing + eig[:, 0])
+        np.put(upper, sing, -trA_sing + eig[:, -1])
+        np.put(spectral, sing, np.maximum(np.abs(eig[:, 0]), np.abs(eig[:, -1])))
     return OperatorBounds(lower, upper, regular, spectral)
 
 

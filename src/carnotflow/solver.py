@@ -36,12 +36,14 @@ chunk, one derivative pass gives q = Xu, A = X2u and, by
 calculus._contract, tr A, |q|^2 and q^T A q; the regularized scheme is one
 line on those and the envelope pair is calculus._bounds, the code of
 operator_bounds, so a step with all three schemes differentiates once.
-The chunk temporaries live in one workspace that the Engine holds, and
-`run` steps between a pair of slabs that it allocates once, so a step
-allocates no arrays of the grid's size: every ufunc writes into a held
-buffer (out=), in the order the expressions state.  Chunks run in order in
-the calling thread; the arithmetic per node is fixed, so outputs are
-bit-identical from run to run and across processes.
+Each difference reads u contiguously, over a flat window of whole rows
+(boundary columns included), and only its interior nodes are divided into
+the chunk workspace that the Engine holds.  `run` steps between a pair of
+slabs that it allocates once, so a step allocates no arrays of the grid's
+size: every ufunc writes into a held buffer (out=), in the order the
+expressions state.  Chunks run in order in the calling thread; the
+arithmetic per node is fixed, so outputs are bit-identical from run to run
+and across processes.
 """
 from __future__ import annotations
 
@@ -55,7 +57,7 @@ import numpy as np
 import numpy.typing as npt
 
 from .barriers import BarrierEval, psi_s_plus_s3
-from .calculus import _bounds, _contract, _sum
+from .calculus import _bounds, _contract
 from .groups import GroupSpec, sigma
 
 __all__ = [
@@ -347,10 +349,10 @@ def _symbol_sup(rows: npt.NDArray, h: npt.NDArray, rtol: float = 1e-9) -> float:
 
 
 # Interior nodes per row chunk of the operator pass, from a sweep over chunk
-# sizes at 32^3 and 64^3 (BENCH_3.json): in three dimensions a chunk's twenty
-# or so live derivative temporaries then take about a 2 MB L2 cache.  Larger
-# chunks spill out of it; smaller ones pay numpy's per-call overhead more
-# often.
+# sizes at 32^3 and 64^3 (BENCH_3.json): in three dimensions a chunk's
+# seventeen interior-shaped workspace arrays and two full-width window
+# buffers (2.35 MB at 64^3) then about fill a 2 MB L2 cache.  Larger chunks
+# spill out of it; smaller ones pay numpy's per-call overhead more often.
 _CHUNK_NODES = 16384
 
 
@@ -364,6 +366,9 @@ class _Workspace(NamedTuple):
     flags: npt.NDArray  # boolean scratch
     contract: tuple  # tr A, |q|^2, q^T A q and tmp: the out of calculus._contract
     bounds: tuple  # flags and three more: the out of calculus._bounds
+    diff: npt.NDArray  # flat window of a full-width scratch: each difference
+    twice: npt.NDArray  # flat window of a second one: 2 u on the window
+    inner: npt.NDArray  # the interior nodes of diff's full-width buffer
 
 
 class Engine:
@@ -419,32 +424,31 @@ class Engine:
     # -- spatial operator ---------------------------------------------------
 
     def _stage(self, r0: int, r1: int):
-        """Index tuples and frame coefficients of the derivative pass at rows
-        r0..r1-1, built on the first pass over that row range.
+        """Flat stencil windows and frame coefficients of the derivative pass
+        at rows r0..r1-1, built on the first pass over that row range.
 
-        idx[()] selects the interior of the block u[r0-1 : r1+1], idx[a, s]
-        shifts it by s along axis a and idx[a, s, c, t] by s along a and t
-        along c.  bb[k][j] holds b_k[j] and bbbb[k, j, k2, l] the product
-        bb[k][j] * bb[k2][l] (j <= l) on those rows, in the horizontal-only
-        shape of self.b.
+        win[()] slices u.reshape(-1) from node (r0, 1, ..., 1) to node (r1 - 1,
+        N_1 - 2, ..., N_(n-1) - 2): whole rows, boundary columns included.
+        win[a, s] shifts it by s along axis a (the offset s times a's C-order
+        stride) and win[a, s, c, t] by s along a and t along c; every window
+        lies in rows r0-1..r1 of u.  bb[k][j] holds b_k[j] and bbbb[k, j, k2, l]
+        the product bb[k][j] * bb[k2][l] (j <= l) on those rows, in the
+        horizontal-only shape of self.b.
         """
         stage = self._stages.get((r0, r1))
         if stage is None:
             n, m, nv = self.n, self.m, self.n - self.m
-            lens = (r1 - r0 + 2,) + self.config.resolution[1:]
-
-            def index(shifts: dict) -> tuple:
-                return tuple(
-                    slice(1 + shifts.get(a, 0), lens[a] - 1 + shifts.get(a, 0)) for a in range(n)
-                )
-
-            idx = {(): index({})}
+            res = self.config.resolution
+            stride = [math.prod(res[a + 1 :]) for a in range(n)]
+            start, stop = r0 * stride[0] + sum(stride[1:]), r1 * stride[0] - sum(stride[1:])
+            win = {(): slice(start, stop)}
             for a in range(n):
                 for s in (1, -1):
-                    idx[a, s] = index({a: s})
+                    win[a, s] = slice(start + s * stride[a], stop + s * stride[a])
                     for c in range(a + 1, n):
                         for t in (1, -1):
-                            idx[a, s, c, t] = index({a: s, c: t})
+                            shift = s * stride[a] + t * stride[c]
+                            win[a, s, c, t] = slice(start + shift, stop + shift)
             rows = (slice(r0, r1),) + (slice(1, -1),) * (m - 1)
             bb = [[self.b[k][j][rows] for j in range(m)] for k in range(nv)]
             bbbb = {
@@ -454,7 +458,7 @@ class Engine:
                 for k in range(nv)
                 for k2 in range(nv)
             }
-            stage = self._stages[r0, r1] = (idx, bb, bbbb)
+            stage = self._stages[r0, r1] = (win, bb, bbbb)
         return stage
 
     def _workspace(self, rows: int) -> _Workspace:
@@ -462,72 +466,81 @@ class Engine:
 
         The buffers are allocated on the first call, for the longest chunk,
         and again for a longer row range if a caller passes one.  Each view
-        is a contiguous prefix of its buffer.
+        is a contiguous prefix of its buffer, or the window (see _stage) or
+        interior of a prefix of one of two zero-filled full-width buffers.
         """
         views = self._views.get(rows)
         if views is None:
-            n = self.n
+            n, res = self.n, self.config.resolution
             pairs = [(a, c) for a in range(n) for c in range(a, n)]
             if self._held is None or len(self._held[1]) < rows:
                 cap = max([rows] + [r1 - r0 for r0, r1 in self.chunks])
-                shape = (cap,) + tuple(r - 2 for r in self.config.resolution[1:])
-                self._held = (np.empty((n + len(pairs) + 8,) + shape), np.empty(shape, bool))
+                shape = (cap,) + tuple(r - 2 for r in res[1:])
+                self._held = (np.empty((n + len(pairs) + 8,) + shape), np.empty(shape, bool),
+                              np.zeros((2, cap) + res[1:]))
                 self._views = {}
-            floats, flags = self._held
+            floats, flags, wide = self._held
             buffers = iter(floats[:, :rows])
             d1 = [next(buffers) for _ in range(n)]
             d2 = {}
             for a, c in pairs:
                 d2[a, c] = d2[c, a] = next(buffers)
             acc, tmp, trA, qq, qAq, lower, upper, spectral = buffers
+            margin = sum(math.prod(res[a + 1 :]) for a in range(1, n))
+            diff, twice = (b.reshape(-1)[margin : b.size - margin] for b in wide[:, :rows])
             views = self._views[rows] = _Workspace(
                 d1, d2, acc, tmp, flags[:rows],
                 (trA, qq, qAq, tmp), (flags[:rows], lower, upper, spectral),
+                diff, twice, wide[(0, slice(rows)) + (slice(1, -1),) * (n - 1)],
             )
         return views
 
     def _derivatives(self, u: npt.NDArray, r0: int, r1: int):
         """trA, |q|^2, q^T A q and A[j, l] at global rows r0..r1-1 (q = Xu, A = X2u).
 
-        The arrays are views of the engine's held chunk workspace: they stay
-        valid until the next call on this engine.
+        u is C-contiguous.  The arrays are views of the engine's held chunk
+        workspace: they stay valid until the next call on this engine.
         """
         n, m, nv = self.n, self.m, self.n - self.m
-        idx, bb, bbbb = self._stage(r0, r1)
+        win, bb, bbbb = self._stage(r0, r1)
         w = self._workspace(r1 - r0)
-        d1, d2, tmp = w.d1, w.d2, w.tmp
-        ub = u[r0 - 1 : r1 + 1]
+        d1, d2, tmp, diff = w.d1, w.d2, w.tmp, w.diff
+        flat = u.reshape(-1)
         h = self.h
 
-        center = ub[idx[()]]
+        # differences span the window; only their interior nodes are divided
         for a in range(n):
-            np.subtract(ub[idx[a, 1]], ub[idx[a, -1]], out=d1[a])
-            np.divide(d1[a], 2.0 * h[a], out=d1[a])
+            np.subtract(flat[win[a, 1]], flat[win[a, -1]], out=diff)
+            np.divide(w.inner, 2.0 * h[a], out=d1[a])
+        np.multiply(flat[win[()]], 2.0, out=w.twice)
         for a in range(n):
-            out = d2[a, a]
-            np.multiply(center, 2.0, out=out)
-            np.subtract(ub[idx[a, 1]], out, out=out)
-            np.add(out, ub[idx[a, -1]], out=out)
-            np.divide(out, h[a] ** 2, out=out)
+            np.subtract(flat[win[a, 1]], w.twice, out=diff)
+            np.add(diff, flat[win[a, -1]], out=diff)
+            np.divide(w.inner, h[a] ** 2, out=d2[a, a])
             for c in range(a + 1, n):
-                out = d2[a, c]
-                np.subtract(ub[idx[a, 1, c, 1]], ub[idx[a, 1, c, -1]], out=out)
-                np.subtract(out, ub[idx[a, -1, c, 1]], out=out)
-                np.add(out, ub[idx[a, -1, c, -1]], out=out)
-                np.divide(out, 4.0 * h[a] * h[c], out=out)
+                np.subtract(flat[win[a, 1, c, 1]], flat[win[a, 1, c, -1]], out=diff)
+                np.subtract(diff, flat[win[a, -1, c, 1]], out=diff)
+                np.add(diff, flat[win[a, -1, c, -1]], out=diff)
+                np.divide(w.inner, 4.0 * h[a] * h[c], out=d2[a, c])
 
-        # q[j] and A[j, l] overwrite d1[j] and d2[j, l], which nothing else reads
+        # q[j] and A[j, l] overwrite d1[j] and d2[j, l], which nothing else reads;
+        # q[j] has no leading 0 +, as the sign of a zero q reaches no output
         q = d1[:m]
         for j in range(m):
-            terms = (np.multiply(bb[k][j], d1[m + k], out=tmp) for k in range(nv))
-            np.add(d1[j], _sum(w.acc, terms), out=d1[j])
+            np.multiply(bb[0][j], d1[m], out=w.acc)
+            for k in range(1, nv):
+                np.add(w.acc, np.multiply(bb[k][j], d1[m + k], out=tmp), out=w.acc)
+            np.add(d1[j], w.acc, out=d1[j])
         A = {}
         for j in range(m):
             for l in range(j, m):
                 entry = d2[j, l]
                 for k in range(nv):
-                    np.add(entry, np.multiply(bb[k][l], d2[j, m + k], out=tmp), out=entry)
-                    np.add(entry, np.multiply(bb[k][j], d2[l, m + k], out=tmp), out=entry)
+                    product = np.multiply(bb[k][l], d2[j, m + k], out=tmp)
+                    np.add(entry, product, out=entry)
+                    if l != j:  # else the second product is the first
+                        product = np.multiply(bb[k][j], d2[l, m + k], out=tmp)
+                    np.add(entry, product, out=entry)
                 for k in range(nv):
                     for k2 in range(nv):
                         term = np.multiply(bbbb[k, j, k2, l], d2[m + k, m + k2], out=tmp)
@@ -555,6 +568,9 @@ class Engine:
         for scheme in schemes:
             if scheme not in SCHEMES:
                 raise ValueError(f"unknown scheme {scheme!r}")
+        if np.shape(u) != self.config.resolution:
+            raise ValueError(f"u has shape {np.shape(u)}, expected {self.config.resolution}")
+        u = np.ascontiguousarray(u)  # the stencil windows slice it flat
         if out is None:
             out = [np.empty(tuple(r - 2 for r in u.shape)) for _ in range(len(schemes) + gap)]
         for r0, r1 in self.chunks:
@@ -846,10 +862,10 @@ def write_snapshot_csv(grid: GridField, path) -> None:
 
 
 def write_front_csv(cloud: FrontCloud, path) -> None:
-    """Rows t,x1,...,xn for each front point, 17 significant digits."""
-    n = cloud.points.shape[1] if cloud.points.size else cloud.points.shape[-1]
-    header = "t," + ",".join(f"x{i + 1}" for i in range(n))
-    data = np.concatenate(
-        [np.full((cloud.points.shape[0], 1), cloud.time), cloud.points], axis=1
-    )
-    np.savetxt(path, data, fmt="%.17g", delimiter=",", header=header, comments="")
+    """Rows t,x1,...,xn for each front point, 17 significant digits: the bytes
+    of np.savetxt with fmt="%.17g", through one row template holding t."""
+    n = cloud.points.shape[-1]
+    row = "%.17g," % float(cloud.time) + ",".join(["%.17g"] * n) + "\n"
+    with open(path, "w") as fh:
+        fh.write("t," + ",".join(f"x{i + 1}" for i in range(n)) + "\n")
+        fh.write((row * len(cloud.points)) % tuple(cloud.points.ravel().tolist()))

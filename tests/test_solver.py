@@ -1,6 +1,8 @@
 """Grid solver: stencils, schemes, stability, fronts, and CSV output."""
 
+import functools
 import math
+import operator
 import signal
 import tracemalloc
 
@@ -28,6 +30,7 @@ from carnotflow import (
     write_front_csv,
     write_snapshot_csv,
 )
+from carnotflow.calculus import _bounds
 from carnotflow.groups import sigma
 
 HEIS = heisenberg()
@@ -47,6 +50,54 @@ def stencil_symbol(a, theta):
     s = np.sin(theta)
     off = a - np.diag(np.diag(a))
     return 2.0 * (1.0 - np.cos(theta)) @ np.diag(a) + np.einsum("pa,ab,pb->p", s, off, s)
+
+
+def reference_derivatives(cfg, u):
+    """tr X2u, |Xu|^2, Xu.X2u.Xu and X2u on the whole interior of u, by plain
+    slicing, in the order of operations the derivative pass keeps.
+
+    Differences: (u+ - u-) / 2h, ((u+ - 2 u) + u-) / h^2 and
+    (((u++ - u+-) - u-+) + u--) / (4 h_a h_c).  Then q_j = d_j + (t_0 + t_1 +
+    ...) with t_k = b_k[j] d_(m+k); A_jl = d_jl + b_k[l] d_(j, m+k) + b_k[j]
+    d_(l, m+k) over k, then + (b_k[j] b_k2[l]) d_(m+k, m+k2) over k, k2; and
+    tr A, |q|^2 and q^T A q by sum().
+    """
+    g, h = cfg.group, cfg.spacing
+    n, m, nv = g.n, g.m, g.nv
+
+    def at(shift):
+        return u[tuple(slice(1 + shift.get(a, 0), u.shape[a] - 1 + shift.get(a, 0)) for a in range(n))]
+
+    d1 = [(at({a: 1}) - at({a: -1})) / (2.0 * h[a]) for a in range(n)]
+    d2 = {}
+    for a in range(n):
+        d2[a, a] = (at({a: 1}) - 2.0 * at({}) + at({a: -1})) / h[a] ** 2
+        for c in range(a + 1, n):
+            d2[a, c] = d2[c, a] = (
+                at({a: 1, c: 1}) - at({a: 1, c: -1}) - at({a: -1, c: 1}) + at({a: -1, c: -1})
+            ) / (4.0 * h[a] * h[c])
+    grid = GridField(cfg.box, u)
+    xs = np.meshgrid(*[grid.axis_coords(a)[1:-1] for a in range(n)], indexing="ij", sparse=True)
+    b = [[sum(g.B[k, j, i] * xs[i] for i in range(m)) for j in range(m)] for k in range(nv)]
+    q = [
+        d1[j] + functools.reduce(operator.add, [b[k][j] * d1[m + k] for k in range(nv)])
+        for j in range(m)
+    ]
+    A = {}
+    for j in range(m):
+        for l in range(j, m):
+            entry = d2[j, l]
+            for k in range(nv):
+                entry = entry + b[k][l] * d2[j, m + k]
+                entry = entry + b[k][j] * d2[l, m + k]
+            for k in range(nv):
+                for k2 in range(nv):
+                    entry = entry + (b[k][j] * b[k2][l]) * d2[m + k, m + k2]
+            A[j, l] = A[l, j] = entry
+    trA = sum(A[j, j] for j in range(m))
+    qq = sum(q[j] * q[j] for j in range(m))
+    qAq = sum(q[j] * A[j, l] * q[l] for j in range(m) for l in range(m))
+    return trA, qq, qAq, A
 
 
 def exact_cylinder_values(grid, t, r=1.0):
@@ -402,6 +453,63 @@ class TestEngine:
         for a, b in zip(first + steps[:1], second + steps[1:]):
             np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("chunk_nodes", [solver._CHUNK_NODES, 1])
+    @pytest.mark.parametrize("group", ["heisenberg", "m3n5"])
+    def test_derivatives_match_the_whole_interior_reference(
+        self, request, monkeypatch, group, chunk_nodes
+    ):
+        # bit for bit, on non-cubic grids and random u, in one chunk and in
+        # one-row chunks (a budget of 1 node is below one row), so the first
+        # and last stencil windows and the order of operations are pinned.
+        # eps_sing leaves both regular and singular nodes.
+        monkeypatch.setattr(solver, "_CHUNK_NODES", chunk_nodes)
+        if group == "heisenberg":
+            cfg = SolverConfig(HEIS, BOX, (11, 9, 7), eps_sing=1.0)
+        else:
+            g = request.getfixturevalue("m3n5")
+            cfg = SolverConfig(g, ((-2.0, 2.0),) * 5, (6, 7, 5, 6, 8), eps_sing=3.0)
+        u = np.random.default_rng(7).standard_normal(cfg.resolution)
+        eng = Engine(cfg)
+        assert len(eng.chunks) == (1 if chunk_nodes > 1000 else cfg.resolution[0] - 2)
+        trA, qq, qAq, A = reference_derivatives(cfg, u)
+        for r0, r1 in eng.chunks:
+            rows = slice(r0 - 1, r1 - 1)
+            got = eng._derivatives(u, r0, r1)
+            for ref, value in zip((trA, qq, qAq), got):
+                np.testing.assert_array_equal(value, ref[rows])
+            assert got[3].keys() == A.keys()
+            for key in A:
+                np.testing.assert_array_equal(got[3][key], A[key][rows])
+
+        singular = qq <= eng.eps2
+        assert 0 < np.count_nonzero(singular) < singular.size
+        delta2 = eng.delta2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gap = np.where(qq > 0.0, (qAq * delta2) / (qq * (qq + delta2)), 0.0)
+        bounds = _bounds(trA, qq, qAq, A, eng.eps2)
+        expected = [-trA + qAq / (qq + delta2), bounds.lower, bounds.upper, gap]
+        for value, ref in zip(eng.operators(u, solver.SCHEMES, gap=True), expected):
+            np.testing.assert_array_equal(value, ref)
+
+    def test_operators_give_the_same_bits_on_any_memory_layout(self):
+        # the stencil windows slice u flat, so operators reads a Fortran-ordered
+        # u or a negative-stride view through one C-ordered copy
+        cfg = SolverConfig(HEIS, BOX, (11, 9, 7), eps_sing=1.0)
+        u = np.random.default_rng(8).standard_normal(cfg.resolution)
+        eng = Engine(cfg)
+        expected = eng.operators(u, solver.SCHEMES, gap=True)
+        for layout in (np.asfortranarray(u), np.flip(np.flip(u).copy())):
+            assert not layout.flags.c_contiguous
+            np.testing.assert_array_equal(layout, u)
+            for value, ref in zip(eng.operators(layout, solver.SCHEMES, gap=True), expected):
+                np.testing.assert_array_equal(value, ref)
+
+    def test_operators_refuse_a_grid_of_another_shape(self):
+        eng = Engine(SolverConfig(HEIS, BOX, (11, 9, 7)))
+        for shape in ((11, 9, 8), (9, 11, 7), (11 * 9 * 7,)):
+            with pytest.raises(ValueError, match="shape"):
+                eng.operators(np.zeros(shape), ("regularized",))
+
     def test_operator_rejects_unknown_scheme(self):
         with pytest.raises(ValueError, match="scheme"):
             Engine(config()).operator(init(config()).values, "godunov")
@@ -728,6 +836,21 @@ class TestCsv:
         np.savetxt(tmp_path / "savetxt.csv", np.stack(cols, axis=-1), fmt="%.17g",
                    delimiter=",", header="t,x1,x2,x3,u", comments="")
         assert (tmp_path / "snap.csv").read_bytes() == (tmp_path / "savetxt.csv").read_bytes()
+
+    @pytest.mark.parametrize("count", [0, 1, 200])
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_front_bytes_match_savetxt(self, tmp_path, count, n):
+        # the former writer, np.savetxt over stacked (t, x1..xn) columns, on
+        # signed zeros, subnormal-range values and a t with a long repr
+        rng = np.random.default_rng(count + n)
+        points = rng.standard_normal((count, n)) * 10.0 ** rng.integers(-300, 300, (count, n))
+        points.flat[:3] = [-0.0, 1e-310, 1.0 / 3.0][: points.size]
+        cloud = solver.FrontCloud(0.1 + count, points)
+        write_front_csv(cloud, tmp_path / "front.csv")
+        data = np.concatenate([np.full((count, 1), cloud.time), points], axis=1)
+        np.savetxt(tmp_path / "savetxt.csv", data, fmt="%.17g", delimiter=",",
+                   header="t," + ",".join(f"x{i + 1}" for i in range(n)), comments="")
+        assert (tmp_path / "front.csv").read_bytes() == (tmp_path / "savetxt.csv").read_bytes()
 
     def test_front_round_trip(self, tmp_path):
         cloud = extract_front(init(config(res=8)))
