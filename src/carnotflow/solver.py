@@ -38,10 +38,16 @@ line on those and the envelope pair is calculus._bounds, the code of
 operator_bounds, so a step with all three schemes differentiates once.
 Each difference reads u contiguously, over a flat window of whole rows
 (boundary columns included), and only its interior nodes are divided into
-the chunk workspace that the Engine holds.  `run` steps between a pair of
-slabs that it allocates once, so a step allocates no arrays of the grid's
-size: every ufunc writes into a held buffer (out=), in the order the
-expressions state.  Chunks run in order in the calling thread; the
+the chunk workspace that the Engine holds.  The Euler update also reads
+and writes a flat window of whole rows; the boundary fill then overwrites
+the boundary columns it passed over, so every boundary node holds a copy of
+an interior one and the slab's max, which `run`'s finiteness check takes,
+decides extinction.  `run` steps between a pair of slabs that it allocates
+once, so a step allocates no arrays of the grid's size: every ufunc writes
+into a held buffer (out=), in the order the expressions state.  Held arrays
+start on 64-byte boundaries: malloc aligns them to 16 bytes, and where they
+started in a cache line moved a step's time by 7-12% with the process's
+earlier allocations.  Chunks run in order in the calling thread; the
 arithmetic per node is fixed, so outputs are bit-identical from run to run
 and across processes.
 """
@@ -241,7 +247,7 @@ def _sample_initial(config: SolverConfig) -> npt.NDArray:
             vals = config.initial.r - gauge
         else:  # sqrt_gauge_ball
             vals = config.initial.r - np.sqrt(gauge)
-    vals = np.ascontiguousarray(np.broadcast_to(vals, config.resolution)).astype(float)
+    vals = np.array(np.broadcast_to(vals, config.resolution), dtype=float, order="C")
     if config.initial.relabel is not None:
         vals = RELABELS[config.initial.relabel](vals)
     return vals
@@ -348,6 +354,21 @@ def _symbol_sup(rows: npt.NDArray, h: npt.NDArray, rtol: float = 1e-9) -> float:
         half /= 2.0
 
 
+def _aligned(shape, dtype=float, zero: bool = False, lead: int = 0) -> npt.NDArray:
+    """A C-ordered array of shape whose flat element lead starts on a 64-byte
+    boundary (a cache line), zero-filled if zero, else uninitialized.
+
+    malloc places large arrays on 16-byte boundaries only, so without this
+    where a held array starts in its cache line, and with it the step time
+    (7-12%, BENCH_13.json), would depend on the process's earlier allocations.
+    """
+    itemsize = np.dtype(dtype).itemsize
+    nbytes = math.prod(shape) * itemsize
+    raw = (np.zeros if zero else np.empty)(nbytes + 64, np.uint8)
+    skip = -(raw.ctypes.data + lead * itemsize) % 64
+    return raw[skip : skip + nbytes].view(dtype).reshape(shape)
+
+
 # Interior nodes per row chunk of the operator pass, from a sweep over chunk
 # sizes at 32^3 and 64^3 (BENCH_3.json): in three dimensions a chunk's
 # seventeen interior-shaped workspace arrays and two full-width window
@@ -378,8 +399,13 @@ class Engine:
     one workspace for the derivative pass of a chunk, sized to the longest
     chunk and allocated on the first operator pass, so that a step
     allocates no chunk temporaries; calls on one engine must therefore not
-    overlap in time.  It holds no other resources: `close` is a no-op that
-    remains only for the benchmark's callers in perfbench/.
+    overlap in time.  Each workspace array, and the first element of each
+    flat window, starts on a 64-byte boundary, as do the arrays that
+    `operators` and `advance` allocate, so that step time does not depend
+    on where malloc placed them.  `_euler` updates the flat window of whole
+    rows from the first interior node to the last.  The engine holds no
+    other resources: `close` is a no-op that remains only for the
+    benchmark's callers in perfbench/.
     """
 
     def __init__(self, config: SolverConfig):
@@ -414,6 +440,10 @@ class Engine:
         nchunks = -(-rows // max(1, _CHUNK_NODES // row_nodes))
         bounds = np.linspace(1, rows + 1, nchunks + 1).astype(int)
         self.chunks = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
+        # whole rows of a flat grid from the first interior node to the last:
+        # the union of the chunks' stencil windows, win[()] in _stage
+        margin = sum(math.prod(config.resolution[a + 1 :]) for a in range(g.n))
+        self._window = slice(margin, math.prod(config.resolution) - margin)
         self._stages: dict = {}
         self._held: tuple | None = None  # the chunk workspace, see _workspace
         self._views: dict = {}
@@ -468,30 +498,37 @@ class Engine:
         and again for a longer row range if a caller passes one.  Each view
         is a contiguous prefix of its buffer, or the window (see _stage) or
         interior of a prefix of one of two zero-filled full-width buffers.
+        Buffers are padded to whole 64-byte lines and allocated by _aligned,
+        so that every view, and each window's first element, starts on a
+        64-byte boundary.
         """
         views = self._views.get(rows)
         if views is None:
             n, res = self.n, self.config.resolution
             pairs = [(a, c) for a in range(n) for c in range(a, n)]
+            shape = (rows,) + tuple(r - 2 for r in res[1:])
+            margin = sum(math.prod(res[a + 1 :]) for a in range(1, n))
             if self._held is None or len(self._held[1]) < rows:
                 cap = max([rows] + [r1 - r0 for r0, r1 in self.chunks])
-                shape = (cap,) + tuple(r - 2 for r in res[1:])
-                self._held = (np.empty((n + len(pairs) + 8,) + shape), np.empty(shape, bool),
-                              np.zeros((2, cap) + res[1:]))
+                lines = [-(-cap * math.prod(s[1:]) // 8) * 8 for s in (shape, res)]
+                self._held = (_aligned((n + len(pairs) + 8, lines[0])),
+                              _aligned((cap,) + shape[1:], bool),
+                              _aligned((2, lines[1]), zero=True, lead=margin))
                 self._views = {}
             floats, flags, wide = self._held
-            buffers = iter(floats[:, :rows])
+            buffers = (b[: math.prod(shape)].reshape(shape) for b in floats)
             d1 = [next(buffers) for _ in range(n)]
             d2 = {}
             for a, c in pairs:
                 d2[a, c] = d2[c, a] = next(buffers)
             acc, tmp, trA, qq, qAq, lower, upper, spectral = buffers
-            margin = sum(math.prod(res[a + 1 :]) for a in range(1, n))
-            diff, twice = (b.reshape(-1)[margin : b.size - margin] for b in wide[:, :rows])
+            size = rows * math.prod(res[1:])
+            diff, twice = (b[margin : size - margin] for b in wide)
+            window = wide[0, :size].reshape((rows,) + res[1:])
             views = self._views[rows] = _Workspace(
                 d1, d2, acc, tmp, flags[:rows],
                 (trA, qq, qAq, tmp), (flags[:rows], lower, upper, spectral),
-                diff, twice, wide[(0, slice(rows)) + (slice(1, -1),) * (n - 1)],
+                diff, twice, window[(slice(None),) + (slice(1, -1),) * (n - 1)],
             )
         return views
 
@@ -572,7 +609,7 @@ class Engine:
             raise ValueError(f"u has shape {np.shape(u)}, expected {self.config.resolution}")
         u = np.ascontiguousarray(u)  # the stencil windows slice it flat
         if out is None:
-            out = [np.empty(tuple(r - 2 for r in u.shape)) for _ in range(len(schemes) + gap)]
+            out = [_aligned(tuple(r - 2 for r in u.shape)) for _ in range(len(schemes) + gap)]
         for r0, r1 in self.chunks:
             trA, qq, qAq, A = self._derivatives(u, r0, r1)
             w = self._workspace(r1 - r0)
@@ -609,18 +646,25 @@ class Engine:
         out: npt.NDArray | None = None,
     ) -> npt.NDArray:
         """One forward-Euler update with nearest-interior boundary fill, new
-        unless written into out (an array of u's shape other than u)."""
-        new = np.empty_like(u) if out is None else out
+        unless written into out (a C-contiguous array of u's shape other than
+        u, whose boundary nodes the update may read before it fills them)."""
+        if out is not None and not out.flags.c_contiguous:
+            raise ValueError("out must be C-contiguous")
+        new = _aligned(u.shape, zero=True) if out is None else out
         self.operator(u, scheme, out=new[(slice(1, -1),) * u.ndim])
         return self._euler(u, dt, new)
 
     def _euler(self, u: npt.NDArray, dt: float, new: npt.NDArray) -> npt.NDArray:
         """Turn new, which holds op = Op(u) on its interior, into u - dt * op
-        there, in place; boundary nodes copy their neighbor."""
+        there, in place; boundary nodes copy their neighbor.
+
+        new is C-contiguous.  The update runs over the flat window of whole
+        rows from the first interior node to the last, so it also passes
+        over boundary columns, which the fill then overwrites.
+        """
         n = u.ndim
-        inner = (slice(1, -1),) * n
-        step = new[inner]
-        np.subtract(u[inner], np.multiply(step, dt, out=step), out=step)
+        step = new.reshape(-1)[self._window]
+        np.subtract(u.reshape(-1)[self._window], np.multiply(step, dt, out=step), out=step)
         for a in range(n):
             idx_lo = [slice(None)] * n
             idx_hi = [slice(None)] * n
@@ -699,9 +743,9 @@ def run(
     u = grid.values
     # each step writes the slab of the pair that u is not, so grid.values,
     # which snapshot 0 holds, is never written
-    slabs = (np.empty_like(u), np.empty_like(u))
+    slabs = (_aligned(u.shape, zero=True), _aligned(u.shape, zero=True))
     if record_sandwich:
-        op_min, op_max, op_gap, limit = (np.empty(u[inner].shape) for _ in range(4))
+        op_min, op_max, op_gap, limit = (_aligned(u[inner].shape) for _ in range(4))
     se = config.snapshot_every
     next_snap = se if se > 0 else np.inf
     while t < config.t_end - _TIME_SLOP * max(1.0, config.t_end):
@@ -727,7 +771,8 @@ def run(
         u = new
         t += dt
         steps += 1
-        if not (math.isfinite(np.max(u)) and math.isfinite(np.min(u))):
+        top = np.max(u)
+        if not (math.isfinite(top) and math.isfinite(np.min(u))):
             raise RuntimeError(
                 f"nonfinite values after step {steps} (t={t:.6g}); "
                 "reduce cfl or check the initial data"
@@ -737,7 +782,9 @@ def run(
             if next_snap <= t + _TIME_SLOP:  # cadence below dt: skip the passed marks at once
                 next_snap += se * np.floor((t + _TIME_SLOP - next_snap) / se + 1.0)
             emit(GridField(config.box, u.copy(), t))
-        if not _has_positive_interior(u):
+        # after the boundary fill each boundary node holds a copy of an
+        # interior node, so the slab's max is the interior max
+        if not top > 0.0:
             extinct = t
             break
     if snapshots[-1].time < t:  # the final slab, unless the cadence just emitted it

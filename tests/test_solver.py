@@ -1,10 +1,13 @@
 """Grid solver: stencils, schemes, stability, fronts, and CSV output."""
 
+import dataclasses
 import functools
 import math
 import operator
 import signal
+import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -98,6 +101,32 @@ def reference_derivatives(cfg, u):
     qq = sum(q[j] * q[j] for j in range(m))
     qAq = sum(q[j] * A[j, l] * q[l] for j in range(m) for l in range(m))
     return trA, qq, qAq, A
+
+
+def interior_view_euler(u, dt, new):
+    """The forward-Euler update on the interior view of new, then the
+    nearest-interior boundary fill, axis by axis."""
+    n = u.ndim
+    inner = (slice(1, -1),) * n
+    step = new[inner]
+    np.subtract(u[inner], np.multiply(step, dt, out=step), out=step)
+    for a in range(n):
+        lo, hi = [slice(None)] * n, [slice(None)] * n
+        lo[a], hi[a] = 0, 1
+        new[tuple(lo)] = new[tuple(hi)]
+        lo[a], hi[a] = -1, -2
+        new[tuple(lo)] = new[tuple(hi)]
+    return new
+
+
+def gauge_config(request, group):
+    """The gauge ball on Heisenberg 32^3 (two chunks) or on a non-cubic
+    m3n5 grid, whose rows are no whole number of 64-byte lines."""
+    if group == "heisenberg":
+        return config(res=32, initial=InitialSpec(preset="gauge_ball"))
+    g = request.getfixturevalue("m3n5")
+    return SolverConfig(g, ((-2.0, 2.0),) * 5, (7, 6, 9, 6, 7),
+                        initial=InitialSpec(preset="gauge_ball"))
 
 
 def exact_cylinder_values(grid, t, r=1.0):
@@ -568,6 +597,36 @@ class TestStepExactness:
         np.testing.assert_allclose(new[inner], u[inner], atol=1e-15)
 
 
+    @pytest.mark.parametrize("group", ["heisenberg", "m3n5"])
+    def test_flat_euler_update_matches_the_interior_view_update(self, request, group):
+        # _euler forms u - dt op over whole rows, boundary columns included;
+        # after the fill that must leave the bits of the interior-view update,
+        # from init's array and from a slab, into advance's own array and
+        # into a caller's out whose boundary holds nan and +-inf, warning-free
+        cfg = gauge_config(request, group)
+        eng = Engine(cfg)
+        inner = (slice(1, -1),) * len(cfg.resolution)
+        first = init(cfg).values
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for u in (first, eng.advance(first, eng.dt)):
+                expected = np.zeros(cfg.resolution)
+                eng.operator(u, out=expected[inner])
+                interior_view_euler(u, eng.dt, expected)
+                out = np.full(cfg.resolution, np.nan)
+                out.reshape(-1)[::3] = np.inf
+                out.reshape(-1)[1::3] = -np.inf
+                for got in (eng.advance(u, eng.dt), eng.advance(u, eng.dt, out=out)):
+                    assert got.shape == expected.shape
+                    assert got.tobytes() == expected.tobytes()
+
+    def test_advance_refuses_an_out_that_is_not_c_contiguous(self):
+        cfg = config()
+        eng = Engine(cfg)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            eng.advance(init(cfg).values, eng.dt, out=np.zeros(cfg.resolution, order="F"))
+
+
 class TestSchemeSandwich:
     def test_regularized_update_between_envelopes(self):
         res = run(config(t_end=0.05), record_sandwich=True)
@@ -717,6 +776,66 @@ class TestRun:
             tracemalloc.stop()
         assert res.n_steps >= 6 and len(rises) == res.n_steps + 1
         assert max(rises[3:]) < 3 * grid, [round(r / grid, 2) for r in rises]
+
+    @pytest.mark.parametrize("group", ["heisenberg", "m3n5"])
+    def test_held_arrays_start_on_64_byte_boundaries(self, request, monkeypatch, group):
+        # after a plain and a sandwich step: both slabs, the sandwich arrays
+        # (read from run's frame when it calls _euler), every float view of
+        # the chunk workspace at each row count and the first element of
+        # each flat window lie on a 64-byte boundary, wherever malloc put them
+        held = {}
+        euler = Engine._euler
+
+        def recorded(self, u, dt, new):
+            frame = sys._getframe(1)
+            while frame.f_code.co_name != "run":
+                frame = frame.f_back
+            names = ("op_min", "op_max", "op_gap", "limit")
+            held.update((name, frame.f_locals[name]) for name in names if name in frame.f_locals)
+            held[id(new)] = new
+            held["engine"] = self
+            return euler(self, u, dt, new)
+
+        monkeypatch.setattr(Engine, "_euler", recorded)
+        cfg = gauge_config(request, group)
+        cfg = dataclasses.replace(cfg, t_end=2.5 * Engine(cfg).dt)
+        for sandwich in (False, True):
+            held.clear()
+            assert run(cfg, record_sandwich=sandwich).n_steps == 3
+            eng = held.pop("engine")
+            views = {}
+            for rows in range(1, 1 + max(r1 - r0 for r0, r1 in eng.chunks)):
+                w = eng._workspace(rows)
+                views.update({f"d1[{a}] at {rows}": d for a, d in enumerate(w.d1)})
+                views.update({f"d2{key} at {rows}": d for key, d in w.d2.items()})
+                for name in ("acc", "tmp", "flags", "diff", "twice"):
+                    views[f"{name} at {rows}"] = getattr(w, name)
+                views.update({f"contract[{i}] at {rows}": a for i, a in enumerate(w.contract)})
+                views.update({f"bounds[{i}] at {rows}": a for i, a in enumerate(w.bounds)})
+            assert len(held) == (6 if sandwich else 2)
+            for name, a in list(held.items()) + list(views.items()):
+                assert a.ctypes.data % 64 == 0, name
+
+    @pytest.mark.parametrize("preset, res", [("gauge_ball", 24), ("cylinder", 12)])
+    def test_extinction_reads_the_finiteness_max(self, preset, res):
+        # run decides extinction from the slab's max, which its finiteness
+        # check takes: after the boundary fill it is the interior max, bit
+        # for bit, at every step of a run to extinction
+        slabs = []
+        cfg = config(res=res, t_end=1.0, snapshot_every=1e-9, initial=InitialSpec(preset=preset))
+
+        def check(grid):
+            v = grid.values
+            top = np.max(v)
+            assert top.tobytes() == np.max(v[1:-1, 1:-1, 1:-1]).tobytes()
+            slabs.append((grid.time, bool(top > 0.0), solver._has_positive_interior(v)))
+
+        res = run(cfg, on_snapshot=check)
+        assert res.extinction_time is not None and len(slabs) == res.n_steps + 1
+        positive = [interior for _, _, interior in slabs]
+        assert [full for _, full, _ in slabs] == positive
+        assert all(positive[:-1]) and not positive[-1]
+        assert res.extinction_time == slabs[-1][0]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_unstable_step_raises(self, monkeypatch):
