@@ -38,16 +38,14 @@ line on those and the envelope pair is calculus._bounds, the code of
 operator_bounds, so a step with all three schemes differentiates once.
 Each difference reads u contiguously, over a flat window of whole rows
 (boundary columns included), and only its interior nodes are divided into
-the chunk workspace that the Engine holds.  The Euler update also reads
-and writes a flat window of whole rows; the boundary fill then overwrites
-the boundary columns it passed over, so every boundary node holds a copy of
-an interior one and the slab's max, which `run`'s finiteness check takes,
-decides extinction.  `run` steps between a pair of slabs that it allocates
-once, so a step allocates no arrays of the grid's size: every ufunc writes
-into a held buffer (out=), in the order the expressions state.  Held arrays
-start on 64-byte boundaries: malloc aligns them to 16 bytes, and where they
-started in a cache line moved a step's time by 7-12% with the process's
-earlier allocations.  Chunks run in order in the calling thread; the
+the chunk workspace that the Engine holds.  The Euler update runs over a
+flat window of whole rows too, and the boundary fill then overwrites the
+boundary columns it passed over, so `run` takes extinction from the slab
+max of its finiteness check.  `run` steps between a pair of slabs that it
+allocates once, so a step allocates no arrays of the grid's size: every
+ufunc writes into a held buffer (out=), in the order the expressions state.
+Held arrays start on 64-byte boundaries, so that step time does not depend
+on where malloc put them.  Chunks run in order in the calling thread; the
 arithmetic per node is fixed, so outputs are bit-identical from run to run
 and across processes.
 """
@@ -355,13 +353,9 @@ def _symbol_sup(rows: npt.NDArray, h: npt.NDArray, rtol: float = 1e-9) -> float:
 
 
 def _aligned(shape, dtype=float, zero: bool = False, lead: int = 0) -> npt.NDArray:
-    """A C-ordered array of shape whose flat element lead starts on a 64-byte
-    boundary (a cache line), zero-filled if zero, else uninitialized.
-
-    malloc places large arrays on 16-byte boundaries only, so without this
-    where a held array starts in its cache line, and with it the step time
-    (7-12%, BENCH_13.json), would depend on the process's earlier allocations.
-    """
+    """A C-ordered array whose flat element lead starts on a 64-byte boundary,
+    zeroed if zero.  malloc aligns to 16 bytes only, and a held array at 16 or
+    48 mod 64 made a step 7-12% slower than at 0 (BENCH_13.json)."""
     itemsize = np.dtype(dtype).itemsize
     nbytes = math.prod(shape) * itemsize
     raw = (np.zeros if zero else np.empty)(nbytes + 64, np.uint8)
@@ -399,13 +393,10 @@ class Engine:
     one workspace for the derivative pass of a chunk, sized to the longest
     chunk and allocated on the first operator pass, so that a step
     allocates no chunk temporaries; calls on one engine must therefore not
-    overlap in time.  Each workspace array, and the first element of each
-    flat window, starts on a 64-byte boundary, as do the arrays that
-    `operators` and `advance` allocate, so that step time does not depend
-    on where malloc placed them.  `_euler` updates the flat window of whole
-    rows from the first interior node to the last.  The engine holds no
-    other resources: `close` is a no-op that remains only for the
-    benchmark's callers in perfbench/.
+    overlap in time.  The arrays it allocates start on 64-byte boundaries,
+    and `_euler` updates a flat window of whole rows.  It holds no other
+    resources: `close` is a no-op that remains only for the benchmark's
+    callers in perfbench/.
     """
 
     def __init__(self, config: SolverConfig):
@@ -440,8 +431,7 @@ class Engine:
         nchunks = -(-rows // max(1, _CHUNK_NODES // row_nodes))
         bounds = np.linspace(1, rows + 1, nchunks + 1).astype(int)
         self.chunks = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
-        # whole rows of a flat grid from the first interior node to the last:
-        # the union of the chunks' stencil windows, win[()] in _stage
+        # the Euler update's flat window: the chunks' win[()] (see _stage) joined
         margin = sum(math.prod(config.resolution[a + 1 :]) for a in range(g.n))
         self._window = slice(margin, math.prod(config.resolution) - margin)
         self._stages: dict = {}
@@ -498,9 +488,8 @@ class Engine:
         and again for a longer row range if a caller passes one.  Each view
         is a contiguous prefix of its buffer, or the window (see _stage) or
         interior of a prefix of one of two zero-filled full-width buffers.
-        Buffers are padded to whole 64-byte lines and allocated by _aligned,
-        so that every view, and each window's first element, starts on a
-        64-byte boundary.
+        Padded to whole 64-byte lines, every buffer starts a view or a window
+        on a 64-byte boundary.
         """
         views = self._views.get(rows)
         if views is None:
@@ -655,13 +644,9 @@ class Engine:
         return self._euler(u, dt, new)
 
     def _euler(self, u: npt.NDArray, dt: float, new: npt.NDArray) -> npt.NDArray:
-        """Turn new, which holds op = Op(u) on its interior, into u - dt * op
-        there, in place; boundary nodes copy their neighbor.
-
-        new is C-contiguous.  The update runs over the flat window of whole
-        rows from the first interior node to the last, so it also passes
-        over boundary columns, which the fill then overwrites.
-        """
+        """Turn new (C-contiguous), which holds op = Op(u) on its interior,
+        into u - dt * op there, in place, over whole rows; boundary nodes,
+        columns passed over included, then copy their neighbor."""
         n = u.ndim
         step = new.reshape(-1)[self._window]
         np.subtract(u.reshape(-1)[self._window], np.multiply(step, dt, out=step), out=step)
@@ -782,8 +767,7 @@ def run(
             if next_snap <= t + _TIME_SLOP:  # cadence below dt: skip the passed marks at once
                 next_snap += se * np.floor((t + _TIME_SLOP - next_snap) / se + 1.0)
             emit(GridField(config.box, u.copy(), t))
-        # after the boundary fill each boundary node holds a copy of an
-        # interior node, so the slab's max is the interior max
+        # the fill copied interior nodes onto the boundary: top is their max
         if not top > 0.0:
             extinct = t
             break

@@ -596,13 +596,12 @@ class TestStepExactness:
         inner = (slice(1, -1),) * 3
         np.testing.assert_allclose(new[inner], u[inner], atol=1e-15)
 
-
     @pytest.mark.parametrize("group", ["heisenberg", "m3n5"])
     def test_flat_euler_update_matches_the_interior_view_update(self, request, group):
         # _euler forms u - dt op over whole rows, boundary columns included;
         # after the fill that must leave the bits of the interior-view update,
         # from init's array and from a slab, into advance's own array and
-        # into a caller's out whose boundary holds nan and +-inf, warning-free
+        # into a caller's out whose nodes hold nan and +-inf, warning-free
         cfg = gauge_config(request, group)
         eng = Engine(cfg)
         inner = (slice(1, -1),) * len(cfg.resolution)
@@ -821,21 +820,21 @@ class TestRun:
         # run decides extinction from the slab's max, which its finiteness
         # check takes: after the boundary fill it is the interior max, bit
         # for bit, at every step of a run to extinction
-        slabs = []
+        steps = []
         cfg = config(res=res, t_end=1.0, snapshot_every=1e-9, initial=InitialSpec(preset=preset))
 
         def check(grid):
             v = grid.values
             top = np.max(v)
             assert top.tobytes() == np.max(v[1:-1, 1:-1, 1:-1]).tobytes()
-            slabs.append((grid.time, bool(top > 0.0), solver._has_positive_interior(v)))
+            steps.append((grid.time, bool(top > 0.0), solver._has_positive_interior(v)))
 
-        res = run(cfg, on_snapshot=check)
-        assert res.extinction_time is not None and len(slabs) == res.n_steps + 1
-        positive = [interior for _, _, interior in slabs]
-        assert [full for _, full, _ in slabs] == positive
+        result = run(cfg, on_snapshot=check)
+        assert result.extinction_time is not None and len(steps) == result.n_steps + 1
+        positive = [interior for _, _, interior in steps]
+        assert [full for _, full, _ in steps] == positive
         assert all(positive[:-1]) and not positive[-1]
-        assert res.extinction_time == slabs[-1][0]
+        assert result.extinction_time == steps[-1][0]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_unstable_step_raises(self, monkeypatch):
