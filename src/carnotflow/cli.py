@@ -37,16 +37,22 @@ that puts no interior node inside {u0 > 0}.  evolve echoes the verify
 section into config_effective.json, so it refuses a verify field that
 verify would refuse.  A refused command writes nothing.
 
+evolve writes each snapshot's CSVs in one child process (POSIX os.fork)
+while the run keeps stepping; at most one such child is alive, and the last
+is reaped before evolve returns or raises.
+
 Exit codes: 0 all checks pass / run completed; 1 scientific failure or
 instability; 2 unusable config or arguments.
 """
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
 import sys
+import traceback
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -709,28 +715,63 @@ def _check_initial(cfg: SolverConfig) -> None:
 
 def _write_outputs(cfg: SolverConfig, out_dir: str, effective: dict, sandwich: bool) -> int:
     """One run with its CSVs and config echo; under run.sandwich, a regularized
-    run also records the sandwich violation."""
+    run also records the sandwich violation.
+
+    Each snapshot's snap/front CSVs are written by one child process (POSIX
+    os.fork) from the slab it inherits, while this process keeps stepping.
+    At most one child is alive: the next snapshot first reaps the previous
+    child, and the last one is reaped before this function returns or
+    raises, so every file is complete when the summary or the partial-outputs
+    line is printed.  A child that fails prints its traceback and makes this
+    process raise OSError naming the file it could not write.
+    """
     record = sandwich and cfg.scheme == "regularized"
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "config_effective.json"), "w") as fh:
         json.dump(effective, fh, indent=2)
         fh.write("\n")
 
-    counter = {"i": 0}
+    child = {"i": 0, "pid": 0, "paths": ()}
+
+    def reap():
+        if child["pid"]:
+            _, status = os.waitpid(child["pid"], 0)
+            child["pid"] = 0
+            code = os.waitstatus_to_exitcode(status)
+            if code:
+                path = child["paths"][code - 1 if 0 < code <= 2 else 0]
+                raise OSError(errno.EIO, f"snapshot writer exited {code}", path)
 
     def writer(snap):
-        i = counter["i"]
-        write_snapshot_csv(snap, os.path.join(out_dir, f"snap_{i:04d}.csv"))
-        write_front_csv(extract_front(snap), os.path.join(out_dir, f"front_{i:04d}.csv"))
-        counter["i"] = i + 1
+        reap()
+        i = child["i"]
+        paths = child["paths"] = tuple(os.path.join(out_dir, f"{k}_{i:04d}.csv") for k in ("snap", "front"))
+        child["i"] = i + 1
+        pid = os.fork()
+        if pid == 0:  # the child leaves through os._exit, never through the parent's code
+            code = 1  # 1: the snapshot failed, 2: the front
+            try:
+                write_snapshot_csv(snap, paths[0])
+                code = 2
+                write_front_csv(extract_front(snap), paths[1])
+                code = 0
+            except BaseException:
+                traceback.print_exc()
+                sys.stderr.flush()
+            finally:
+                os._exit(code)
+        child["pid"] = pid
 
     try:
-        result = run(cfg, record_sandwich=record, on_snapshot=writer)
+        try:
+            result = run(cfg, record_sandwich=record, on_snapshot=writer)
+        finally:
+            reap()
     except RuntimeError as exc:
         print(f"evolve: aborted, {exc}", file=sys.stderr)
         print(f"evolve: partial outputs in {out_dir}", file=sys.stderr)
         return 1
-    print(f"evolve: {counter['i']} snapshots, dt={result.dt:.6g}, steps={result.n_steps}")
+    print(f"evolve: {child['i']} snapshots, dt={result.dt:.6g}, steps={result.n_steps}")
     if result.extinction_time is not None:
         print(f"evolve: extinction at t={result.extinction_time:.6g}")
     else:

@@ -589,13 +589,16 @@ class Engine:
         regularized operator falls short of its delta -> 0 limit F(q, A) (0
         where q = 0).  The arrays are new unless out, one array of the
         interior shape per result, is given; then they are written and
-        returned.
+        returned.  An out array that overlaps u is refused: later chunks read
+        u where earlier chunks would have written.
         """
         for scheme in schemes:
             if scheme not in SCHEMES:
                 raise ValueError(f"unknown scheme {scheme!r}")
         if np.shape(u) != self.config.resolution:
             raise ValueError(f"u has shape {np.shape(u)}, expected {self.config.resolution}")
+        if out is not None and any(np.may_share_memory(u, values) for values in out):
+            raise ValueError("out must not overlap u")
         u = np.ascontiguousarray(u)  # the stencil windows slice it flat
         if out is None:
             out = [_aligned(tuple(r - 2 for r in u.shape)) for _ in range(len(schemes) + gap)]
@@ -635,10 +638,13 @@ class Engine:
         out: npt.NDArray | None = None,
     ) -> npt.NDArray:
         """One forward-Euler update with nearest-interior boundary fill, new
-        unless written into out (a C-contiguous array of u's shape other than
-        u, whose boundary nodes the update may read before it fills them)."""
+        unless written into out (a C-contiguous array of u's shape that does
+        not overlap u, whose boundary nodes the update may read before it
+        fills them)."""
         if out is not None and not out.flags.c_contiguous:
             raise ValueError("out must be C-contiguous")
+        if out is not None and np.may_share_memory(u, out):
+            raise ValueError("out must not overlap u")
         new = _aligned(u.shape, zero=True) if out is None else out
         self.operator(u, scheme, out=new[(slice(1, -1),) * u.ndim])
         return self._euler(u, dt, new)

@@ -8,6 +8,8 @@ import signal
 import subprocess
 import sys
 import tempfile
+import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -483,6 +485,24 @@ class TestVerify:
         assert rc == 0
 
 
+def write_inline(snapshots, directory):
+    """The reference outputs: the writers called in this process, in order."""
+    directory.mkdir(parents=True)
+    for i, snap in enumerate(snapshots):
+        solver.write_snapshot_csv(snap, directory / f"snap_{i:04d}.csv")
+        solver.write_front_csv(solver.extract_front(snap), directory / f"front_{i:04d}.csv")
+
+
+def csv_bytes(directory):
+    """{path relative to directory: bytes} of every CSV file under it."""
+    return {str(p.relative_to(directory)): p.read_bytes() for p in sorted(directory.rglob("*.csv")) if p.is_file()}
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestEvolve:
     def test_outputs_and_round_trip(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -564,6 +584,101 @@ class TestEvolve:
         err = capsys.readouterr().err
         assert "aborted" in err and "partial outputs" in err
         assert (out / "snap_0000.csv").exists()
+
+    @pytest.mark.parametrize("sandwich", [False, True])
+    def test_outputs_equal_the_writers_called_inline(self, tmp_path, capsys, sandwich):
+        doc = {**SMALL_RUN, "run": {**SMALL_RUN["run"], "sandwich": sandwich}}
+        out = tmp_path / "run"
+        assert main(["evolve", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        cfg = cli.build_solver_config(doc, cli.build_group(doc))
+        ref = tmp_path / "ref"
+        write_inline(solver.run(cfg).snapshots, ref)
+        if sandwich:
+            for scheme in ("envelope_min", "envelope_max"):
+                write_inline(solver.run(replace(cfg, scheme=scheme)).snapshots, ref / scheme)
+        expected = csv_bytes(ref)
+        assert len(expected) == (24 if sandwich else 8)
+        assert csv_bytes(out) == expected
+
+    def test_one_writer_child_at_a_time_and_none_after_the_run(self, tmp_path, capsys, monkeypatch):
+        # each snapshot forks one writer; when it does, no earlier writer may
+        # be left, alive or unreaped
+        fork = os.fork
+        others = []
+
+        def checked_fork():
+            try:
+                os.waitpid(-1, os.WNOHANG)
+                others.append(True)
+            except ChildProcessError:
+                others.append(False)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", checked_fork)
+        out = tmp_path / "run"
+        assert main(["evolve", "--config", write_config(tmp_path, SMALL_RUN), "--out", str(out)]) == 0
+        monkeypatch.undo()
+        assert others == [False] * 4
+        assert_no_child()
+        assert len(csv_bytes(out)) == 8
+
+    def test_failed_write_names_its_file_and_leaves_no_child(self, tmp_path, capfd):
+        out = tmp_path / "run"
+        (out / "snap_0001.csv").mkdir(parents=True)
+        with pytest.raises(OSError, match="snap_0001.csv") as info:
+            main(["evolve", "--config", write_config(tmp_path, SMALL_RUN), "--out", str(out)])
+        assert info.value.filename == str(out / "snap_0001.csv")
+        assert_no_child()
+        assert "IsADirectoryError" in capfd.readouterr().err  # the writer's traceback
+        ref = tmp_path / "ref"
+        write_inline(solver.run(cli.build_solver_config(SMALL_RUN, heisenberg())).snapshots[:1], ref)
+        assert {k: v for k, v in csv_bytes(out).items() if k.endswith("_0000.csv")} == csv_bytes(ref)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_abort_reports_partial_outputs_once_they_are_complete(self, tmp_path, monkeypatch):
+        # the step after snapshot 1 turns nonfinite; the front writer, which
+        # runs in the child, is slowed, so a line printed before the last
+        # child was reaped would find front_0001.csv missing
+        emitted, on_disk = [], {}
+        run_ = cli.run
+        write_front = cli.write_front_csv
+        advance = Engine.advance
+
+        def recorded_run(cfg, record_sandwich=False, on_snapshot=None):
+            def emit(snap):
+                emitted.append(snap)
+                on_snapshot(snap)
+
+            return run_(cfg, record_sandwich, emit)
+
+        def poisoned(self, u, dt, scheme=None, out=None):
+            new = advance(self, u, dt, scheme, out)
+            if len(emitted) == 2:
+                new[...] = np.nan
+            return new
+
+        def slow_front(cloud, path):
+            time.sleep(0.3)
+            write_front(cloud, path)
+
+        class Stderr(io.StringIO):
+            def write(self, text):
+                if "partial outputs" in text:
+                    on_disk.update(csv_bytes(out))
+                return super().write(text)
+
+        out = tmp_path / "run"
+        monkeypatch.setattr(cli, "run", recorded_run)
+        monkeypatch.setattr(Engine, "advance", poisoned)
+        monkeypatch.setattr(cli, "write_front_csv", slow_front)
+        monkeypatch.setattr(sys, "stderr", Stderr())
+        assert main(["evolve", "--config", write_config(tmp_path, SMALL_RUN), "--out", str(out)]) == 1
+        assert "aborted" in sys.stderr.getvalue()
+        monkeypatch.undo()
+        assert_no_child()
+        assert len(emitted) == 2
+        write_inline(emitted, tmp_path / "ref")
+        assert on_disk == csv_bytes(tmp_path / "ref")
 
     def test_extinction_reported(self, tmp_path, capsys):
         doc = {

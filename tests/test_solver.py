@@ -539,6 +539,21 @@ class TestEngine:
             with pytest.raises(ValueError, match="shape"):
                 eng.operators(np.zeros(shape), ("regularized",))
 
+    def test_operators_refuse_an_out_that_overlaps_u(self):
+        # later chunks read rows of u that an aliased out would already hold
+        # results in; u stays untouched by the refused call
+        cfg = SolverConfig(HEIS, BOX, (11, 9, 7))
+        u = np.random.default_rng(4).standard_normal(cfg.resolution)
+        before = u.copy()
+        eng = Engine(cfg)
+        inner = u[1:-1, 1:-1, 1:-1]
+        apart = np.zeros(inner.shape)
+        for out in ([inner], [apart, inner], [u.reshape(-1)[: inner.size].reshape(inner.shape)]):
+            with pytest.raises(ValueError, match="overlap"):
+                eng.operators(u, solver.SCHEMES[: len(out)], out=out)
+        assert u.tobytes() == before.tobytes()
+        eng.operators(u, ("regularized",), out=[apart])
+
     def test_operator_rejects_unknown_scheme(self):
         with pytest.raises(ValueError, match="scheme"):
             Engine(config()).operator(init(config()).values, "godunov")
@@ -624,6 +639,17 @@ class TestStepExactness:
         eng = Engine(cfg)
         with pytest.raises(ValueError, match="C-contiguous"):
             eng.advance(init(cfg).values, eng.dt, out=np.zeros(cfg.resolution, order="F"))
+
+
+    def test_advance_refuses_an_out_that_overlaps_u(self):
+        cfg = config()
+        eng = Engine(cfg)
+        u = init(cfg).values
+        before = u.copy()
+        for out in (u, u.view()):
+            with pytest.raises(ValueError, match="overlap"):
+                eng.advance(u, eng.dt, out=out)
+        assert u.tobytes() == before.tobytes()
 
 
 class TestSchemeSandwich:
