@@ -52,7 +52,6 @@ import json
 import math
 import os
 import sys
-import traceback
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -756,6 +755,8 @@ def _write_outputs(cfg: SolverConfig, out_dir: str, effective: dict, sandwich: b
                 write_front_csv(extract_front(snap), paths[1])
                 code = 0
             except BaseException:
+                import traceback  # only a failed writer needs it
+
                 traceback.print_exc()
                 sys.stderr.flush()
             finally:
