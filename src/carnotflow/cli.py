@@ -39,7 +39,9 @@ verify would refuse.  A refused command writes nothing.
 
 evolve writes each snapshot's CSVs in one child process (POSIX os.fork)
 while the run keeps stepping; at most one such child is alive, and the last
-is reaped before evolve returns or raises.
+is reaped before evolve returns or raises.  The run itself may fork one
+worker process for half of each step's operator pass (see solver.run), so
+at most two children are alive at a time.
 
 Exit codes: 0 all checks pass / run completed; 1 scientific failure or
 instability; 2 unusable config or arguments.
@@ -51,6 +53,7 @@ import errno
 import json
 import math
 import os
+import select
 import sys
 from dataclasses import asdict, dataclass, replace
 
@@ -83,6 +86,7 @@ from .solver import (
     InitialSpec,
     SolverConfig,
     _has_positive_interior,
+    _report,
     extract_front,
     init,
     run,
@@ -721,8 +725,9 @@ def _write_outputs(cfg: SolverConfig, out_dir: str, effective: dict, sandwich: b
     At most one child is alive: the next snapshot first reaps the previous
     child, and the last one is reaped before this function returns or
     raises, so every file is complete when the summary or the partial-outputs
-    line is printed.  A child that fails prints its traceback and makes this
-    process raise OSError naming the file it could not write.
+    line is printed.  A child that fails sends the type and message of its
+    exception through a pipe, prints its traceback, and makes this process
+    raise OSError naming the file it could not write and carrying them.
     """
     record = sandwich and cfg.scheme == "regularized"
     os.makedirs(out_dir, exist_ok=True)
@@ -730,23 +735,33 @@ def _write_outputs(cfg: SolverConfig, out_dir: str, effective: dict, sandwich: b
         json.dump(effective, fh, indent=2)
         fh.write("\n")
 
-    child = {"i": 0, "pid": 0, "paths": ()}
+    child = {"i": 0, "pid": 0, "paths": (), "reply": -1}
 
     def reap():
         if child["pid"]:
             _, status = os.waitpid(child["pid"], 0)
             child["pid"] = 0
+            try:  # the child has exited: its report, if any, is in the pipe
+                error = os.read(child["reply"], select.PIPE_BUF).decode(errors="replace")
+            finally:
+                os.close(child["reply"])
             code = os.waitstatus_to_exitcode(status)
             if code:
                 path = child["paths"][code - 1 if 0 < code <= 2 else 0]
-                raise OSError(errno.EIO, f"snapshot writer exited {code}", path)
+                raise OSError(errno.EIO, f"snapshot writer exited {code}: {error or 'no report'}", path)
 
     def writer(snap):
         reap()
         i = child["i"]
         paths = child["paths"] = tuple(os.path.join(out_dir, f"{k}_{i:04d}.csv") for k in ("snap", "front"))
         child["i"] = i + 1
-        pid = os.fork()
+        reply, report = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(reply)
+            os.close(report)
+            raise
         if pid == 0:  # the child leaves through os._exit, never through the parent's code
             code = 1  # 1: the snapshot failed, 2: the front
             try:
@@ -754,14 +769,16 @@ def _write_outputs(cfg: SolverConfig, out_dir: str, effective: dict, sandwich: b
                 code = 2
                 write_front_csv(extract_front(snap), paths[1])
                 code = 0
-            except BaseException:
+            except BaseException as exc:
+                _report(report, exc)
                 import traceback  # only a failed writer needs it
 
                 traceback.print_exc()
                 sys.stderr.flush()
             finally:
                 os._exit(code)
-        child["pid"] = pid
+        os.close(report)
+        child["pid"], child["reply"] = pid, reply
 
     try:
         try:

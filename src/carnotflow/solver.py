@@ -45,15 +45,26 @@ max of its finiteness check.  `run` steps between a pair of slabs that it
 allocates once, so a step allocates no arrays of the grid's size: every
 ufunc writes into a held buffer (out=), in the order the expressions state.
 Held arrays start on 64-byte boundaries, so that step time does not depend
-on where malloc put them.  Chunks run in order in the calling thread; the
-arithmetic per node is fixed, so outputs are bit-identical from run to run
-and across processes.
+on where malloc put them.
+
+On a grid of two or more chunks, `run` forks one worker process (POSIX
+os.fork) that computes the later chunks, about half the interior nodes, of
+every operator pass while the parent computes the earlier ones.  The slabs
+and the sandwich arrays live in one anonymous shared mapping, so each
+process writes its rows where the other can read them; one byte on a pipe
+starts the worker's share of a step and one byte on a second pipe reports
+it done.  The arithmetic per node is fixed, whichever process runs it, so
+outputs are bit-identical from run to run, with or without the worker, and
+across processes.
 """
 from __future__ import annotations
 
 import itertools
 import math
+import mmap
 import operator
+import os
+import select
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
@@ -393,10 +404,11 @@ class Engine:
     one workspace for the derivative pass of a chunk, sized to the longest
     chunk and allocated on the first operator pass, so that a step
     allocates no chunk temporaries; calls on one engine must therefore not
-    overlap in time.  The arrays it allocates start on 64-byte boundaries,
-    and `_euler` updates a flat window of whole rows.  It holds no other
-    resources: `close` is a no-op that remains only for the benchmark's
-    callers in perfbench/.
+    overlap in time.  `run`'s worker process inherits the engine before
+    its first pass and allocates a workspace of its own.  The arrays it
+    allocates start on 64-byte boundaries, and `_euler` updates a flat
+    window of whole rows.  It holds no other resources: `close` is a no-op
+    that remains only for the benchmark's callers in perfbench/.
     """
 
     def __init__(self, config: SolverConfig):
@@ -581,6 +593,7 @@ class Engine:
         schemes: Sequence[str],
         gap: bool = False,
         out: list[npt.NDArray] | None = None,
+        chunks: Sequence[tuple[int, int]] | None = None,
     ) -> list[npt.NDArray]:
         """Op(u) on the interior for each scheme, from one derivative pass per chunk.
 
@@ -590,7 +603,9 @@ class Engine:
         where q = 0).  The arrays are new unless out, one array of the
         interior shape per result, is given; then they are written and
         returned.  An out array that overlaps u is refused: later chunks read
-        u where earlier chunks would have written.
+        u where earlier chunks would have written.  chunks, a subset of
+        self.chunks, restricts the pass to those rows; the other rows of out
+        are left as they are.
         """
         for scheme in schemes:
             if scheme not in SCHEMES:
@@ -602,7 +617,7 @@ class Engine:
         u = np.ascontiguousarray(u)  # the stencil windows slice it flat
         if out is None:
             out = [_aligned(tuple(r - 2 for r in u.shape)) for _ in range(len(schemes) + gap)]
-        for r0, r1 in self.chunks:
+        for r0, r1 in self.chunks if chunks is None else chunks:
             trA, qq, qAq, A = self._derivatives(u, r0, r1)
             w = self._workspace(r1 - r0)
             if gap:
@@ -684,6 +699,100 @@ def _has_positive_interior(values: npt.NDArray) -> bool:
     return bool(np.max(values[inner]) > 0.0)
 
 
+def _shared(shapes) -> list[npt.NDArray]:
+    """Zero-filled float arrays of the given shapes in one anonymous shared
+    mapping (MAP_SHARED), which a forked child reads and writes in common
+    with its parent.  The mapping starts on a page boundary and each array
+    on a 64-byte one, as the arrays of _aligned do."""
+    sizes = [-(-math.prod(shape) // 8) * 64 for shape in shapes]
+    mem = mmap.mmap(-1, sum(sizes), flags=mmap.MAP_SHARED)
+    starts = itertools.accumulate(sizes, initial=0)
+    return [np.frombuffer(mem, float, math.prod(shape), start).reshape(shape)
+            for shape, start in zip(shapes, starts)]
+
+
+def _report(fd: int, exc: BaseException) -> None:
+    """In a forked child that failed: write the type and message of exc to
+    fd, the write end of a pipe to its parent, in one write that the pipe
+    delivers whole."""
+    try:
+        os.write(fd, f"{type(exc).__name__}: {exc}".encode(errors="replace")[: select.PIPE_BUF])
+    except OSError:
+        pass  # the parent no longer reads
+
+
+_QUIT = b"q"
+
+
+class _Worker:
+    """One forked process that runs body(i) each time its parent sends it the
+    byte i, and replies with one zero byte when body returns.
+
+    wait() raises RuntimeError, carrying the type and message of the
+    child's exception, if body raised or the process ended without a reply.
+    stop() sends a quit byte and reaps the process: end of file alone would
+    not stop it, since a child forked by the parent meanwhile (a snapshot
+    writer) holds copies of the parent's pipe ends.  The child leaves only
+    through os._exit, never through its parent's code.
+    """
+
+    def __init__(self, body: Callable[[int], None]):
+        go, self._go = os.pipe()
+        self._done, done = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            for fd in (go, self._go, self._done, done):
+                os.close(fd)
+            raise
+        if self.pid == 0:
+            code = 1
+            try:
+                os.close(self._go)
+                os.close(self._done)
+                while (byte := os.read(go, 1)) not in (b"", _QUIT):
+                    body(byte[0])
+                    os.write(done, b"\0")
+                code = 0
+            except BaseException as exc:
+                _report(done, exc)
+            finally:
+                os._exit(code)
+        os.close(go)
+        os.close(done)
+
+    def start(self, i: int) -> None:
+        try:
+            os.write(self._go, bytes((i,)))
+        except BrokenPipeError:  # the worker has ended
+            raise self._ended(b"") from None
+
+    def wait(self) -> None:
+        reply = os.read(self._done, select.PIPE_BUF)
+        if reply != b"\0":
+            raise self._ended(reply)
+
+    def _ended(self, reply: bytes) -> RuntimeError:
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = 0
+        code = os.waitstatus_to_exitcode(status)
+        why = reply.decode(errors="replace") or f"it ended with status {code} and no reply"
+        return RuntimeError(f"solver worker failed: {why}")
+
+    def stop(self) -> None:
+        try:
+            if self.pid:
+                try:
+                    os.write(self._go, _QUIT)
+                except BrokenPipeError:
+                    pass
+                os.waitpid(self.pid, 0)
+                self.pid = 0
+        finally:
+            os.close(self._go)
+            os.close(self._done)
+
+
 def run(
     config: SolverConfig,
     record_sandwich: bool = False,
@@ -705,9 +814,15 @@ def run(
     rounding at any delta unless the schemes are out of order, or q = 0
     exactly where X2u is definite.
 
+    On a grid of two or more chunks, one worker process forked here
+    computes the later chunks of every step's operator pass (see the module
+    docstring); it is stopped and reaped before run returns or raises.
+
     Raises:
         RuntimeError: if values become nonfinite (CFL violated or data
-            outside the scheme's stability envelope).
+            outside the scheme's stability envelope), or if the worker
+            fails or ends; the message then carries the type and message
+            of the worker's exception.
     """
     if record_sandwich and config.scheme != "regularized":
         raise ValueError("sandwich recording reads the regularized trajectory")
@@ -731,52 +846,73 @@ def run(
 
     eng = Engine(config)
     t = 0.0
-    u = grid.values
-    # each step writes the slab of the pair that u is not, so grid.values,
-    # which snapshot 0 holds, is never written
-    slabs = (_aligned(u.shape, zero=True), _aligned(u.shape, zero=True))
+    # each step writes the slab of the pair that u is not; step 0 reads a
+    # copy of grid.values, which snapshot 0 holds and no step writes
+    shared = _shared([grid.values.shape] * 2 + [grid.values[inner].shape] * 3 * record_sandwich)
+    slabs, extra = shared[:2], shared[2:]
+    slabs[1][...] = grid.values
+    u = slabs[1]
     if record_sandwich:
-        op_min, op_max, op_gap, limit = (_aligned(u[inner].shape) for _ in range(4))
+        op_min, op_max, op_gap = extra
+        limit = _aligned(u[inner].shape)
+    schemes = SCHEMES if record_sandwich else (config.scheme,)
+
+    def operators(i: int, chunks) -> None:  # the pass from slab i into the other
+        out = [slabs[1 - i][inner], *extra]
+        eng.operators(slabs[i], schemes, gap=record_sandwich, out=out, chunks=chunks)
+
+    # the parent's chunks and the worker's, split where the interior nodes
+    # (as many per row in every chunk) come closest to halves
+    rows = [r1 - r0 for r0, r1 in eng.chunks]
+    split = min(range(1, len(rows) + 1), key=lambda k: abs(2 * sum(rows[:k]) - sum(rows)))
+    mine, theirs = eng.chunks[:split], eng.chunks[split:]
+    worker = _Worker(lambda i: operators(i, theirs)) if theirs else None
     se = config.snapshot_every
     next_snap = se if se > 0 else np.inf
-    while t < config.t_end - _TIME_SLOP * max(1.0, config.t_end):
-        dt = min(eng.dt, config.t_end - t)
-        new = slabs[steps % 2]
-        if record_sandwich:
-            base, update = u[inner], new[inner]
-            eng.operators(u, SCHEMES, gap=True, out=[update, op_min, op_max, op_gap])
+    try:
+        while t < config.t_end - _TIME_SLOP * max(1.0, config.t_end):
+            dt = min(eng.dt, config.t_end - t)
+            new = slabs[steps % 2]
+            if worker is not None:
+                worker.start(1 - steps % 2)
+            operators(1 - steps % 2, mine)
+            if worker is not None:
+                worker.wait()
             eng._euler(u, dt, new)
-            shift = np.multiply(op_gap, dt, out=op_gap)
-            np.subtract(update, shift, out=limit)  # the update with delta -> 0
-            # smallest operator -> largest update
-            hi = np.subtract(base, np.multiply(op_min, dt, out=op_min), out=op_min)
-            lo = np.subtract(base, np.multiply(op_max, dt, out=op_max), out=op_max)
-            violation = max(
-                violation,
-                float(np.max(np.subtract(lo, limit, out=lo), initial=0.0)),
-                float(np.max(np.subtract(limit, hi, out=hi), initial=0.0)),
-            )
-            gap = max(gap, float(np.max(np.abs(shift, out=shift), initial=0.0)))
-        else:
-            eng.advance(u, dt, out=new)
-        u = new
-        t += dt
-        steps += 1
-        top = np.max(u)
-        if not (math.isfinite(top) and math.isfinite(np.min(u))):
-            raise RuntimeError(
-                f"nonfinite values after step {steps} (t={t:.6g}); "
-                "reduce cfl or check the initial data"
-            )
-        if se > 0 and next_snap <= t + _TIME_SLOP:
-            next_snap += se
-            if next_snap <= t + _TIME_SLOP:  # cadence below dt: skip the passed marks at once
-                next_snap += se * np.floor((t + _TIME_SLOP - next_snap) / se + 1.0)
-            emit(GridField(config.box, u.copy(), t))
-        # the fill copied interior nodes onto the boundary: top is their max
-        if not top > 0.0:
-            extinct = t
-            break
+            if record_sandwich:
+                base, update = u[inner], new[inner]
+                shift = np.multiply(op_gap, dt, out=op_gap)
+                np.subtract(update, shift, out=limit)  # the update with delta -> 0
+                # smallest operator -> largest update
+                hi = np.subtract(base, np.multiply(op_min, dt, out=op_min), out=op_min)
+                lo = np.subtract(base, np.multiply(op_max, dt, out=op_max), out=op_max)
+                violation = max(
+                    violation,
+                    float(np.max(np.subtract(lo, limit, out=lo), initial=0.0)),
+                    float(np.max(np.subtract(limit, hi, out=hi), initial=0.0)),
+                )
+                gap = max(gap, float(np.max(np.abs(shift, out=shift), initial=0.0)))
+            u = new
+            t += dt
+            steps += 1
+            top = np.max(u)
+            if not (math.isfinite(top) and math.isfinite(np.min(u))):
+                raise RuntimeError(
+                    f"nonfinite values after step {steps} (t={t:.6g}); "
+                    "reduce cfl or check the initial data"
+                )
+            if se > 0 and next_snap <= t + _TIME_SLOP:
+                next_snap += se
+                if next_snap <= t + _TIME_SLOP:  # cadence below dt: skip the passed marks at once
+                    next_snap += se * np.floor((t + _TIME_SLOP - next_snap) / se + 1.0)
+                emit(GridField(config.box, u.copy(), t))
+            # the fill copied interior nodes onto the boundary: top is their max
+            if not top > 0.0:
+                extinct = t
+                break
+    finally:
+        if worker is not None:
+            worker.stop()
     if snapshots[-1].time < t:  # the final slab, unless the cadence just emitted it
         emit(GridField(config.box, u.copy(), t))
 

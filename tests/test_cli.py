@@ -634,6 +634,17 @@ class TestEvolve:
         write_inline(solver.run(cli.build_solver_config(SMALL_RUN, heisenberg())).snapshots[:1], ref)
         assert {k: v for k, v in csv_bytes(out).items() if k.endswith("_0000.csv")} == csv_bytes(ref)
 
+    def test_failed_write_carries_the_writers_error(self, tmp_path, monkeypatch):
+        # with sys.stderr no file, the child's traceback goes nowhere: the
+        # parent's OSError must carry the child's exception itself
+        out = tmp_path / "run"
+        (out / "snap_0001.csv").mkdir(parents=True)
+        monkeypatch.setattr(sys, "stderr", io.StringIO())
+        with pytest.raises(OSError, match="exited 1: IsADirectoryError: .*snap_0001.csv") as info:
+            main(["evolve", "--config", write_config(tmp_path, SMALL_RUN), "--out", str(out)])
+        assert info.value.filename == str(out / "snap_0001.csv")
+        assert_no_child()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_abort_reports_partial_outputs_once_they_are_complete(self, tmp_path, monkeypatch):
         # the step after snapshot 1 turns nonfinite; the front writer, which
@@ -642,7 +653,7 @@ class TestEvolve:
         emitted, on_disk = [], {}
         run_ = cli.run
         write_front = cli.write_front_csv
-        advance = Engine.advance
+        euler = Engine._euler
 
         def recorded_run(cfg, record_sandwich=False, on_snapshot=None):
             def emit(snap):
@@ -651,8 +662,8 @@ class TestEvolve:
 
             return run_(cfg, record_sandwich, emit)
 
-        def poisoned(self, u, dt, scheme=None, out=None):
-            new = advance(self, u, dt, scheme, out)
+        def poisoned(self, u, dt, new):
+            new = euler(self, u, dt, new)
             if len(emitted) == 2:
                 new[...] = np.nan
             return new
@@ -669,7 +680,7 @@ class TestEvolve:
 
         out = tmp_path / "run"
         monkeypatch.setattr(cli, "run", recorded_run)
-        monkeypatch.setattr(Engine, "advance", poisoned)
+        monkeypatch.setattr(Engine, "_euler", poisoned)
         monkeypatch.setattr(cli, "write_front_csv", slow_front)
         monkeypatch.setattr(sys, "stderr", Stderr())
         assert main(["evolve", "--config", write_config(tmp_path, SMALL_RUN), "--out", str(out)]) == 1

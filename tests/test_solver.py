@@ -1,9 +1,12 @@
 """Grid solver: stencils, schemes, stability, fronts, and CSV output."""
 
+import contextlib
 import dataclasses
 import functools
+import json
 import math
 import operator
+import os
 import signal
 import sys
 import tracemalloc
@@ -13,6 +16,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+import carnotflow.cli as cli
 import carnotflow.solver as solver
 from carnotflow import (
     Coord,
@@ -864,26 +868,208 @@ class TestRun:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_unstable_step_raises(self, monkeypatch):
-        orig_engine_init = Engine.__init__
-        orig_sample = solver._sample_initial
-
-        def oversized_dt(self, cfg):
-            orig_engine_init(self, cfg)
-            self.dt *= 1000.0
-
-        def seeded(cfg):
-            vals = orig_sample(cfg)
-            idx = np.indices(vals.shape).sum(axis=0)
-            bump = 1e3 * np.where(idx % 2 == 0, 1.0, -1.0)
-            vals[1:-1, 1:-1, 1:-1] += bump[1:-1, 1:-1, 1:-1]
-            return vals
-
-        monkeypatch.setattr(Engine, "__init__", oversized_dt)
-        monkeypatch.setattr(solver, "_sample_initial", seeded)
+        make_unstable(monkeypatch)
         cfg = config(initial=InitialSpec(r=-1.0), t_end=500.0)
         with pytest.raises(RuntimeError, match="nonfinite"):
             with np.errstate(all="ignore"):
                 run(cfg)
+
+
+def make_unstable(monkeypatch):
+    """A step 1000 times the stable dt on data with a checkerboard bump of
+    1e3, so that a run turns nonfinite within a few steps."""
+    orig_engine_init = Engine.__init__
+    orig_sample = solver._sample_initial
+
+    def oversized_dt(self, cfg):
+        orig_engine_init(self, cfg)
+        self.dt *= 1000.0
+
+    def seeded(cfg):
+        vals = orig_sample(cfg)
+        idx = np.indices(vals.shape).sum(axis=0)
+        bump = 1e3 * np.where(idx % 2 == 0, 1.0, -1.0)
+        vals[1:-1, 1:-1, 1:-1] += bump[1:-1, 1:-1, 1:-1]
+        return vals
+
+    monkeypatch.setattr(Engine, "__init__", oversized_dt)
+    monkeypatch.setattr(solver, "_sample_initial", seeded)
+
+
+@contextlib.contextmanager
+def deadline(seconds=20):
+    """Raise TimeoutError in this process if the block runs for longer."""
+    def too_slow(signum, frame):
+        raise TimeoutError(f"did not return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def counted_forks(monkeypatch):
+    """The pids that os.fork returns in this process from now on."""
+    pids, fork = [], os.fork
+
+    def recorded():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recorded)
+    return pids
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def serial_steps(cfg, sandwich, euler=Engine._euler):
+    """run's steps in this process, each an operators pass over every chunk
+    and an _euler update (the method as defined, whatever a test patches):
+    yields (t, slab) per step and returns what run returns besides its
+    snapshots."""
+    eng = Engine(cfg)
+    inner = (slice(1, -1),) * len(cfg.resolution)
+    schemes = solver.SCHEMES if sandwich else (cfg.scheme,)
+    u = init(cfg).values
+    t, steps, violation, gap, extinct = 0.0, 0, 0.0, 0.0, None
+    while t < cfg.t_end - 1e-12 * max(1.0, cfg.t_end):
+        dt = min(eng.dt, cfg.t_end - t)
+        ops = eng.operators(u, schemes, gap=sandwich)
+        new = np.zeros(cfg.resolution)
+        new[inner] = ops[0]
+        euler(eng, u, dt, new)
+        if sandwich:
+            shift = ops[3] * dt
+            limit = new[inner] - shift
+            hi, lo = u[inner] - ops[1] * dt, u[inner] - ops[2] * dt
+            violation = max(violation, float(np.max(lo - limit, initial=0.0)),
+                            float(np.max(limit - hi, initial=0.0)))
+            gap = max(gap, float(np.max(np.abs(shift), initial=0.0)))
+        u, t, steps = new, t + dt, steps + 1
+        yield t, u
+        if not np.max(u) > 0.0:
+            extinct = t
+            break
+    return (extinct, eng.dt, steps) + ((violation, gap) if sandwich else (None, None))
+
+
+class TestWorker:
+    """run on grids of two or more chunks, where a forked worker computes
+    the later chunks of every operator pass in shared slabs."""
+
+    @pytest.mark.parametrize("sandwich", [False, True])
+    @pytest.mark.parametrize("group", ["heisenberg", "m3n5"])
+    def test_run_equals_the_serial_steps_bit_for_bit(self, request, monkeypatch, group, sandwich):
+        # every slab the run's steps write, and every field of the result,
+        # equal those of one process stepping through all chunks: the 32^3
+        # gauge ball to extinction, and m3n5 in an odd number of chunks
+        cfg = dataclasses.replace(gauge_config(request, group), cfl=0.5, t_end=0.6,
+                                  delta_reg=1e-8 * math.sqrt(48.0))
+        if group == "m3n5":
+            monkeypatch.setattr(solver, "_CHUNK_NODES", 1120)  # two rows of 560 nodes
+        chunks = len(Engine(cfg).chunks)
+        assert chunks == (2 if group == "heisenberg" else 3)
+        reference = serial_steps(cfg, sandwich)
+        times, slabs = [], []
+        euler = Engine._euler
+
+        def compared(self, u, dt, new):
+            euler(self, u, dt, new)
+            t, slab = next(reference)
+            np.testing.assert_array_equal(new, slab)
+            times.append(t)
+            slabs[:] = [slab]
+            return new
+
+        monkeypatch.setattr(Engine, "_euler", compared)
+        pids = counted_forks(monkeypatch)
+        res = run(cfg, record_sandwich=sandwich)
+        with pytest.raises(StopIteration) as stop:
+            next(reference)
+        assert len(pids) == 1
+        assert (res.extinction_time, res.dt, res.n_steps,
+                res.sandwich_max_violation, res.regularization_gap) == stop.value.value
+        assert res.n_steps == len(times) > 5
+        assert res.extinction_time == times[-1]
+        assert [snap.time for snap in res.snapshots] == [0.0, times[-1]]
+        np.testing.assert_array_equal(res.snapshots[0].values, init(cfg).values)
+        np.testing.assert_array_equal(res.snapshots[-1].values, slabs[0])
+
+    def test_a_grid_of_one_chunk_forks_nothing(self, monkeypatch):
+        cfg = config(res=12)
+        assert len(Engine(cfg).chunks) == 1
+        pids = counted_forks(monkeypatch)
+        for sandwich in (False, True):
+            assert run(cfg, record_sandwich=sandwich).n_steps > 1
+        assert pids == []
+
+    def test_a_killed_worker_makes_run_raise(self, monkeypatch):
+        pids = counted_forks(monkeypatch)
+
+        def kill(snap):
+            if snap.time > 0.0 and len(pids) == 1:
+                os.kill(pids.pop(), signal.SIGKILL)
+
+        with deadline(20):
+            with pytest.raises(RuntimeError, match="worker failed: .* status -9"):
+                run(config(res=32, t_end=1.0, snapshot_every=1e-9), on_snapshot=kill)
+        assert pids == []
+        assert_no_child()
+
+    def test_the_workers_exception_reaches_run(self, monkeypatch):
+        parent, operators = os.getpid(), Engine.operators
+
+        def failing(self, *args, **kwargs):
+            if os.getpid() != parent:
+                raise ZeroDivisionError("the worker's share")
+            return operators(self, *args, **kwargs)
+
+        monkeypatch.setattr(Engine, "operators", failing)
+        with deadline(20):
+            with pytest.raises(RuntimeError, match="ZeroDivisionError: the worker's share"):
+                run(config(res=32))
+        assert_no_child()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_unstable_step_leaves_no_child(self, monkeypatch):
+        make_unstable(monkeypatch)
+        cfg = config(res=32, initial=InitialSpec(r=-1.0), t_end=500.0)
+        assert len(Engine(cfg).chunks) == 2
+        pids = counted_forks(monkeypatch)
+        with deadline(20):
+            with pytest.raises(RuntimeError, match="nonfinite"):
+                with np.errstate(all="ignore"):
+                    run(cfg)
+        assert len(pids) == 1
+        assert_no_child()
+
+    def test_evolve_writes_every_step_alongside_the_worker(self, tmp_path, capsys, monkeypatch):
+        # a snapshot writer forked at every step, while the worker runs:
+        # evolve returns with no child left, and writes the run's bytes
+        doc = {"domain": {"box": [[-2, 2]] * 3, "resolution": [32] * 3},
+               "run": {"t_end": 0.001, "snapshot_every": 1e-9}}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        pids = counted_forks(monkeypatch)
+        with deadline(20):
+            assert cli.main(["evolve", "--config", str(path), "--out", str(tmp_path / "run")]) == 0
+        monkeypatch.undo()
+        assert_no_child()
+        snapshots = run(cli.build_solver_config(doc, heisenberg())).snapshots
+        assert len(pids) == 1 + len(snapshots) > 5
+        for i, snap in enumerate(snapshots):
+            write_snapshot_csv(snap, tmp_path / "ref.csv")
+            written = tmp_path / "run" / f"snap_{i:04d}.csv"
+            assert written.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
 
 
 class TestFront:
