@@ -40,22 +40,26 @@ Each difference reads u contiguously, over a flat window of whole rows
 (boundary columns included), and only its interior nodes are divided into
 the chunk workspace that the Engine holds.  The Euler update runs over a
 flat window of whole rows too, and the boundary fill then overwrites the
-boundary columns it passed over, so `run` takes extinction from the slab
-max of its finiteness check.  `run` steps between a pair of slabs that it
+boundary columns it passed over, so `run` takes extinction from the row
+maxima of its finiteness check.  `run` steps between a pair of slabs that it
 allocates once, so a step allocates no arrays of the grid's size: every
 ufunc writes into a held buffer (out=), in the order the expressions state.
 Held arrays start on 64-byte boundaries, so that step time does not depend
 on where malloc put them.
 
 On a grid of two or more chunks, `run` forks one worker process (POSIX
-os.fork) that computes the later chunks, about half the interior nodes, of
-every operator pass while the parent computes the earlier ones.  The slabs
-and the sandwich arrays live in one anonymous shared mapping, so each
-process writes its rows where the other can read them; one byte on a pipe
-starts the worker's share of a step and one byte on a second pipe reports
-it done.  The arithmetic per node is fixed, whichever process runs it, so
-outputs are bit-identical from run to run, with or without the worker, and
-across processes.
+os.fork) that steps the later rows of axis 0, about half the interior
+nodes, while the parent steps the earlier ones.  Each process runs the
+operator pass over its chunks, the Euler update over its rows, the fill of
+the boundary faces on its rows (row 0 is the parent's, row N_0 - 1 the
+worker's), and the sandwich bracket on its interior rows.  The slabs and
+the sandwich arrays live in one anonymous shared mapping, so each process
+writes its rows where the other reads them at the next step.  A go message
+on a pipe carries the slab that is u and dt; the reply on a second pipe
+carries the worker's max u, min u, violation and gap, from which the parent
+decides finiteness, extinction and the sandwich maxima.  The arithmetic per
+node is fixed, whichever process runs it, so outputs are bit-identical from
+run to run, with or without the worker, and across processes.
 """
 from __future__ import annotations
 
@@ -65,6 +69,7 @@ import mmap
 import operator
 import os
 import select
+import struct
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
@@ -443,9 +448,10 @@ class Engine:
         nchunks = -(-rows // max(1, _CHUNK_NODES // row_nodes))
         bounds = np.linspace(1, rows + 1, nchunks + 1).astype(int)
         self.chunks = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
-        # the Euler update's flat window: the chunks' win[()] (see _stage) joined
-        margin = sum(math.prod(config.resolution[a + 1 :]) for a in range(g.n))
-        self._window = slice(margin, math.prod(config.resolution) - margin)
+        # nodes per row of axis 0, and by which a chunk's win[()] (see _stage)
+        # starts after its first row's start and ends before its last's end
+        self._row = math.prod(config.resolution[1:])
+        self._rim = sum(math.prod(config.resolution[a + 1 :]) for a in range(1, g.n))
         self._stages: dict = {}
         self._held: tuple | None = None  # the chunk workspace, see _workspace
         self._views: dict = {}
@@ -664,20 +670,30 @@ class Engine:
         self.operator(u, scheme, out=new[(slice(1, -1),) * u.ndim])
         return self._euler(u, dt, new)
 
-    def _euler(self, u: npt.NDArray, dt: float, new: npt.NDArray) -> npt.NDArray:
+    def _euler(self, u: npt.NDArray, dt: float, new: npt.NDArray, rows=None) -> npt.NDArray:
         """Turn new (C-contiguous), which holds op = Op(u) on its interior,
-        into u - dt * op there, in place, over whole rows; boundary nodes,
-        columns passed over included, then copy their neighbor."""
-        n = u.ndim
-        step = new.reshape(-1)[self._window]
-        np.subtract(u.reshape(-1)[self._window], np.multiply(step, dt, out=step), out=step)
-        for a in range(n):
+        into u - dt * op there, in place, over whole rows r0..r1-1 of axis 0
+        (rows = (r0, r1); default all rows).  Boundary nodes on those rows,
+        columns passed over included, then copy their neighbor: row 0 or row
+        N_0 - 1 if the range holds it, then the faces of the other axes.
+        Ranges that tile the rows give the bits of one call over all rows."""
+        n, size = u.ndim, u.shape[0]
+        r0, r1 = (0, size) if rows is None else rows
+        window = slice(max(r0, 1) * self._row + self._rim, min(r1, size - 1) * self._row - self._rim)
+        step = new.reshape(-1)[window]
+        np.subtract(u.reshape(-1)[window], np.multiply(step, dt, out=step), out=step)
+        if r0 == 0:
+            new[0] = new[1]
+        if r1 == size:
+            new[-1] = new[-2]
+        part = new[r0:r1]
+        for a in range(1, n):
             idx_lo = [slice(None)] * n
             idx_hi = [slice(None)] * n
             idx_lo[a], idx_hi[a] = 0, 1
-            new[tuple(idx_lo)] = new[tuple(idx_hi)]
+            part[tuple(idx_lo)] = part[tuple(idx_hi)]
             idx_lo[a], idx_hi[a] = -1, -2
-            new[tuple(idx_lo)] = new[tuple(idx_hi)]
+            part[tuple(idx_lo)] = part[tuple(idx_hi)]
         return new
 
 
@@ -722,21 +738,24 @@ def _report(fd: int, exc: BaseException) -> None:
 
 
 _QUIT = b"q"
+_GO = struct.Struct("=Bd")  # the slab that is u, and dt
+_REPLY = struct.Struct("=c4d")  # a zero byte, then body's max u, min u, violation, gap
 
 
 class _Worker:
-    """One forked process that runs body(i) each time its parent sends it the
-    byte i, and replies with one zero byte when body returns.
+    """One forked process that runs body(i, dt) each time its parent sends it
+    the go message (i, dt), and replies with a zero byte and the four floats
+    body returns, in one write that the pipe delivers whole.
 
-    wait() raises RuntimeError, carrying the type and message of the
-    child's exception, if body raised or the process ended without a reply.
-    stop() sends a quit byte and reaps the process: end of file alone would
-    not stop it, since a child forked by the parent meanwhile (a snapshot
-    writer) holds copies of the parent's pipe ends.  The child leaves only
-    through os._exit, never through its parent's code.
+    wait() returns those floats.  It raises RuntimeError, carrying the type
+    and message of the child's exception, if body raised or the process
+    ended without a reply.  stop() sends a quit byte and reaps the process:
+    end of file alone would not stop it, since a child forked by the parent
+    meanwhile (a snapshot writer) holds copies of the parent's pipe ends.
+    The child leaves only through os._exit, never through its parent's code.
     """
 
-    def __init__(self, body: Callable[[int], None]):
+    def __init__(self, body: Callable[[int, float], tuple[float, ...]]):
         go, self._go = os.pipe()
         self._done, done = os.pipe()
         try:
@@ -750,9 +769,8 @@ class _Worker:
             try:
                 os.close(self._go)
                 os.close(self._done)
-                while (byte := os.read(go, 1)) not in (b"", _QUIT):
-                    body(byte[0])
-                    os.write(done, b"\0")
+                while len(message := os.read(go, _GO.size)) == _GO.size:
+                    os.write(done, _REPLY.pack(b"\0", *body(*_GO.unpack(message))))
                 code = 0
             except BaseException as exc:
                 _report(done, exc)
@@ -761,16 +779,17 @@ class _Worker:
         os.close(go)
         os.close(done)
 
-    def start(self, i: int) -> None:
+    def start(self, i: int, dt: float) -> None:
         try:
-            os.write(self._go, bytes((i,)))
+            os.write(self._go, _GO.pack(i, dt))
         except BrokenPipeError:  # the worker has ended
             raise self._ended(b"") from None
 
-    def wait(self) -> None:
+    def wait(self) -> tuple[float, ...]:
         reply = os.read(self._done, select.PIPE_BUF)
-        if reply != b"\0":
+        if len(reply) != _REPLY.size or reply[:1] != b"\0":
             raise self._ended(reply)
+        return _REPLY.unpack(reply)[1:]
 
     def _ended(self, reply: bytes) -> RuntimeError:
         _, status = os.waitpid(self.pid, 0)
@@ -814,9 +833,14 @@ def run(
     rounding at any delta unless the schemes are out of order, or q = 0
     exactly where X2u is definite.
 
-    On a grid of two or more chunks, one worker process forked here
-    computes the later chunks of every step's operator pass (see the module
-    docstring); it is stopped and reaped before run returns or raises.
+    On a grid of two or more chunks, one worker process forked here steps
+    the later rows of axis 0 while this process steps the earlier ones (see
+    the module docstring): each updates, fills and brackets its own rows
+    and returns their max u, min u, violation and gap.  A one-chunk grid
+    runs the same step over all rows and forks nothing.  The slab is
+    finite if each part's max and min are, and has gone extinct if the
+    larger max is not positive.  The worker is stopped and reaped before
+    run returns or raises.
 
     Raises:
         RuntimeError: if values become nonfinite (CFL violated or data
@@ -856,58 +880,67 @@ def run(
         op_min, op_max, op_gap = extra
         limit = _aligned(u[inner].shape)
     schemes = SCHEMES if record_sandwich else (config.scheme,)
+    size = config.resolution[0]
 
-    def operators(i: int, chunks) -> None:  # the pass from slab i into the other
-        out = [slabs[1 - i][inner], *extra]
-        eng.operators(slabs[i], schemes, gap=record_sandwich, out=out, chunks=chunks)
+    def step(i: int, dt: float, chunks, r0: int, r1: int) -> tuple[float, ...]:
+        """The step from slab i into the other on rows r0..r1-1 of axis 0: the
+        operator pass over chunks (their interior rows), the Euler update and
+        fill, and the sandwich bracket.  Returns the rows' max u and min u and
+        the bracket's violation and gap."""
+        u, new = slabs[i], slabs[1 - i]
+        eng.operators(u, schemes, gap=record_sandwich, out=[new[inner], *extra], chunks=chunks)
+        eng._euler(u, dt, new, (r0, r1))
+        violation = gap = 0.0
+        if record_sandwich:
+            own = slice(max(r0, 1) - 1, min(r1, size - 1) - 1)  # the interior rows
+            base, update = u[inner][own], new[inner][own]
+            low, high, shift, lim = (a[own] for a in (op_min, op_max, op_gap, limit))
+            np.multiply(shift, dt, out=shift)
+            np.subtract(update, shift, out=lim)  # the update with delta -> 0
+            # smallest operator -> largest update
+            hi = np.subtract(base, np.multiply(low, dt, out=low), out=low)
+            lo = np.subtract(base, np.multiply(high, dt, out=high), out=high)
+            violation = max(float(np.max(np.subtract(lo, lim, out=lo), initial=0.0)),
+                            float(np.max(np.subtract(lim, hi, out=hi), initial=0.0)))
+            gap = float(np.max(np.abs(shift, out=shift), initial=0.0))
+        return float(np.max(new[r0:r1])), float(np.min(new[r0:r1])), violation, gap
 
-    # the parent's chunks and the worker's, split where the interior nodes
-    # (as many per row in every chunk) come closest to halves
+    # the parent's chunks and rows and the worker's, split where the interior
+    # nodes (as many per row in every chunk) come closest to halves
     rows = [r1 - r0 for r0, r1 in eng.chunks]
     split = min(range(1, len(rows) + 1), key=lambda k: abs(2 * sum(rows[:k]) - sum(rows)))
     mine, theirs = eng.chunks[:split], eng.chunks[split:]
-    worker = _Worker(lambda i: operators(i, theirs)) if theirs else None
+    cut = theirs[0][0] if theirs else size
+    worker = _Worker(lambda i, dt: step(i, dt, theirs, cut, size)) if theirs else None
     se = config.snapshot_every
     next_snap = se if se > 0 else np.inf
     try:
         while t < config.t_end - _TIME_SLOP * max(1.0, config.t_end):
             dt = min(eng.dt, config.t_end - t)
-            new = slabs[steps % 2]
+            i = 1 - steps % 2  # the slab that is u
             if worker is not None:
-                worker.start(1 - steps % 2)
-            operators(1 - steps % 2, mine)
+                worker.start(i, dt)
+            parts = [step(i, dt, mine, 0, cut)]
             if worker is not None:
-                worker.wait()
-            eng._euler(u, dt, new)
-            if record_sandwich:
-                base, update = u[inner], new[inner]
-                shift = np.multiply(op_gap, dt, out=op_gap)
-                np.subtract(update, shift, out=limit)  # the update with delta -> 0
-                # smallest operator -> largest update
-                hi = np.subtract(base, np.multiply(op_min, dt, out=op_min), out=op_min)
-                lo = np.subtract(base, np.multiply(op_max, dt, out=op_max), out=op_max)
-                violation = max(
-                    violation,
-                    float(np.max(np.subtract(lo, limit, out=lo), initial=0.0)),
-                    float(np.max(np.subtract(limit, hi, out=hi), initial=0.0)),
-                )
-                gap = max(gap, float(np.max(np.abs(shift, out=shift), initial=0.0)))
-            u = new
+                parts.append(worker.wait())
+            u = slabs[1 - i]
             t += dt
             steps += 1
-            top = np.max(u)
-            if not (math.isfinite(top) and math.isfinite(np.min(u))):
+            # each part's own max and min: max() over a nan depends on the order
+            tops, bottoms, violations, gaps = zip(*parts)
+            if not all(map(math.isfinite, tops + bottoms)):
                 raise RuntimeError(
                     f"nonfinite values after step {steps} (t={t:.6g}); "
                     "reduce cfl or check the initial data"
                 )
+            violation, gap = max(violation, *violations), max(gap, *gaps)
             if se > 0 and next_snap <= t + _TIME_SLOP:
                 next_snap += se
                 if next_snap <= t + _TIME_SLOP:  # cadence below dt: skip the passed marks at once
                     next_snap += se * np.floor((t + _TIME_SLOP - next_snap) / se + 1.0)
                 emit(GridField(config.box, u.copy(), t))
-            # the fill copied interior nodes onto the boundary: top is their max
-            if not top > 0.0:
+            # the fill copied interior nodes onto the boundary: the tops are their max
+            if not max(tops) > 0.0:
                 extinct = t
                 break
     finally:

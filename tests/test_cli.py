@@ -662,10 +662,10 @@ class TestEvolve:
 
             return run_(cfg, record_sandwich, emit)
 
-        def poisoned(self, u, dt, new):
-            new = euler(self, u, dt, new)
+        def poisoned(self, u, dt, new, rows):
+            new = euler(self, u, dt, new, rows)
             if len(emitted) == 2:
-                new[...] = np.nan
+                new[rows[0] : rows[1]] = np.nan
             return new
 
         def slow_front(cloud, path):

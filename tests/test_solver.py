@@ -758,19 +758,20 @@ class TestRun:
 
     @pytest.mark.parametrize("sandwich", [False, True])
     def test_snapshots_own_their_values(self, monkeypatch, sandwich):
-        # steps write a reused pair of slabs; what on_snapshot saw (copied
-        # then) is what the run returns, no snapshot shares memory with
-        # another or with a slab, and snapshot 0 keeps the initial data
+        # steps write a reused pair of slabs (run's u at the end of a step);
+        # what on_snapshot saw (copied then) is what the run returns, no
+        # snapshot shares memory with another or with a slab, and snapshot 0
+        # keeps the initial data
         slabs, seen = {}, []
-        euler = Engine._euler
 
-        def recorded(self, u, dt, new):
-            slabs[id(new)] = new
-            return euler(self, u, dt, new)
+        def recorded(snap):
+            seen.append(snap.values.copy())
+            u = run_locals().get("u")  # unbound before the first step
+            if u is not None:
+                slabs[id(u)] = u
 
-        monkeypatch.setattr(Engine, "_euler", recorded)
         cfg = config(res=10, t_end=0.01, snapshot_every=1e-9)
-        res = run(cfg, record_sandwich=sandwich, on_snapshot=lambda g: seen.append(g.values.copy()))
+        res = run(cfg, record_sandwich=sandwich, on_snapshot=recorded)
         assert res.n_steps > 2 and len(res.snapshots) == res.n_steps + 1 == len(seen)
         assert len(slabs) == 2
         for values, snap in zip(seen, res.snapshots):
@@ -807,30 +808,26 @@ class TestRun:
         assert max(rises[3:]) < 3 * grid, [round(r / grid, 2) for r in rises]
 
     @pytest.mark.parametrize("group", ["heisenberg", "m3n5"])
-    def test_held_arrays_start_on_64_byte_boundaries(self, request, monkeypatch, group):
+    def test_held_arrays_start_on_64_byte_boundaries(self, request, group):
         # after a plain and a sandwich step: both slabs, the sandwich arrays
-        # (read from run's frame when it calls _euler), every float view of
-        # the chunk workspace at each row count and the first element of
+        # (read from run's frame at the end of each step), every float view
+        # of the chunk workspace at each row count and the first element of
         # each flat window lie on a 64-byte boundary, wherever malloc put them
         held = {}
-        euler = Engine._euler
 
-        def recorded(self, u, dt, new):
-            frame = sys._getframe(1)
-            while frame.f_code.co_name != "run":
-                frame = frame.f_back
+        def recorded(snap):
             names = ("op_min", "op_max", "op_gap", "limit")
-            held.update((name, frame.f_locals[name]) for name in names if name in frame.f_locals)
-            held[id(new)] = new
-            held["engine"] = self
-            return euler(self, u, dt, new)
+            frame = run_locals()
+            if "u" in frame:  # after a step: u is the slab it wrote
+                held.update((name, frame[name]) for name in names if name in frame)
+                held[id(frame["u"])] = frame["u"]
+                held["engine"] = frame["eng"]
 
-        monkeypatch.setattr(Engine, "_euler", recorded)
         cfg = gauge_config(request, group)
-        cfg = dataclasses.replace(cfg, t_end=2.5 * Engine(cfg).dt)
+        cfg = dataclasses.replace(cfg, t_end=2.5 * Engine(cfg).dt, snapshot_every=1e-9)
         for sandwich in (False, True):
             held.clear()
-            assert run(cfg, record_sandwich=sandwich).n_steps == 3
+            assert run(cfg, record_sandwich=sandwich, on_snapshot=recorded).n_steps == 3
             eng = held.pop("engine")
             views = {}
             for rows in range(1, 1 + max(r1 - r0 for r0, r1 in eng.chunks)):
@@ -894,6 +891,15 @@ def make_unstable(monkeypatch):
 
     monkeypatch.setattr(Engine, "__init__", oversized_dt)
     monkeypatch.setattr(solver, "_sample_initial", seeded)
+
+
+def run_locals():
+    """The local variables of the innermost run call on the caller's stack:
+    from on_snapshot, what run holds at the end of a step."""
+    frame = sys._getframe(1)
+    while frame.f_code.co_name != "run":
+        frame = frame.f_back
+    return frame.f_locals
 
 
 @contextlib.contextmanager
@@ -961,6 +967,33 @@ def serial_steps(cfg, sandwich, euler=Engine._euler):
     return (extinct, eng.dt, steps) + ((violation, gap) if sandwich else (None, None))
 
 
+def run_against_serial_steps(monkeypatch, cfg, sandwich):
+    """run cfg with a snapshot after every step, which must equal the slab of
+    serial_steps bit for bit, with one worker forked; every result field
+    must equal serial_steps' too.  Returns the result, the step times and
+    the last slab of serial_steps."""
+    reference = serial_steps(cfg, sandwich)
+    times, slabs = [], []
+
+    def compared(snap):
+        if snap.time > 0.0:
+            t, slab = next(reference)
+            np.testing.assert_array_equal(snap.values, slab)
+            assert snap.time == t
+            times.append(t)
+            slabs[:] = [slab]
+
+    pids = counted_forks(monkeypatch)
+    res = run(dataclasses.replace(cfg, snapshot_every=1e-9), record_sandwich=sandwich,
+              on_snapshot=compared)
+    with pytest.raises(StopIteration) as stop:
+        next(reference)
+    assert len(pids) == 1
+    assert (res.extinction_time, res.dt, res.n_steps,
+            res.sandwich_max_violation, res.regularization_gap) == stop.value.value
+    return res, times, slabs[0]
+
+
 class TestWorker:
     """run on grids of two or more chunks, where a forked worker computes
     the later chunks of every operator pass in shared slabs."""
@@ -977,31 +1010,25 @@ class TestWorker:
             monkeypatch.setattr(solver, "_CHUNK_NODES", 1120)  # two rows of 560 nodes
         chunks = len(Engine(cfg).chunks)
         assert chunks == (2 if group == "heisenberg" else 3)
-        reference = serial_steps(cfg, sandwich)
-        times, slabs = [], []
-        euler = Engine._euler
-
-        def compared(self, u, dt, new):
-            euler(self, u, dt, new)
-            t, slab = next(reference)
-            np.testing.assert_array_equal(new, slab)
-            times.append(t)
-            slabs[:] = [slab]
-            return new
-
-        monkeypatch.setattr(Engine, "_euler", compared)
-        pids = counted_forks(monkeypatch)
-        res = run(cfg, record_sandwich=sandwich)
-        with pytest.raises(StopIteration) as stop:
-            next(reference)
-        assert len(pids) == 1
-        assert (res.extinction_time, res.dt, res.n_steps,
-                res.sandwich_max_violation, res.regularization_gap) == stop.value.value
+        res, times, slab = run_against_serial_steps(monkeypatch, cfg, sandwich)
         assert res.n_steps == len(times) > 5
         assert res.extinction_time == times[-1]
-        assert [snap.time for snap in res.snapshots] == [0.0, times[-1]]
+        assert [snap.time for snap in res.snapshots] == [0.0, *times]
         np.testing.assert_array_equal(res.snapshots[0].values, init(cfg).values)
-        np.testing.assert_array_equal(res.snapshots[-1].values, slabs[0])
+        np.testing.assert_array_equal(res.snapshots[-1].values, slab)
+
+    @pytest.mark.parametrize("sandwich", [False, True])
+    def test_a_final_shorter_step_equals_the_serial_steps_bit_for_bit(self, request, monkeypatch, sandwich):
+        # t_end off the dt lattice: the last step is half as long, and the
+        # worker must take its dt from the step, not from the engine
+        cfg = gauge_config(request, "heisenberg")
+        dt = Engine(cfg).dt
+        cfg = dataclasses.replace(cfg, t_end=5.5 * dt)
+        res, times, slab = run_against_serial_steps(monkeypatch, cfg, sandwich)
+        assert res.n_steps == len(times) == 6 and res.extinction_time is None
+        assert times[-1] - times[-2] == pytest.approx(0.5 * dt, rel=1e-9)
+        assert [snap.time for snap in res.snapshots] == [0.0, *times]
+        np.testing.assert_array_equal(res.snapshots[-1].values, slab)
 
     def test_a_grid_of_one_chunk_forks_nothing(self, monkeypatch):
         cfg = config(res=12)
@@ -1037,6 +1064,44 @@ class TestWorker:
             with pytest.raises(RuntimeError, match="ZeroDivisionError: the worker's share"):
                 run(config(res=32))
         assert_no_child()
+
+    @pytest.mark.parametrize("process", ["worker", "parent"])
+    def test_a_nan_in_one_process_rows_makes_run_raise(self, monkeypatch, process):
+        # one nan at the first step, written by one process into the operator
+        # value of a node in its own rows, fails the finiteness check that
+        # combines the two processes' maxima and minima
+        parent, operators = os.getpid(), Engine.operators
+
+        def poisoned(self, u, schemes, gap=False, out=None, chunks=None):
+            out = operators(self, u, schemes, gap, out, chunks)
+            if (os.getpid() == parent) == (process == "parent"):
+                r0, r1 = chunks[len(chunks) // 2]
+                out[0][(r0 + r1) // 2 - 1, 5, 5] = np.nan
+            return out
+
+        monkeypatch.setattr(Engine, "operators", poisoned)
+        pids = counted_forks(monkeypatch)
+        with deadline(20):
+            with pytest.raises(RuntimeError, match="nonfinite values after step 1 "):
+                run(config(res=32))
+        assert len(pids) == 1
+        assert_no_child()
+
+    @pytest.mark.parametrize("sandwich", [False, True])
+    def test_extinction_in_the_workers_rows_only(self, monkeypatch, sandwich):
+        # a ball whose nodes are all in the worker's rows: the run goes
+        # extinct when the serial steps do, not when the parent's rows are,
+        # and the sandwich maxima, taken where the ball is, are serial's
+        def off_center(cfg):
+            x = np.meshgrid(*solver._axis_coords(cfg), indexing="ij")
+            return 0.25 - (x[0] - 1.0) ** 2 - x[1] ** 2 - x[2] ** 2
+
+        monkeypatch.setattr(solver, "_sample_initial", off_center)
+        cfg = config(res=32, cfl=0.5, t_end=1.0)
+        cut = Engine(cfg).chunks[1][0]
+        res, times, _ = run_against_serial_steps(monkeypatch, cfg, sandwich)
+        assert res.extinction_time == times[-1] and res.n_steps > 5
+        assert max(np.max(snap.values[:cut]) for snap in res.snapshots) < 0.0
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_unstable_step_leaves_no_child(self, monkeypatch):
