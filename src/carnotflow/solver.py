@@ -448,8 +448,8 @@ class Engine:
         nchunks = -(-rows // max(1, _CHUNK_NODES // row_nodes))
         bounds = np.linspace(1, rows + 1, nchunks + 1).astype(int)
         self.chunks = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
-        # nodes per row of axis 0, and by which a chunk's win[()] (see _stage)
-        # starts after its first row's start and ends before its last's end
+        # nodes per row of axis 0, and how far a row range's flat window (a
+        # chunk's win[()], see _stage) lies inside the range's first and last row
         self._row = math.prod(config.resolution[1:])
         self._rim = sum(math.prod(config.resolution[a + 1 :]) for a in range(1, g.n))
         self._stages: dict = {}

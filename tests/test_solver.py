@@ -757,7 +757,7 @@ class TestRun:
         assert seen == [s.time for s in res.snapshots]
 
     @pytest.mark.parametrize("sandwich", [False, True])
-    def test_snapshots_own_their_values(self, monkeypatch, sandwich):
+    def test_snapshots_own_their_values(self, sandwich):
         # steps write a reused pair of slabs (run's u at the end of a step);
         # what on_snapshot saw (copied then) is what the run returns, no
         # snapshot shares memory with another or with a slab, and snapshot 0
@@ -995,8 +995,8 @@ def run_against_serial_steps(monkeypatch, cfg, sandwich):
 
 
 class TestWorker:
-    """run on grids of two or more chunks, where a forked worker computes
-    the later chunks of every operator pass in shared slabs."""
+    """run on grids of two or more chunks, where a forked worker steps the
+    later rows of every step in shared slabs."""
 
     @pytest.mark.parametrize("sandwich", [False, True])
     @pytest.mark.parametrize("group", ["heisenberg", "m3n5"])
