@@ -822,7 +822,7 @@ def cmd_extinction(args) -> int:
     doc = load_config(args.config)
     cfg = build_solver_config(doc, build_group(doc))
     _check_initial(cfg)
-    result = run(cfg)
+    result = run(replace(cfg, snapshot_every=0.0))  # snapshots never change the steps
     if result.extinction_time is not None:
         print(f"extinction: t={result.extinction_time:.6g}")
     else:

@@ -405,11 +405,12 @@ class _Workspace(NamedTuple):
 class Engine:
     """Stencil data and step buffers for one (group, grid, scheme) combination.
 
-    Reusable across steps; `run` builds one internally.  The engine holds
-    one workspace for the derivative pass of a chunk, sized to the longest
-    chunk and allocated on the first operator pass, so that a step
-    allocates no chunk temporaries; calls on one engine must therefore not
-    overlap in time.  `run`'s worker process inherits the engine before
+    Reusable across steps; `run` builds one internally.  A step is
+    `operators` into the interior of the next slab, then `_euler`.  The
+    engine holds one workspace for the derivative pass of a chunk, sized to
+    the longest chunk and allocated on the first operator pass, so that a
+    step allocates no chunk temporaries; calls on one engine must therefore
+    not overlap in time.  `run`'s worker process inherits the engine before
     its first pass and allocates a workspace of its own.  The arrays it
     allocates start on 64-byte boundaries, and `_euler` updates a flat
     window of whole rows.  It holds no other resources: `close` is a no-op
@@ -642,33 +643,6 @@ class Engine:
                 else:
                     block[...] = bounds.lower if scheme == "envelope_min" else bounds.upper
         return out
-
-    def operator(
-        self, u: npt.NDArray, scheme: str | None = None, out: npt.NDArray | None = None
-    ) -> npt.NDArray:
-        """Spatial operator Op(u) on the interior (shape resolution - 2), new
-        unless written into out."""
-        scheme = self.config.scheme if scheme is None else scheme
-        return self.operators(u, (scheme,), out=None if out is None else [out])[0]
-
-    def advance(
-        self,
-        u: npt.NDArray,
-        dt: float,
-        scheme: str | None = None,
-        out: npt.NDArray | None = None,
-    ) -> npt.NDArray:
-        """One forward-Euler update with nearest-interior boundary fill, new
-        unless written into out (a C-contiguous array of u's shape that does
-        not overlap u, whose boundary nodes the update may read before it
-        fills them)."""
-        if out is not None and not out.flags.c_contiguous:
-            raise ValueError("out must be C-contiguous")
-        if out is not None and np.may_share_memory(u, out):
-            raise ValueError("out must not overlap u")
-        new = _aligned(u.shape, zero=True) if out is None else out
-        self.operator(u, scheme, out=new[(slice(1, -1),) * u.ndim])
-        return self._euler(u, dt, new)
 
     def _euler(self, u: npt.NDArray, dt: float, new: npt.NDArray, rows=None) -> npt.NDArray:
         """Turn new (C-contiguous), which holds op = Op(u) on its interior,
@@ -1039,7 +1013,7 @@ def residual_on_exact(
     eng = Engine(config)
     for t in times:
         u = spec.c * t - rh2 + spec.r
-        op = eng.operator(u)
+        op = eng.operators(u, (config.scheme,))[0]
         worst = max(worst, float(np.max(np.abs(spec.c + op)[mask])))
     return worst
 

@@ -28,6 +28,12 @@ PUBLIC = [
     "sq_norm", "sqrt", "sweep", "v_convexity_witness", "validate_spec",
     "write_front_csv", "write_snapshot_csv",
 ]
+# Engine's public attributes: one step is `operators` then `_euler`, so a
+# second step path shows up here
+ENGINE_PUBLIC = [
+    "b", "chunks", "close", "config", "delta2", "dt", "eps2", "h", "m", "n",
+    "operators", "symbol_bound",
+]
 CLI_PUBLIC = [
     "ConfigError", "SUITES", "build_group", "build_solver_config", "load_config",
     "main", "suite_barriers", "suite_change_of_variables", "suite_envelopes",
@@ -39,6 +45,12 @@ def test_public_surface_is_pinned():
     assert PUBLIC == sorted(PUBLIC) and CLI_PUBLIC == sorted(CLI_PUBLIC)
     assert sorted(set().union(*(module.__all__ for module in MODULES))) == PUBLIC
     assert sorted(cli.__all__) == CLI_PUBLIC
+
+
+def test_engine_surface_is_pinned():
+    assert ENGINE_PUBLIC == sorted(ENGINE_PUBLIC)
+    engine = solver.Engine(solver.SolverConfig(groups.heisenberg(), ((-1.0, 1.0),) * 3, (4, 4, 4)))
+    assert [name for name in dir(engine) if not name.startswith("_")] == ENGINE_PUBLIC
 
 
 def test_package_reexports_exactly_the_module_apis():

@@ -10,10 +10,11 @@ import sys
 import tempfile
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import carnotflow.cli as cli
 import carnotflow.solver as solver
@@ -493,9 +494,10 @@ def write_inline(snapshots, directory):
         solver.write_front_csv(solver.extract_front(snap), directory / f"front_{i:04d}.csv")
 
 
-def csv_bytes(directory):
-    """{path relative to directory: bytes} of every CSV file under it."""
-    return {str(p.relative_to(directory)): p.read_bytes() for p in sorted(directory.rglob("*.csv")) if p.is_file()}
+def csv_bytes(directory, pattern="*.csv"):
+    """{path relative to directory: bytes} of every file under it that
+    matches pattern (every CSV file by default)."""
+    return {str(p.relative_to(directory)): p.read_bytes() for p in sorted(directory.rglob(pattern)) if p.is_file()}
 
 
 def assert_no_child():
@@ -795,6 +797,30 @@ class TestExtinction:
         assert main(["extinction", "--config", cfg]) == 0
         assert "none before t_end" in capsys.readouterr().out
 
+    def test_runs_without_snapshots(self, tmp_path, capsys, monkeypatch):
+        # the command reads only the extinction time, so it runs at cadence 0
+        # whatever the config asks: at a cadence below dt every step would
+        # hold a copy of the slab.  Snapshots never change the steps, so the
+        # printed line is the one the configured cadence gives.
+        doc = {
+            "domain": {"box": [[-2, 2]] * 3, "resolution": [10, 10, 10]},
+            "run": {"t_end": 1.0, "snapshot_every": 1e-9},
+        }
+        results = []
+
+        def spy(cfg, *args, **kwargs):
+            results.append((cfg, solver.run(cfg, *args, **kwargs)))
+            return results[-1][1]
+
+        monkeypatch.setattr(cli, "run", spy)
+        assert main(["extinction", "--config", write_config(tmp_path, doc)]) == 0
+        [(cfg, result)] = results
+        assert cfg.snapshot_every == 0.0 and len(result.snapshots) == 2
+        configured = solver.run(replace(cfg, snapshot_every=1e-9))
+        assert len(configured.snapshots) == configured.n_steps + 1
+        assert result.extinction_time == configured.extinction_time is not None
+        assert capsys.readouterr().out == f"extinction: t={configured.extinction_time:.6g}\n"
+
 
 def test_console_entry_point_subprocess(tmp_path):
     """One end-to-end check through the real interpreter and argv plumbing."""
@@ -928,13 +954,20 @@ READS = {
 
 
 @st.composite
-def config_documents(draw):
-    """A config document and its faults as (section, key or None, word a
-    refusal names, whether the whole section is bad); no faults: valid."""
-    doc, faults = {}, set()
+def valid_documents(draw):
+    """A config document of valid values, some fields left to their defaults."""
+    doc = {}
     for (section, key), (valid, _, _) in FIELDS.items():
         if section == "group" or key in ("resolution", "t_end", "samples") or draw(st.booleans()):
             doc.setdefault(section, {})[key] = draw(valid)
+    return doc
+
+
+@st.composite
+def config_documents(draw):
+    """A config document and its faults as (section, key or None, word a
+    refusal names, whether the whole section is bad); no faults: valid."""
+    doc, faults = draw(valid_documents()), set()
     for section, key in draw(st.lists(st.sampled_from(sorted(FIELDS)), max_size=2)):
         _, bad, word = FIELDS[section, key]
         doc.setdefault(section, {})[key] = draw(bad)
@@ -983,3 +1016,34 @@ def test_config_boundary_runs_or_refuses(case):
             assert message.startswith("carnotflow: ")
             if named:
                 assert any(word in message for word in named), (command, doc, message)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(valid_documents(), st.floats(0.0, 4.0), st.sampled_from([0.0, 1e-9]) | st.floats(0.0, 1.5))
+def test_every_evolve_echo_reproduces_its_run(doc, steps, cadence):
+    # config_effective.json promises a config that reproduces the run: run
+    # from it, evolve writes the same bytes, its own echo and the companion
+    # directories included, and every other command accepts it.  On these
+    # grids dt exceeds FIELDS' t_end, so t_end and the cadence are drawn in
+    # units of dt instead: up to four steps, the last one shorter, with
+    # snapshots at every step, between steps or only at the ends.
+    dt = Engine(cli.build_solver_config(doc, cli.build_group(doc))).dt
+    doc["run"].update(t_end=steps * dt, snapshot_every=cadence * dt)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "config.json").write_text(json.dumps(doc))
+        echo = str(tmp / "first" / "config_effective.json")
+        commands = [
+            ["evolve", "--out", str(tmp / "second")],
+            ["extinction"],
+            ["verify", "--suite", "group-axioms"],
+            ["barrier", "--kind", "cylinder", "--lattice", "3", "--out", str(tmp / "barrier")],
+        ]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            status = main(["evolve", "--config", str(tmp / "config.json"), "--out", str(tmp / "first")])
+            assert status in (0, 2), (doc, err.getvalue())
+            assume(status == 0)  # valid fields may describe no run, e.g. a front that touches the box
+            for command in commands:
+                assert main([command[0], "--config", echo] + command[1:]) == 0, (command, doc, err.getvalue())
+        assert csv_bytes(tmp / "first", "*") == csv_bytes(tmp / "second", "*")

@@ -123,6 +123,16 @@ def interior_view_euler(u, dt, new):
     return new
 
 
+def euler_step(eng, u, dt, scheme=None, out=None):
+    """One step the way run takes it: the operator pass of scheme (the
+    config's by default) into the interior of out (new zeros unless given),
+    then the Euler update and boundary fill in place."""
+    new = np.zeros(u.shape) if out is None else out
+    scheme = eng.config.scheme if scheme is None else scheme
+    eng.operators(u, (scheme,), out=[new[(slice(1, -1),) * u.ndim]])
+    return eng._euler(u, dt, new)
+
+
 def gauge_config(request, group):
     """The gauge ball on Heisenberg 32^3 (two chunks) or on a non-cubic
     m3n5 grid, whose rows are no whole number of 64-byte lines."""
@@ -265,7 +275,7 @@ class TestEngine:
         sign = np.where(np.indices(cfg.resolution).sum(axis=0) % 2 == 0, 1.0, -1.0)
         inner = (slice(1, -1),) * g.n
         for factor, grows in ((1.1, True), (0.9, False)):
-            u = eng.advance(-1.0 + 1e-3 * sign, factor * eng.dt)
+            u = euler_step(eng, -1.0 + 1e-3 * sign, factor * eng.dt)
             gain = float(np.max(np.abs(u[inner] + 1.0))) / 1e-3
             assert (gain > 1.0) == grows, (factor, gain)
 
@@ -395,8 +405,8 @@ class TestEngine:
         for _ in range(fields):
             shared = eng.operators(u, solver.SCHEMES)
             for scheme, op in zip(solver.SCHEMES, shared):
-                np.testing.assert_array_equal(op, eng.operator(u, scheme))
-            u = eng.advance(u, eng.dt, "regularized")
+                np.testing.assert_array_equal(op, eng.operators(u, (scheme,))[0])
+            u = euler_step(eng, u, eng.dt, "regularized")
 
     @pytest.mark.parametrize("group", ["heisenberg", "m3n5"])
     def test_envelopes_are_operator_bounds_of_the_solver_jets(self, request, monkeypatch, group):
@@ -478,12 +488,11 @@ class TestEngine:
         eng = Engine(cfg)
         first = eng.operators(u, solver.SCHEMES, gap=True)
         second = eng.operators(u, solver.SCHEMES, gap=True)
-        steps = [eng.advance(u, eng.dt), eng.advance(u, eng.dt)]
-        arrays = [u] + first + second + steps
+        arrays = [u] + first + second
         for i, a in enumerate(arrays):
             for b in arrays[i + 1 :]:
                 assert not np.shares_memory(a, b)
-        for a, b in zip(first + steps[:1], second + steps[1:]):
+        for a, b in zip(first, second):
             np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("chunk_nodes", [solver._CHUNK_NODES, 1])
@@ -560,7 +569,7 @@ class TestEngine:
 
     def test_operator_rejects_unknown_scheme(self):
         with pytest.raises(ValueError, match="scheme"):
-            Engine(config()).operator(init(config()).values, "godunov")
+            Engine(config()).operators(init(config()).values, ("godunov",))
 
     def test_derivatives_exact_on_quadratics(self):
         # the one finite-difference stencil against the exact-jet oracle:
@@ -591,7 +600,7 @@ class TestStepExactness:
         cfg = config(res=16)
         grid = init(cfg)
         eng = Engine(cfg)
-        new = GridField(grid.box, eng.advance(grid.values, eng.dt), eng.dt)
+        new = GridField(grid.box, euler_step(eng, grid.values, eng.dt), eng.dt)
         inner = (slice(1, -1),) * 3
         exact = exact_cylinder_values(new, new.time)
         assert np.max(np.abs(new.values[inner] - exact[inner])) < 1e-10
@@ -601,8 +610,8 @@ class TestStepExactness:
         cfg = config(scheme=scheme)
         u = init(cfg).values
         eng = Engine(cfg)
-        a = eng.advance(u, eng.dt)
-        b = eng.advance(u + 5.0, eng.dt)
+        a = euler_step(eng, u, eng.dt)
+        b = euler_step(eng, u + 5.0, eng.dt)
         assert np.max(np.abs(b - (a + 5.0))) < 1e-12
 
     def test_linear_data_is_stationary(self):
@@ -611,7 +620,7 @@ class TestStepExactness:
         xs = np.meshgrid(*[grid.axis_coords(a) for a in range(3)], indexing="ij")
         u = 0.3 * xs[0] + 0.1 * xs[1]
         eng = Engine(cfg)
-        new = eng.advance(u, eng.dt)
+        new = euler_step(eng, u, eng.dt)
         inner = (slice(1, -1),) * 3
         np.testing.assert_allclose(new[inner], u[inner], atol=1e-15)
 
@@ -619,41 +628,24 @@ class TestStepExactness:
     def test_flat_euler_update_matches_the_interior_view_update(self, request, group):
         # _euler forms u - dt op over whole rows, boundary columns included;
         # after the fill that must leave the bits of the interior-view update,
-        # from init's array and from a slab, into advance's own array and
-        # into a caller's out whose nodes hold nan and +-inf, warning-free
+        # from init's array and from a slab, into a zero-filled out and into
+        # an out whose nodes hold nan and +-inf, warning-free
         cfg = gauge_config(request, group)
         eng = Engine(cfg)
         inner = (slice(1, -1),) * len(cfg.resolution)
         first = init(cfg).values
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for u in (first, eng.advance(first, eng.dt)):
+            for u in (first, euler_step(eng, first, eng.dt)):
                 expected = np.zeros(cfg.resolution)
-                eng.operator(u, out=expected[inner])
+                eng.operators(u, (cfg.scheme,), out=[expected[inner]])
                 interior_view_euler(u, eng.dt, expected)
                 out = np.full(cfg.resolution, np.nan)
                 out.reshape(-1)[::3] = np.inf
                 out.reshape(-1)[1::3] = -np.inf
-                for got in (eng.advance(u, eng.dt), eng.advance(u, eng.dt, out=out)):
+                for got in (euler_step(eng, u, eng.dt), euler_step(eng, u, eng.dt, out=out)):
                     assert got.shape == expected.shape
                     assert got.tobytes() == expected.tobytes()
-
-    def test_advance_refuses_an_out_that_is_not_c_contiguous(self):
-        cfg = config()
-        eng = Engine(cfg)
-        with pytest.raises(ValueError, match="C-contiguous"):
-            eng.advance(init(cfg).values, eng.dt, out=np.zeros(cfg.resolution, order="F"))
-
-
-    def test_advance_refuses_an_out_that_overlaps_u(self):
-        cfg = config()
-        eng = Engine(cfg)
-        u = init(cfg).values
-        before = u.copy()
-        for out in (u, u.view()):
-            with pytest.raises(ValueError, match="overlap"):
-                eng.advance(u, eng.dt, out=out)
-        assert u.tobytes() == before.tobytes()
 
 
 class TestSchemeSandwich:
