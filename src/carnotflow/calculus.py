@@ -347,7 +347,8 @@ def _bounds(trA, qq, qAq, A, eps2: float, out=None) -> OperatorBounds:
     :func:`_contract` (at least 1-d); one eigvalsh covers the singular points.
 
     out, if given, holds the four arrays of the result, in its field order
-    (regular is boolean), with the shape of qq.
+    (regular is boolean), with the shape of qq.  Its spectral may be None:
+    the result's spectral is then None too, and is not computed.
     """
     if out is None:
         shape = np.shape(qq)
@@ -359,7 +360,8 @@ def _bounds(trA, qq, qAq, A, eps2: float, out=None) -> OperatorBounds:
     np.negative(trA, out=lower)
     np.add(lower, np.divide(qAq, upper, out=upper), out=lower)
     np.copyto(upper, lower)
-    spectral[...] = 0.0
+    if spectral is not None:
+        spectral[...] = 0.0
     if not regular.all():
         sing = np.flatnonzero(~regular)  # flat C-order indices, for take and put
         m = round(len(A) ** 0.5)  # A holds all m * m components, sorted(A) is row-major
@@ -368,7 +370,8 @@ def _bounds(trA, qq, qAq, A, eps2: float, out=None) -> OperatorBounds:
         trA_sing = np.take(trA, sing)
         np.put(lower, sing, -trA_sing + eig[:, 0])
         np.put(upper, sing, -trA_sing + eig[:, -1])
-        np.put(spectral, sing, np.maximum(np.abs(eig[:, 0]), np.abs(eig[:, -1])))
+        if spectral is not None:
+            np.put(spectral, sing, np.maximum(np.abs(eig[:, 0]), np.abs(eig[:, -1])))
     return OperatorBounds(lower, upper, regular, spectral)
 
 

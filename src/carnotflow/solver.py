@@ -45,7 +45,9 @@ maxima of its finiteness check.  `run` steps between a pair of slabs that it
 allocates once, so a step allocates no arrays of the grid's size: every
 ufunc writes into a held buffer (out=), in the order the expressions state.
 Held arrays start on 64-byte boundaries, so that step time does not depend
-on where malloc put them.
+on where malloc put them.  Frame coefficients with no x_0 term, and their
+products, are held once as contiguous blocks that every chunk reads; those
+with x_0 alone take one value per row (see Engine._stage).
 
 On a grid of two or more chunks, `run` forks one worker process (POSIX
 os.fork) that steps the later rows of axis 0, about half the interior
@@ -396,7 +398,8 @@ class _Workspace(NamedTuple):
     tmp: npt.NDArray  # scratch
     flags: npt.NDArray  # boolean scratch
     contract: tuple  # tr A, |q|^2, q^T A q and tmp: the out of calculus._contract
-    bounds: tuple  # flags and three more: the out of calculus._bounds
+    bounds: tuple  # flags, lower and upper: the out of calculus._bounds, spectral aside
+    shifted: npt.NDArray  # |q|^2 + delta^2
     diff: npt.NDArray  # flat window of a full-width scratch: each difference
     twice: npt.NDArray  # flat window of a second one: 2 u on the window
     inner: npt.NDArray  # the interior nodes of diff's full-width buffer
@@ -410,8 +413,11 @@ class Engine:
     engine holds one workspace for the derivative pass of a chunk, sized to
     the longest chunk and allocated on the first operator pass, so that a
     step allocates no chunk temporaries; calls on one engine must therefore
-    not overlap in time.  `run`'s worker process inherits the engine before
-    its first pass and allocates a workspace of its own.  The arrays it
+    not overlap in time.  It also holds the frame coefficients with no x_0
+    term, and their products, as blocks of that chunk's interior shape (two
+    at Heisenberg), filled on the first pass.  `run`'s worker process
+    inherits the engine before its first pass and allocates a workspace and
+    blocks of its own.  The arrays it
     allocates start on 64-byte boundaries, and `_euler` updates a flat
     window of whole rows.  It holds no other resources: `close` is a no-op
     that remains only for the benchmark's callers in perfbench/.
@@ -427,10 +433,13 @@ class Engine:
 
         axes = _axis_coords(config)
         coords = np.meshgrid(*axes, indexing="ij", sparse=True)
-        # b[k][j] = (B^(k) x_h)_j on the horizontal sub-grid: shape
-        # (r_0, ..., r_(m-1), 1, ..., 1), broadcast against the vertical axes
+        # b[k][j] = (B^(k) x_h)_j on the horizontal sub-grid, shape (r_0, ...,
+        # r_(m-1), 1, ..., 1): 0 + its nonzero B[k, j, i] x_i, since the others'
+        # +-0 would change no bit of a sum that is never -0.0
+        shape = config.resolution[: g.m] + (1,) * g.nv
         self.b = [
-            [sum(g.B[k, j, i] * coords[i] for i in range(g.m)) for j in range(g.m)]
+            [np.broadcast_to(sum((g.B[k, j, i] * coords[i] for i in range(g.m) if g.B[k, j, i]), 0.0), shape)
+             for j in range(g.m)]
             for k in range(g.nv)
         ]
 
@@ -454,6 +463,7 @@ class Engine:
         self._row = math.prod(config.resolution[1:])
         self._rim = sum(math.prod(config.resolution[a + 1 :]) for a in range(1, g.n))
         self._stages: dict = {}
+        self._blocks: tuple = (0, {})  # the rows of the frame blocks, and the blocks: see _stage
         self._held: tuple | None = None  # the chunk workspace, see _workspace
         self._views: dict = {}
 
@@ -470,9 +480,13 @@ class Engine:
         N_1 - 2, ..., N_(n-1) - 2): whole rows, boundary columns included.
         win[a, s] shifts it by s along axis a (the offset s times a's C-order
         stride) and win[a, s, c, t] by s along a and t along c; every window
-        lies in rows r0-1..r1 of u.  bb[k][j] holds b_k[j] and bbbb[k, j, k2, l]
-        the product bb[k][j] * bb[k2][l] (j <= l) on those rows, in the
-        horizontal-only shape of self.b.
+        lies in rows r0-1..r1 of u.  bb[k, j] holds b_k[j] and bbbb[k, j, k2, l]
+        the product bb[k, j] * bb[k2, l] (j <= l) on those rows, each in the
+        cheapest shape with the same bits, by its class in B.  With no x_0
+        term (and a product of two): the leading rows of a contiguous block
+        of equal rows, which the engine holds and fills on the first pass;
+        with x_0 alone (and a product of two): shape (rows, 1, ..., 1); else
+        the horizontal-only shape of self.b, broadcast along the vertical axes.
         """
         stage = self._stages.get((r0, r1))
         if stage is None:
@@ -488,15 +502,30 @@ class Engine:
                         for t in (1, -1):
                             shift = s * stride[a] + t * stride[c]
                             win[a, s, c, t] = slice(start + shift, stop + shift)
-            rows = (slice(r0, r1),) + (slice(1, -1),) * (m - 1)
-            bb = [[self.b[k][j][rows] for j in range(m)] for k in range(nv)]
-            bbbb = {
-                (k, j, k2, l): bb[k][j] * bb[k2][l]
-                for j in range(m)
-                for l in range(j, m)
-                for k in range(nv)
-                for k2 in range(nv)
-            }
+            B, rows, count = self.config.group.B, (slice(r0, r1),) + (slice(1, -1),) * (m - 1), r1 - r0
+            keys = list(itertools.product(range(nv), range(m)))
+            invariant = {key for key in keys if not B[key][0]}  # no x_0 term
+            per_row = {key for key in keys if B[key][0] and not B[key][1:].any()}  # x_0 alone
+            pairs = [p + q for p, q in itertools.product(keys, keys) if q[1] >= p[1]]  # (k, j, k2, l), j <= l
+            if self._blocks[0] < count:  # the held blocks, for the longest chunk
+                cap = max([count] + [c1 - c0 for c0, c1 in self.chunks])
+                shape, held = (cap,) + tuple(r - 2 for r in res[1:]), {}
+                for key in sorted(invariant):
+                    held[key] = _aligned(shape)
+                    held[key][...] = self.b[key[0]][key[1]][(slice(0, 1),) + rows[1:]]
+                for key in pairs:
+                    if {key[:2], key[2:]} <= invariant:
+                        held[key] = np.multiply(held[key[:2]], held[key[2:]], out=_aligned(shape))
+                self._blocks = (cap, held)
+            held = self._blocks[1]
+            wide = {(k, j): self.b[k][j][rows] for k, j in keys}
+            bb = {key: held[key][:count] if key in invariant else wide[key] for key in keys}
+            bb.update((key, wide[key][(slice(None),) + (slice(0, 1),) * (m - 1)]) for key in per_row)
+            bbbb = {}
+            for key in pairs:
+                both = {key[:2], key[2:]}
+                factors = bb if both <= per_row else wide
+                bbbb[key] = held[key][:count] if both <= invariant else factors[key[:2]] * factors[key[2:]]
             stage = self._stages[r0, r1] = (win, bb, bbbb)
         return stage
 
@@ -529,13 +558,13 @@ class Engine:
             d2 = {}
             for a, c in pairs:
                 d2[a, c] = d2[c, a] = next(buffers)
-            acc, tmp, trA, qq, qAq, lower, upper, spectral = buffers
+            acc, tmp, trA, qq, qAq, lower, upper, shifted = buffers
             size = rows * math.prod(res[1:])
             diff, twice = (b[margin : size - margin] for b in wide)
             window = wide[0, :size].reshape((rows,) + res[1:])
             views = self._views[rows] = _Workspace(
                 d1, d2, acc, tmp, flags[:rows],
-                (trA, qq, qAq, tmp), (flags[:rows], lower, upper, spectral),
+                (trA, qq, qAq, tmp), (flags[:rows], lower, upper), shifted,
                 diff, twice, window[(slice(None),) + (slice(1, -1),) * (n - 1)],
             )
         return views
@@ -572,19 +601,19 @@ class Engine:
         # q[j] has no leading 0 +, as the sign of a zero q reaches no output
         q = d1[:m]
         for j in range(m):
-            np.multiply(bb[0][j], d1[m], out=w.acc)
+            np.multiply(bb[0, j], d1[m], out=w.acc)
             for k in range(1, nv):
-                np.add(w.acc, np.multiply(bb[k][j], d1[m + k], out=tmp), out=w.acc)
+                np.add(w.acc, np.multiply(bb[k, j], d1[m + k], out=tmp), out=w.acc)
             np.add(d1[j], w.acc, out=d1[j])
         A = {}
         for j in range(m):
             for l in range(j, m):
                 entry = d2[j, l]
                 for k in range(nv):
-                    product = np.multiply(bb[k][l], d2[j, m + k], out=tmp)
+                    product = np.multiply(bb[k, l], d2[j, m + k], out=tmp)
                     np.add(entry, product, out=entry)
                     if l != j:  # else the second product is the first
-                        product = np.multiply(bb[k][j], d2[l, m + k], out=tmp)
+                        product = np.multiply(bb[k, j], d2[l, m + k], out=tmp)
                     np.add(entry, product, out=entry)
                 for k in range(nv):
                     for k2 in range(nv):
@@ -627,21 +656,26 @@ class Engine:
         for r0, r1 in self.chunks if chunks is None else chunks:
             trA, qq, qAq, A = self._derivatives(u, r0, r1)
             w = self._workspace(r1 - r0)
+            blocks, results = [values[r0 - 1 : r1 - 1] for values in out], {}
+            if gap or "regularized" in schemes:
+                np.add(qq, self.delta2, out=w.shifted)
             if gap:
-                block = out[-1][r0 - 1 : r1 - 1]
-                block[...] = 0.0
+                blocks[-1][...] = 0.0
                 np.multiply(qAq, self.delta2, out=w.acc)
-                np.multiply(qq, np.add(qq, self.delta2, out=w.tmp), out=w.tmp)
-                np.divide(w.acc, w.tmp, out=block, where=np.greater(qq, 0.0, out=w.flags))
+                np.multiply(qq, w.shifted, out=w.tmp)
+                np.divide(w.acc, w.tmp, out=blocks[-1], where=np.greater(qq, 0.0, out=w.flags))
             if set(schemes) - {"regularized"}:
-                bounds = _bounds(trA, qq, qAq, A, self.eps2, out=w.bounds)
-            for values, scheme in zip(out, schemes):
-                block = values[r0 - 1 : r1 - 1]
-                if scheme == "regularized":
-                    np.divide(qAq, np.add(qq, self.delta2, out=w.tmp), out=w.tmp)
-                    np.add(np.negative(trA, out=w.acc), w.tmp, out=block)
-                else:
-                    block[...] = bounds.lower if scheme == "envelope_min" else bounds.upper
+                # with both envelopes requested, _bounds writes into their blocks
+                both = set(SCHEMES[1:]) <= set(schemes)
+                bounds = [blocks[schemes.index(s)] for s in SCHEMES[1:]] if both else w.bounds[1:]
+                bounds = _bounds(trA, qq, qAq, A, self.eps2, out=(w.flags, *bounds, None))
+                results = dict(zip(SCHEMES[1:], bounds))  # envelope_min: lower, envelope_max: upper
+            for block, scheme in zip(blocks, schemes):
+                if scheme not in results:  # regularized
+                    np.divide(qAq, w.shifted, out=w.tmp)
+                    results[scheme] = np.add(np.negative(trA, out=w.acc), w.tmp, out=block)
+                elif results[scheme] is not block:
+                    block[...] = results[scheme]
         return out
 
     def _euler(self, u: npt.NDArray, dt: float, new: npt.NDArray, rows=None) -> npt.NDArray:
@@ -1026,7 +1060,8 @@ def write_snapshot_csv(grid: GridField, path) -> None:
 
     The bytes are those of np.savetxt with fmt="%.17g" over the stacked
     columns.  t and each axis's coordinates are formatted once; per axis-0
-    slab, one format string holding those prefixes formats the u values.
+    slab, one format string holding those prefixes formats the u values,
+    built as P + P.join(tails) with P the slab's prefix of t and x_1.
     Formatted floats hold no '%', so the prefixes pass through unchanged.
     """
     values = grid.values
@@ -1038,7 +1073,8 @@ def write_snapshot_csv(grid: GridField, path) -> None:
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for x0, slab in zip(axes[0], values):
-            fh.write("".join([t + x0 + tail for tail in tails]) % tuple(slab.ravel().tolist()))
+            prefix = t + x0
+            fh.write((prefix + prefix.join(tails)) % tuple(slab.ravel().tolist()))
 
 
 def write_front_csv(cloud: FrontCloud, path) -> None:

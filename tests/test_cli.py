@@ -897,9 +897,11 @@ FIELDS = {
     ("scheme", "delta_reg"): (st.floats(1e-8, 1.0), st.sampled_from(NONFINITE + NOT_NUMBERS), "delta_reg"),
     ("scheme", "eps_sing"): (st.floats(1e-8, 1.0), st.sampled_from(NONFINITE + NOT_NUMBERS), "eps_sing"),
     ("scheme", "cfl"): (st.floats(0.1, 1.0), st.sampled_from(NONFINITE + NOT_NUMBERS), "cfl"),
-    ("run", "t_end"): (st.floats(0.0, 0.01), st.sampled_from(NONFINITE + NOT_NUMBERS), "t_end"),
+    # dt is 0.002-0.36 on these grids: runs of up to ~130 steps, most of
+    # several, with cadence marks between steps and a shortened last step
+    ("run", "t_end"): (st.floats(0.05, 0.25), st.sampled_from(NONFINITE + NOT_NUMBERS), "t_end"),
     ("run", "snapshot_every"): (
-        st.sampled_from([0.0, 1e-20]) | st.floats(0.0, 0.01),
+        st.sampled_from([0.0, 1e-20]) | st.floats(0.0, 0.1),
         st.sampled_from(NONFINITE + NOT_NUMBERS),
         "snapshot_every",
     ),
@@ -1023,10 +1025,10 @@ def test_config_boundary_runs_or_refuses(case):
 def test_every_evolve_echo_reproduces_its_run(doc, steps, cadence):
     # config_effective.json promises a config that reproduces the run: run
     # from it, evolve writes the same bytes, its own echo and the companion
-    # directories included, and every other command accepts it.  On these
-    # grids dt exceeds FIELDS' t_end, so t_end and the cadence are drawn in
-    # units of dt instead: up to four steps, the last one shorter, with
-    # snapshots at every step, between steps or only at the ends.
+    # directories included, and every other command accepts it.  t_end and
+    # the cadence are drawn in units of dt here: up to four steps, the last
+    # one shorter, with snapshots at every step, between steps or only at
+    # the ends.
     dt = Engine(cli.build_solver_config(doc, cli.build_group(doc))).dt
     doc["run"].update(t_end=steps * dt, snapshot_every=cadence * dt)
     with tempfile.TemporaryDirectory() as tmp:

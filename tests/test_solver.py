@@ -34,6 +34,7 @@ from carnotflow import (
     operator_bounds,
     residual_on_exact,
     run,
+    validate_spec,
     write_front_csv,
     write_snapshot_csv,
 )
@@ -42,6 +43,9 @@ from carnotflow.groups import sigma
 
 HEIS = heisenberg()
 BOX = ((-2.0, 2.0),) * 3
+# b_0 = (x_1 + 2 x_2, -x_0 + 3 x_2, -2 x_0 - 3 x_1): coefficients that mix x_0
+# with another coordinate, which neither heisenberg nor m3n5 has
+MIXED = validate_spec(3, 4, [[[0, 1, 2], [-1, 0, 3], [-2, -3, 0]]])
 
 
 def config(res=12, **kw):
@@ -408,6 +412,29 @@ class TestEngine:
                 np.testing.assert_array_equal(op, eng.operators(u, (scheme,))[0])
             u = euler_step(eng, u, eng.dt, "regularized")
 
+    @pytest.mark.parametrize("schemes", [
+        ("envelope_max",),
+        ("envelope_min", "envelope_min"),
+        ("envelope_max", "regularized", "envelope_min", "envelope_max", "regularized"),
+    ])
+    def test_every_listed_scheme_is_written(self, monkeypatch, schemes):
+        # both envelopes go straight into their outputs, and each other
+        # output, a lone envelope and a repeated scheme included, gets every
+        # interior node: into nan-filled outputs, over one-row chunks
+        monkeypatch.setattr(solver, "_CHUNK_NODES", 1)
+        cfg = SolverConfig(HEIS, BOX, (11, 9, 7), eps_sing=1.0)
+        u = np.random.default_rng(9).standard_normal(cfg.resolution)
+        eng = Engine(cfg)
+        assert np.count_nonzero(eng._derivatives(u, 1, 10)[1] <= eng.eps2) > 0
+        for gap in (False, True):
+            out = [np.full((9, 7, 5), np.nan) for _ in range(len(schemes) + gap)]
+            got = eng.operators(u, schemes, gap=gap, out=out)
+            assert all(a is b for a, b in zip(got, out))
+            for scheme, op in zip(schemes, got):
+                np.testing.assert_array_equal(op, eng.operators(u, (scheme,))[0])
+            if gap:
+                np.testing.assert_array_equal(got[-1], eng.operators(u, ("regularized",), gap=True)[1])
+
     @pytest.mark.parametrize("group", ["heisenberg", "m3n5"])
     def test_envelopes_are_operator_bounds_of_the_solver_jets(self, request, monkeypatch, group):
         # the envelope schemes and the jet layer's operator_bounds are one
@@ -496,20 +523,25 @@ class TestEngine:
             np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("chunk_nodes", [solver._CHUNK_NODES, 1])
-    @pytest.mark.parametrize("group", ["heisenberg", "m3n5"])
+    @pytest.mark.parametrize("group", ["heisenberg", "m3n5", "mixed"])
     def test_derivatives_match_the_whole_interior_reference(
         self, request, monkeypatch, group, chunk_nodes
     ):
         # bit for bit, on non-cubic grids and random u, in one chunk and in
         # one-row chunks (a budget of 1 node is below one row), so the first
         # and last stencil windows and the order of operations are pinned.
-        # eps_sing leaves both regular and singular nodes.
+        # eps_sing leaves both regular and singular nodes.  Between them the
+        # groups hold every class of frame coefficient: no x_0 term (zero
+        # ones included), x_0 alone (heisenberg, m3n5) and x_0 with another
+        # coordinate (mixed).
         monkeypatch.setattr(solver, "_CHUNK_NODES", chunk_nodes)
         if group == "heisenberg":
             cfg = SolverConfig(HEIS, BOX, (11, 9, 7), eps_sing=1.0)
-        else:
+        elif group == "m3n5":
             g = request.getfixturevalue("m3n5")
             cfg = SolverConfig(g, ((-2.0, 2.0),) * 5, (6, 7, 5, 6, 8), eps_sing=3.0)
+        else:
+            cfg = SolverConfig(MIXED, ((-2.0, 2.0),) * 4, (7, 6, 5, 6), eps_sing=3.0)
         u = np.random.default_rng(7).standard_normal(cfg.resolution)
         eng = Engine(cfg)
         assert len(eng.chunks) == (1 if chunk_nodes > 1000 else cfg.resolution[0] - 2)
@@ -532,6 +564,29 @@ class TestEngine:
         expected = [-trA + qAq / (qq + delta2), bounds.lower, bounds.upper, gap]
         for value, ref in zip(eng.operators(u, solver.SCHEMES, gap=True), expected):
             np.testing.assert_array_equal(value, ref)
+
+    @pytest.mark.parametrize("group", ["heisenberg", "mixed"])
+    def test_frame_operands_take_the_shape_of_their_class(self, group):
+        # b_k[j] without an x_0 term, and the product of two, are prefixes of
+        # the blocks the engine holds; with x_0 alone, one value per row; with
+        # x_0 and another coordinate, the horizontal-only broadcast shape
+        g, res = (HEIS, (12, 9, 7)) if group == "heisenberg" else (MIXED, (7, 6, 5, 6))
+        eng = Engine(SolverConfig(g, ((-2.0, 2.0),) * g.n, res))
+        eng.operators(np.zeros(res), ("regularized",))
+        cap, held = eng._blocks
+        assert cap == max(r1 - r0 for r0, r1 in eng.chunks)
+        for r0, r1 in eng.chunks:
+            _, bb, bbbb = eng._stage(r0, r1)
+            rows, inner = r1 - r0, tuple(r - 2 for r in res[1:])
+            wide = (rows,) + inner[: g.m - 1] + (1,) * g.nv
+            assert sorted(held) == [(0, 0), (0, 0, 0, 0)]
+            for a, block in ((bb[0, 0], held[0, 0]), (bbbb[0, 0, 0, 0], held[0, 0, 0, 0])):
+                assert np.shares_memory(a, block) and a.shape == (rows,) + inner
+            assert bbbb[0, 0, 0, 1].shape == wide
+            if group == "heisenberg":
+                assert bb[0, 1].shape == bbbb[0, 1, 0, 1].shape == (rows, 1, 1)
+            else:
+                assert bb[0, 1].shape == bb[0, 2].shape == bbbb[0, 1, 0, 2].shape == wide
 
     def test_operators_give_the_same_bits_on_any_memory_layout(self):
         # the stencil windows slice u flat, so operators reads a Fortran-ordered
@@ -803,8 +858,9 @@ class TestRun:
     def test_held_arrays_start_on_64_byte_boundaries(self, request, group):
         # after a plain and a sandwich step: both slabs, the sandwich arrays
         # (read from run's frame at the end of each step), every float view
-        # of the chunk workspace at each row count and the first element of
-        # each flat window lie on a 64-byte boundary, wherever malloc put them
+        # of the chunk workspace at each row count, the held frame blocks and
+        # the first element of each flat window lie on a 64-byte boundary,
+        # wherever malloc put them
         held = {}
 
         def recorded(snap):
@@ -830,6 +886,8 @@ class TestRun:
                     views[f"{name} at {rows}"] = getattr(w, name)
                 views.update({f"contract[{i}] at {rows}": a for i, a in enumerate(w.contract)})
                 views.update({f"bounds[{i}] at {rows}": a for i, a in enumerate(w.bounds)})
+                views[f"shifted at {rows}"] = w.shifted
+            views.update({f"frame block {key}": a for key, a in eng._blocks[1].items()})
             assert len(held) == (6 if sandwich else 2)
             for name, a in list(held.items()) + list(views.items()):
                 assert a.ctypes.data % 64 == 0, name
