@@ -46,22 +46,23 @@ allocates once, so a step allocates no arrays of the grid's size: every
 ufunc writes into a held buffer (out=), in the order the expressions state.
 Held arrays start on 64-byte boundaries, so that step time does not depend
 on where malloc put them.  Frame coefficients with no x_0 term, and their
-products, are held once as contiguous blocks that every chunk reads; those
-with x_0 alone take one value per row (see Engine._stage).
+products, are held once as contiguous blocks that every chunk reads (see
+Engine._stage).
 
 On a grid of two or more chunks, `run` forks one worker process (POSIX
 os.fork) that steps the later rows of axis 0, about half the interior
-nodes, while the parent steps the earlier ones.  Each process runs the
-operator pass over its chunks, the Euler update over its rows, the fill of
-the boundary faces on its rows (row 0 is the parent's, row N_0 - 1 the
-worker's), and the sandwich bracket on its interior rows.  The slabs and
-the sandwich arrays live in one anonymous shared mapping, so each process
-writes its rows where the other reads them at the next step.  A go message
-on a pipe carries the slab that is u and dt; the reply on a second pipe
-carries the worker's max u, min u, violation and gap, from which the parent
-decides finiteness, extinction and the sandwich maxima.  The arithmetic per
-node is fixed, whichever process runs it, so outputs are bit-identical from
-run to run, with or without the worker, and across processes.
+nodes, while the parent steps the earlier ones.  Each process runs
+Engine.step on its rows: the operator pass over its chunks, the Euler
+update over its rows, the fill of the boundary faces on its rows (row 0 is
+the parent's, row N_0 - 1 the worker's), and the sandwich bracket on its
+interior rows, in arrays of its own.  The two slabs live in one anonymous
+shared mapping, so each process writes its rows where the other reads them
+at the next step.  A go message on a pipe carries the slab that is u and
+dt; the reply on a second pipe carries the worker's max u, min u, violation
+and gap, from which the parent decides finiteness, extinction and the
+sandwich maxima.  The arithmetic per node is fixed, whichever process runs
+it, so outputs are bit-identical from run to run, with or without the
+worker, and across processes.
 """
 from __future__ import annotations
 
@@ -294,15 +295,16 @@ def init(config: SolverConfig) -> GridField:
 
 # ----------------------------------------------------------------- engine ---
 
-# Cells of the first grid over the vertical angles, per node, and the most
-# cells the symbol search splits at once
+# Cells of the first grid over the vertical angles, per node, the most cells
+# the symbol search splits at once, and the tolerance that settles a cell
 _SYMBOL_SAMPLES = 1024
 _SYMBOL_CELLS = 1 << 18
+_SYMBOL_RTOL = 1e-9
 
 
-def _symbol_sup(rows: npt.NDArray, h: npt.NDArray, rtol: float = 1e-9) -> float:
+def _symbol_sup(rows: npt.NDArray, h: npt.NDArray) -> float:
     """Upper bound on the supremum over theta and over the nodes of the symbol
-    of the stencil of -tr(a D^2), within rtol of it.
+    of the stencil of -tr(a D^2), within _SYMBOL_RTOL of it.
 
     rows has shape (P, nv, m), with rows[p, k] = B^(k) x_h at node p, so that
     a = sigma t(sigma) with sigma = [I; rows[p]].  Central second differences
@@ -326,10 +328,10 @@ def _symbol_sup(rows: npt.NDArray, h: npt.NDArray, rtol: float = 1e-9) -> float:
 
     since 0 < g'' = 2 + 2 / s^3 <= 4, |g'| <= 4 |beta| and the second
     derivative of (1 - cos phi)^2 is at most 9/4.  A cell whose bound is
-    within rtol of the best value found is settled and keeps its bound, the
-    others are halved along every axis, until no cell is left or the next
-    split would exceed _SYMBOL_CELLS cells.  The largest bound kept is
-    returned, so it never falls below the supremum; at the cell budget it
+    within _SYMBOL_RTOL of the best value found is settled and keeps its
+    bound, the others are halved along every axis, until no cell is left or
+    the next split would exceed _SYMBOL_CELLS cells.  The largest bound kept
+    is returned, so it never falls below the supremum; at the cell budget it
     can lie well above it.
     """
     count, nv, m = rows.shape
@@ -359,7 +361,7 @@ def _symbol_sup(rows: npt.NDArray, h: npt.NDArray, rtol: float = 1e-9) -> float:
         )
         upper = value + half * np.sum(np.abs(slope), axis=1) + 0.5 * curvature[node] * half ** 2
         best = max(best, float(np.max(value)))
-        live = upper > best * (1.0 + rtol)
+        live = upper > best * (1.0 + _SYMBOL_RTOL)
         bound = max(bound, best, float(np.max(upper[~live], initial=-np.inf)))
         if not np.any(live):
             return bound
@@ -408,7 +410,7 @@ class _Workspace(NamedTuple):
 class Engine:
     """Stencil data and step buffers for one (group, grid, scheme) combination.
 
-    Reusable across steps; `run` builds one internally.  A step is
+    Reusable across steps; `run` builds one internally.  A step is `step`:
     `operators` into the interior of the next slab, then `_euler`.  The
     engine holds one workspace for the derivative pass of a chunk, sized to
     the longest chunk and allocated on the first operator pass, so that a
@@ -416,11 +418,11 @@ class Engine:
     not overlap in time.  It also holds the frame coefficients with no x_0
     term, and their products, as blocks of that chunk's interior shape (two
     at Heisenberg), filled on the first pass.  `run`'s worker process
-    inherits the engine before its first pass and allocates a workspace and
-    blocks of its own.  The arrays it
-    allocates start on 64-byte boundaries, and `_euler` updates a flat
-    window of whole rows.  It holds no other resources: `close` is a no-op
-    that remains only for the benchmark's callers in perfbench/.
+    inherits the engine before its first pass and allocates a workspace,
+    blocks and bracket arrays of its own.  The arrays it allocates start on
+    64-byte boundaries, and `_euler` updates a flat window of whole rows.
+    It holds no other resources: `close` is a no-op that remains only for
+    the benchmark's callers in perfbench/.
     """
 
     def __init__(self, config: SolverConfig):
@@ -466,6 +468,7 @@ class Engine:
         self._blocks: tuple = (0, {})  # the rows of the frame blocks, and the blocks: see _stage
         self._held: tuple | None = None  # the chunk workspace, see _workspace
         self._views: dict = {}
+        self._bracket: list = []  # the sandwich arrays, see step
 
     def close(self) -> None:
         pass
@@ -481,12 +484,11 @@ class Engine:
         win[a, s] shifts it by s along axis a (the offset s times a's C-order
         stride) and win[a, s, c, t] by s along a and t along c; every window
         lies in rows r0-1..r1 of u.  bb[k, j] holds b_k[j] and bbbb[k, j, k2, l]
-        the product bb[k, j] * bb[k2, l] (j <= l) on those rows, each in the
-        cheapest shape with the same bits, by its class in B.  With no x_0
-        term (and a product of two): the leading rows of a contiguous block
-        of equal rows, which the engine holds and fills on the first pass;
-        with x_0 alone (and a product of two): shape (rows, 1, ..., 1); else
-        the horizontal-only shape of self.b, broadcast along the vertical axes.
+        the product bb[k, j] * bb[k2, l] (j <= l) on those rows, by its class
+        in B.  With no x_0 term (and a product of two): the leading rows of a
+        contiguous block of equal rows, which the engine holds and fills on
+        the first pass; else the horizontal-only shape of self.b, broadcast
+        along the vertical axes.
         """
         stage = self._stages.get((r0, r1))
         if stage is None:
@@ -505,7 +507,6 @@ class Engine:
             B, rows, count = self.config.group.B, (slice(r0, r1),) + (slice(1, -1),) * (m - 1), r1 - r0
             keys = list(itertools.product(range(nv), range(m)))
             invariant = {key for key in keys if not B[key][0]}  # no x_0 term
-            per_row = {key for key in keys if B[key][0] and not B[key][1:].any()}  # x_0 alone
             pairs = [p + q for p, q in itertools.product(keys, keys) if q[1] >= p[1]]  # (k, j, k2, l), j <= l
             if self._blocks[0] < count:  # the held blocks, for the longest chunk
                 cap = max([count] + [c1 - c0 for c0, c1 in self.chunks])
@@ -519,13 +520,8 @@ class Engine:
                 self._blocks = (cap, held)
             held = self._blocks[1]
             wide = {(k, j): self.b[k][j][rows] for k, j in keys}
-            bb = {key: held[key][:count] if key in invariant else wide[key] for key in keys}
-            bb.update((key, wide[key][(slice(None),) + (slice(0, 1),) * (m - 1)]) for key in per_row)
-            bbbb = {}
-            for key in pairs:
-                both = {key[:2], key[2:]}
-                factors = bb if both <= per_row else wide
-                bbbb[key] = held[key][:count] if both <= invariant else factors[key[:2]] * factors[key[2:]]
+            bb = {key: held[key][:count] if key in held else wide[key] for key in keys}
+            bbbb = {key: held[key][:count] if key in held else wide[key[:2]] * wide[key[2:]] for key in pairs}
             stage = self._stages[r0, r1] = (win, bb, bbbb)
         return stage
 
@@ -704,6 +700,50 @@ class Engine:
             part[tuple(idx_lo)] = part[tuple(idx_hi)]
         return new
 
+    def step(self, u: npt.NDArray, new: npt.NDArray, dt: float, rows, sandwich: bool = False):
+        """The step from u into new (C-contiguous) on rows r0..r1-1 of axis 0,
+        rows = (r0, r1) with each end 0, N_0 or the first row of a later
+        chunk: `operators` over the chunks that start there, `_euler` over
+        the rows and, with sandwich, the envelope bracket on their interior
+        rows.  Returns the rows' max u and min u and the bracket's violation
+        and gap (0.0 without it); calls over a tiling of the rows write the
+        bits of one call over all rows.
+
+        The sandwich computes the envelope_min / envelope_max updates from
+        the same u as the regularized one.  The regularized operator falls
+        short of its delta -> 0 limit F by the known gap delta^2 q^T A q /
+        (|q|^2 (|q|^2 + delta^2)), so its update differs from the limit's by
+        dt times that; the gap returned is the worst |difference|.  The
+        violation is the worst node-wise amount by which the regularized
+        update, with that difference taken out, leaves the envelope bracket
+        (max-update <= update <= min-update: the larger operator value
+        shrinks u faster).  F lies in the bracket, so this is rounding at any
+        delta unless the schemes are out of order, or q = 0 exactly where X2u
+        is definite.
+        """
+        r0, r1 = rows
+        inner = (slice(1, -1),) * self.n
+        if sandwich and not self._bracket:
+            self._bracket = _mapped(new[inner].shape, 4, mmap.MAP_PRIVATE)
+        schemes = SCHEMES if sandwich else (self.config.scheme,)
+        chunks = [chunk for chunk in self.chunks if r0 <= chunk[0] < r1]
+        self.operators(u, schemes, sandwich, [new[inner], *self._bracket[:3 * sandwich]], chunks)
+        self._euler(u, dt, new, rows)
+        violation = gap = 0.0
+        if sandwich:
+            own = slice(max(r0, 1) - 1, min(r1, len(new) - 1) - 1)  # the interior rows
+            base, update = u[inner][own], new[inner][own]
+            low, high, shift, limit = (a[own] for a in self._bracket)
+            np.multiply(shift, dt, out=shift)
+            np.subtract(update, shift, out=limit)  # the update with delta -> 0
+            # smallest operator -> largest update
+            hi = np.subtract(base, np.multiply(low, dt, out=low), out=low)
+            lo = np.subtract(base, np.multiply(high, dt, out=high), out=high)
+            violation = max(float(np.max(np.subtract(lo, limit, out=lo), initial=0.0)),
+                            float(np.max(np.subtract(limit, hi, out=hi), initial=0.0)))
+            gap = float(np.max(np.abs(shift, out=shift), initial=0.0))
+        return float(np.max(new[r0:r1])), float(np.min(new[r0:r1])), violation, gap
+
 
 # -------------------------------------------------------------- evolution ---
 
@@ -723,16 +763,15 @@ def _has_positive_interior(values: npt.NDArray) -> bool:
     return bool(np.max(values[inner]) > 0.0)
 
 
-def _shared(shapes) -> list[npt.NDArray]:
-    """Zero-filled float arrays of the given shapes in one anonymous shared
-    mapping (MAP_SHARED), which a forked child reads and writes in common
-    with its parent.  The mapping starts on a page boundary and each array
-    on a 64-byte one, as the arrays of _aligned do."""
-    sizes = [-(-math.prod(shape) // 8) * 64 for shape in shapes]
-    mem = mmap.mmap(-1, sum(sizes), flags=mmap.MAP_SHARED)
-    starts = itertools.accumulate(sizes, initial=0)
-    return [np.frombuffer(mem, float, math.prod(shape), start).reshape(shape)
-            for shape, start in zip(shapes, starts)]
+def _mapped(shape, count: int, flags: int) -> list[npt.NDArray]:
+    """count zero-filled float arrays of the given shape in one anonymous
+    mapping, whose pages take memory only once written: MAP_SHARED, which a
+    forked child reads and writes in common with its parent, or MAP_PRIVATE.
+    The mapping starts on a page boundary and each array on a 64-byte one,
+    as the arrays of _aligned do."""
+    nodes, size = math.prod(shape), -(-math.prod(shape) // 8) * 64
+    mem = mmap.mmap(-1, count * size, flags=flags)
+    return [np.frombuffer(mem, float, nodes, k * size).reshape(shape) for k in range(count)]
 
 
 def _report(fd: int, exc: BaseException) -> None:
@@ -828,18 +867,9 @@ def run(
     """Evolve to t_end or extinction, collecting snapshots at the cadence.
 
     The initial slab is always the first snapshot, the final slab (at
-    t_end, or at the extinction step) the last.  With record_sandwich, the
-    envelope_min / envelope_max updates are computed from the same slab as
-    every regularized update, and two numbers are recorded.  The
-    regularized operator falls short of its delta -> 0 limit F by the known
-    gap delta^2 q^T A q / (|q|^2 (|q|^2 + delta^2)), so its update differs
-    from the limit's by dt times that; regularization_gap is the worst
-    |difference|.  sandwich_max_violation is the worst node-wise amount by
-    which the regularized update, with that difference taken out, leaves the
-    envelope bracket (max-update <= update <= min-update: the larger
-    operator value shrinks u faster).  F lies in the bracket, so this is
-    rounding at any delta unless the schemes are out of order, or q = 0
-    exactly where X2u is definite.
+    t_end, or at the extinction step) the last.  Every step is `Engine.step`,
+    with the sandwich if record_sandwich: then sandwich_max_violation and
+    regularization_gap are its worst violation and gap over the run.
 
     On a grid of two or more chunks, one worker process forked here steps
     the later rows of axis 0 while this process steps the earlier ones (see
@@ -870,7 +900,6 @@ def run(
     extinct: float | None = None
     violation = gap = 0.0
     steps = 0
-    inner = (slice(1, -1),) * len(config.resolution)
 
     if not _has_positive_interior(grid.values):
         sandwich = (violation, gap) if record_sandwich else (None, None)
@@ -880,46 +909,17 @@ def run(
     t = 0.0
     # each step writes the slab of the pair that u is not; step 0 reads a
     # copy of grid.values, which snapshot 0 holds and no step writes
-    shared = _shared([grid.values.shape] * 2 + [grid.values[inner].shape] * 3 * record_sandwich)
-    slabs, extra = shared[:2], shared[2:]
+    slabs = _mapped(grid.values.shape, 2, mmap.MAP_SHARED)
     slabs[1][...] = grid.values
     u = slabs[1]
-    if record_sandwich:
-        op_min, op_max, op_gap = extra
-        limit = _aligned(u[inner].shape)
-    schemes = SCHEMES if record_sandwich else (config.scheme,)
     size = config.resolution[0]
-
-    def step(i: int, dt: float, chunks, r0: int, r1: int) -> tuple[float, ...]:
-        """The step from slab i into the other on rows r0..r1-1 of axis 0: the
-        operator pass over chunks (their interior rows), the Euler update and
-        fill, and the sandwich bracket.  Returns the rows' max u and min u and
-        the bracket's violation and gap."""
-        u, new = slabs[i], slabs[1 - i]
-        eng.operators(u, schemes, gap=record_sandwich, out=[new[inner], *extra], chunks=chunks)
-        eng._euler(u, dt, new, (r0, r1))
-        violation = gap = 0.0
-        if record_sandwich:
-            own = slice(max(r0, 1) - 1, min(r1, size - 1) - 1)  # the interior rows
-            base, update = u[inner][own], new[inner][own]
-            low, high, shift, lim = (a[own] for a in (op_min, op_max, op_gap, limit))
-            np.multiply(shift, dt, out=shift)
-            np.subtract(update, shift, out=lim)  # the update with delta -> 0
-            # smallest operator -> largest update
-            hi = np.subtract(base, np.multiply(low, dt, out=low), out=low)
-            lo = np.subtract(base, np.multiply(high, dt, out=high), out=high)
-            violation = max(float(np.max(np.subtract(lo, lim, out=lo), initial=0.0)),
-                            float(np.max(np.subtract(lim, hi, out=hi), initial=0.0)))
-            gap = float(np.max(np.abs(shift, out=shift), initial=0.0))
-        return float(np.max(new[r0:r1])), float(np.min(new[r0:r1])), violation, gap
-
-    # the parent's chunks and rows and the worker's, split where the interior
-    # nodes (as many per row in every chunk) come closest to halves
+    # the parent's rows and the worker's, split at the chunk start where the
+    # interior nodes (as many per row in every chunk) come closest to halves
     rows = [r1 - r0 for r0, r1 in eng.chunks]
     split = min(range(1, len(rows) + 1), key=lambda k: abs(2 * sum(rows[:k]) - sum(rows)))
-    mine, theirs = eng.chunks[:split], eng.chunks[split:]
-    cut = theirs[0][0] if theirs else size
-    worker = _Worker(lambda i, dt: step(i, dt, theirs, cut, size)) if theirs else None
+    cut = eng.chunks[split][0] if split < len(rows) else size
+    worker = (_Worker(lambda i, dt: eng.step(slabs[i], slabs[1 - i], dt, (cut, size), record_sandwich))
+              if cut < size else None)
     se = config.snapshot_every
     next_snap = se if se > 0 else np.inf
     try:
@@ -928,7 +928,7 @@ def run(
             i = 1 - steps % 2  # the slab that is u
             if worker is not None:
                 worker.start(i, dt)
-            parts = [step(i, dt, mine, 0, cut)]
+            parts = [eng.step(slabs[i], slabs[1 - i], dt, (0, cut), record_sandwich)]
             if worker is not None:
                 parts.append(worker.wait())
             u = slabs[1 - i]

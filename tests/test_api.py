@@ -32,7 +32,7 @@ PUBLIC = [
 # second step path shows up here
 ENGINE_PUBLIC = [
     "b", "chunks", "close", "config", "delta2", "dt", "eps2", "h", "m", "n",
-    "operators", "symbol_bound",
+    "operators", "step", "symbol_bound",
 ]
 CLI_PUBLIC = [
     "ConfigError", "SUITES", "build_group", "build_solver_config", "load_config",

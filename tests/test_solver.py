@@ -568,8 +568,8 @@ class TestEngine:
     @pytest.mark.parametrize("group", ["heisenberg", "mixed"])
     def test_frame_operands_take_the_shape_of_their_class(self, group):
         # b_k[j] without an x_0 term, and the product of two, are prefixes of
-        # the blocks the engine holds; with x_0 alone, one value per row; with
-        # x_0 and another coordinate, the horizontal-only broadcast shape
+        # the blocks the engine holds; any other, the horizontal-only
+        # broadcast shape
         g, res = (HEIS, (12, 9, 7)) if group == "heisenberg" else (MIXED, (7, 6, 5, 6))
         eng = Engine(SolverConfig(g, ((-2.0, 2.0),) * g.n, res))
         eng.operators(np.zeros(res), ("regularized",))
@@ -584,7 +584,7 @@ class TestEngine:
                 assert np.shares_memory(a, block) and a.shape == (rows,) + inner
             assert bbbb[0, 0, 0, 1].shape == wide
             if group == "heisenberg":
-                assert bb[0, 1].shape == bbbb[0, 1, 0, 1].shape == (rows, 1, 1)
+                assert bb[0, 1].shape == bbbb[0, 1, 0, 1].shape == wide
             else:
                 assert bb[0, 1].shape == bb[0, 2].shape == bbbb[0, 1, 0, 2].shape == wide
 
@@ -648,6 +648,43 @@ class TestEngine:
         np.testing.assert_allclose(
             qAq, np.einsum("pi,pij,pj->p", q, A, q).reshape(shape), rtol=0, atol=1e-11
         )
+
+    @pytest.mark.parametrize("sandwich", [False, True])
+    @pytest.mark.parametrize("group", ["heisenberg", "m3n5"])
+    def test_a_step_split_at_a_chunk_start_equals_one_step(self, request, monkeypatch, group, sandwich):
+        # step over rows (0, cut) and then (cut, N_0), as run's parent and
+        # worker take them, writes the bytes of one step over all rows into a
+        # slab that starts as nan, so a skipped face row shows.  Each part
+        # returns the figures of its own rows, nonzero gap included, so a
+        # skipped bracket shows, and combined they are the single step's
+        cfg = dataclasses.replace(gauge_config(request, group), delta_reg=1e-8 * math.sqrt(48.0))
+        if group == "m3n5":
+            monkeypatch.setattr(solver, "_CHUNK_NODES", 1120)  # two rows of 560 nodes
+        eng = Engine(cfg)
+        assert len(eng.chunks) == (2 if group == "heisenberg" else 3)
+        u, size, dt, inner = init(cfg).values, cfg.resolution[0], eng.dt, (slice(1, -1),) * cfg.group.n
+        whole = np.full(cfg.resolution, np.nan)
+        single = eng.step(u, whole, dt, (0, size), sandwich)
+        _, low, high, gap = eng.operators(u, solver.SCHEMES, gap=True)
+        shift = gap * dt
+        limit = whole[inner] - shift
+        below, above = (u[inner] - high * dt) - limit, limit - (u[inner] - low * dt)
+
+        def figures(r0, r1):
+            own = slice(max(r0, 1) - 1, min(r1, size - 1) - 1)
+            bracket = (max(float(np.max(below[own], initial=0.0)), float(np.max(above[own], initial=0.0))),
+                       float(np.max(np.abs(shift[own]), initial=0.0))) if sandwich else (0.0, 0.0)
+            return (float(np.max(whole[r0:r1])), float(np.min(whole[r0:r1])), *bracket)
+
+        assert single == figures(0, size)
+        for cut in [r0 for r0, _ in eng.chunks[1:]]:
+            new = np.full(cfg.resolution, np.nan)
+            parts = [eng.step(u, new, dt, (0, cut), sandwich), eng.step(u, new, dt, (cut, size), sandwich)]
+            assert new.tobytes() == whole.tobytes()
+            assert parts == [figures(0, cut), figures(cut, size)]
+            assert all(part[3] > 0.0 for part in parts) == sandwich
+            tops, bottoms, violations, gaps = zip(*parts)
+            assert (max(tops), min(bottoms), max(violations), max(gaps)) == single
 
 
 class TestStepExactness:
@@ -856,18 +893,17 @@ class TestRun:
 
     @pytest.mark.parametrize("group", ["heisenberg", "m3n5"])
     def test_held_arrays_start_on_64_byte_boundaries(self, request, group):
-        # after a plain and a sandwich step: both slabs, the sandwich arrays
-        # (read from run's frame at the end of each step), every float view
-        # of the chunk workspace at each row count, the held frame blocks and
-        # the first element of each flat window lie on a 64-byte boundary,
-        # wherever malloc put them
+        # after a plain and a sandwich step: both slabs (read from run's frame
+        # at the end of each step), the engine's sandwich arrays, every float
+        # view of the chunk workspace at each row count, the held frame
+        # blocks and the first element of each flat window lie on a 64-byte
+        # boundary, wherever malloc put them
         held = {}
 
         def recorded(snap):
-            names = ("op_min", "op_max", "op_gap", "limit")
             frame = run_locals()
             if "u" in frame:  # after a step: u is the slab it wrote
-                held.update((name, frame[name]) for name in names if name in frame)
+                held.update((f"bracket[{i}]", a) for i, a in enumerate(frame["eng"]._bracket))
                 held[id(frame["u"])] = frame["u"]
                 held["engine"] = frame["eng"]
 
