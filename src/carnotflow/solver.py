@@ -38,24 +38,23 @@ line on those and the envelope pair is calculus._bounds, the code of
 operator_bounds, so a step with all three schemes differentiates once.
 Each difference reads u contiguously, over a flat window of whole rows
 (boundary columns included), and only its interior nodes are divided into
-the chunk workspace that the Engine holds.  The Euler update runs over a
-flat window of whole rows too, and the boundary fill then overwrites the
-boundary columns it passed over, so `run` takes extinction from the row
-maxima of its finiteness check.  `run` steps between a pair of slabs that it
-allocates once, so a step allocates no arrays of the grid's size: every
-ufunc writes into a held buffer (out=), in the order the expressions state.
-Held arrays start on 64-byte boundaries, so that step time does not depend
-on where malloc put them.  Frame coefficients with no x_0 term, and their
-products, are held once as contiguous blocks that every chunk reads (see
-Engine._stage).
+the chunk's workspace.  A step runs chunk by chunk: the pass, the Euler
+update over a flat window of the chunk's whole rows, whose boundary
+columns the fill then overwrites, so `run` takes extinction from the row
+maxima of its finiteness check, and with the sandwich the envelope bracket
+from the chunk's workspace.  The Engine builds each chunk's stencil
+windows, frame operands (see Engine._stage) and workspace once, and `run`
+steps between a pair of slabs that it allocates once, so a step allocates
+no arrays of a chunk's size: every ufunc writes into a held buffer (out=),
+in the order the expressions state.  Held arrays start on 64-byte
+boundaries, so that step time does not depend on where malloc put them.
 
 On a grid of two or more chunks, `run` forks one worker process (POSIX
 os.fork) that steps the later rows of axis 0, about half the interior
 nodes, while the parent steps the earlier ones.  Each process runs
-Engine.step on its rows: the operator pass over its chunks, the Euler
-update over its rows, the fill of the boundary faces on its rows (row 0 is
-the parent's, row N_0 - 1 the worker's), and the sandwich bracket on its
-interior rows, in arrays of its own.  The two slabs live in one anonymous
+Engine.step on its rows, which fills the boundary faces on them too (row 0
+is the parent's, row N_0 - 1 the worker's); the worker writes its own copy
+of the engine's workspace.  The two slabs live in one anonymous
 shared mapping, so each process writes its rows where the other reads them
 at the next step.  A go message on a pipe carries the slab that is u and
 dt; the reply on a second pipe carries the worker's max u, min u, violation
@@ -392,7 +391,7 @@ _CHUNK_NODES = 16384
 
 
 class _Workspace(NamedTuple):
-    """Views of an engine's held chunk buffers on one row range."""
+    """Views of an engine's chunk buffers for one chunk."""
 
     d1: list  # first differences by axis; q[j] in place for j < m
     d2: dict  # second differences d2[a, c] = d2[c, a]; A[j, l] in place for j, l < m
@@ -402,6 +401,7 @@ class _Workspace(NamedTuple):
     contract: tuple  # tr A, |q|^2, q^T A q and tmp: the out of calculus._contract
     bounds: tuple  # flags, lower and upper: the out of calculus._bounds, spectral aside
     shifted: npt.NDArray  # |q|^2 + delta^2
+    gap: npt.NDArray  # F - F_delta, for the sandwich bracket
     diff: npt.NDArray  # flat window of a full-width scratch: each difference
     twice: npt.NDArray  # flat window of a second one: 2 u on the window
     inner: npt.NDArray  # the interior nodes of diff's full-width buffer
@@ -411,18 +411,17 @@ class Engine:
     """Stencil data and step buffers for one (group, grid, scheme) combination.
 
     Reusable across steps; `run` builds one internally.  A step is `step`:
-    `operators` into the interior of the next slab, then `_euler`.  The
-    engine holds one workspace for the derivative pass of a chunk, sized to
-    the longest chunk and allocated on the first operator pass, so that a
-    step allocates no chunk temporaries; calls on one engine must therefore
-    not overlap in time.  It also holds the frame coefficients with no x_0
-    term, and their products, as blocks of that chunk's interior shape (two
-    at Heisenberg), filled on the first pass.  `run`'s worker process
-    inherits the engine before its first pass and allocates a workspace,
-    blocks and bracket arrays of its own.  The arrays it allocates start on
-    64-byte boundaries, and `_euler` updates a flat window of whole rows.
-    It holds no other resources: `close` is a no-op that remains only for
-    the benchmark's callers in perfbench/.
+    chunk by chunk, the operator pass into the interior of the next slab,
+    `_euler` on the chunk's rows and, with the sandwich, the envelope
+    bracket.  The constructor builds each chunk's plan: its stencil windows,
+    its frame operands and its views of one workspace sized to the longest
+    chunk, so that a step allocates no chunk temporaries; calls on one
+    engine must therefore not overlap in time.  The frame coefficients with
+    no x_0 term, and their products, are blocks of that chunk's interior
+    shape (two at Heisenberg) that every plan reads.  `run`'s worker process
+    writes its own copy of the workspace.  The arrays the engine allocates
+    start on 64-byte boundaries.  It holds no other resources: `close` is a
+    no-op that remains only for the benchmark's callers in perfbench/.
     """
 
     def __init__(self, config: SolverConfig):
@@ -460,41 +459,51 @@ class Engine:
         nchunks = -(-rows // max(1, _CHUNK_NODES // row_nodes))
         bounds = np.linspace(1, rows + 1, nchunks + 1).astype(int)
         self.chunks = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
-        # nodes per row of axis 0, and how far a row range's flat window (a
-        # chunk's win[()], see _stage) lies inside the range's first and last row
+        # nodes per row of axis 0, and how far a chunk's flat window (win[()],
+        # see _stage) lies inside its first and last row
         self._row = math.prod(config.resolution[1:])
         self._rim = sum(math.prod(config.resolution[a + 1 :]) for a in range(1, g.n))
-        self._stages: dict = {}
-        self._blocks: tuple = (0, {})  # the rows of the frame blocks, and the blocks: see _stage
-        self._held: tuple | None = None  # the chunk workspace, see _workspace
-        self._views: dict = {}
-        self._bracket: list = []  # the sandwich arrays, see step
+        # each chunk's plan: its stencil windows, frame operands and workspace views
+        self._plans = {chunk: (*stage, views) for chunk, stage, views
+                       in zip(self.chunks, self._stage(), self._workspace())}
 
     def close(self) -> None:
         pass
 
     # -- spatial operator ---------------------------------------------------
 
-    def _stage(self, r0: int, r1: int):
+    def _stage(self) -> list[tuple]:
         """Flat stencil windows and frame coefficients of the derivative pass
-        at rows r0..r1-1, built on the first pass over that row range.
+        of each chunk, in the order of self.chunks.
 
-        win[()] slices u.reshape(-1) from node (r0, 1, ..., 1) to node (r1 - 1,
-        N_1 - 2, ..., N_(n-1) - 2): whole rows, boundary columns included.
-        win[a, s] shifts it by s along axis a (the offset s times a's C-order
-        stride) and win[a, s, c, t] by s along a and t along c; every window
-        lies in rows r0-1..r1 of u.  bb[k, j] holds b_k[j] and bbbb[k, j, k2, l]
-        the product bb[k, j] * bb[k2, l] (j <= l) on those rows, by its class
-        in B.  With no x_0 term (and a product of two): the leading rows of a
-        contiguous block of equal rows, which the engine holds and fills on
-        the first pass; else the horizontal-only shape of self.b, broadcast
-        along the vertical axes.
+        For the chunk of rows r0..r1-1, win[()] slices u.reshape(-1) from
+        node (r0, 1, ..., 1) to node (r1 - 1, N_1 - 2, ..., N_(n-1) - 2):
+        whole rows, boundary columns included.  win[a, s] shifts it by s
+        along axis a (the offset s times a's C-order stride) and win[a, s, c,
+        t] by s along a and t along c; every window lies in rows r0-1..r1 of
+        u.  bb[k, j] holds b_k[j] and bbbb[k, j, k2, l] the product bb[k, j]
+        * bb[k2, l] (j <= l) on those rows, by its class in B.  With no x_0
+        term (and a product of two): the leading rows of a contiguous block
+        of equal rows, one block per operand for the longest chunk, which
+        every chunk shares; else the horizontal-only shape of self.b,
+        broadcast along the vertical axes.
         """
-        stage = self._stages.get((r0, r1))
-        if stage is None:
-            n, m, nv = self.n, self.m, self.n - self.m
-            res = self.config.resolution
-            stride = [math.prod(res[a + 1 :]) for a in range(n)]
+        n, m, nv = self.n, self.m, self.n - self.m
+        res, B = self.config.resolution, self.config.group.B
+        stride = [math.prod(res[a + 1 :]) for a in range(n)]
+        keys = list(itertools.product(range(nv), range(m)))
+        invariant = {key for key in keys if not B[key][0]}  # no x_0 term
+        pairs = [p + q for p, q in itertools.product(keys, keys) if q[1] >= p[1]]  # (k, j, k2, l), j <= l
+        shape = (max(r1 - r0 for r0, r1 in self.chunks),) + tuple(r - 2 for r in res[1:])
+        held = {}
+        for key in sorted(invariant):
+            held[key] = _aligned(shape)
+            held[key][...] = self.b[key[0]][key[1]][(slice(0, 1),) + (slice(1, -1),) * (m - 1)]
+        for key in pairs:
+            if {key[:2], key[2:]} <= invariant:
+                held[key] = np.multiply(held[key[:2]], held[key[2:]], out=_aligned(shape))
+        stages = []
+        for r0, r1 in self.chunks:
             start, stop = r0 * stride[0] + sum(stride[1:]), r1 * stride[0] - sum(stride[1:])
             win = {(): slice(start, stop)}
             for a in range(n):
@@ -504,76 +513,58 @@ class Engine:
                         for t in (1, -1):
                             shift = s * stride[a] + t * stride[c]
                             win[a, s, c, t] = slice(start + shift, stop + shift)
-            B, rows, count = self.config.group.B, (slice(r0, r1),) + (slice(1, -1),) * (m - 1), r1 - r0
-            keys = list(itertools.product(range(nv), range(m)))
-            invariant = {key for key in keys if not B[key][0]}  # no x_0 term
-            pairs = [p + q for p, q in itertools.product(keys, keys) if q[1] >= p[1]]  # (k, j, k2, l), j <= l
-            if self._blocks[0] < count:  # the held blocks, for the longest chunk
-                cap = max([count] + [c1 - c0 for c0, c1 in self.chunks])
-                shape, held = (cap,) + tuple(r - 2 for r in res[1:]), {}
-                for key in sorted(invariant):
-                    held[key] = _aligned(shape)
-                    held[key][...] = self.b[key[0]][key[1]][(slice(0, 1),) + rows[1:]]
-                for key in pairs:
-                    if {key[:2], key[2:]} <= invariant:
-                        held[key] = np.multiply(held[key[:2]], held[key[2:]], out=_aligned(shape))
-                self._blocks = (cap, held)
-            held = self._blocks[1]
+            rows, count = (slice(r0, r1),) + (slice(1, -1),) * (m - 1), r1 - r0
             wide = {(k, j): self.b[k][j][rows] for k, j in keys}
             bb = {key: held[key][:count] if key in held else wide[key] for key in keys}
             bbbb = {key: held[key][:count] if key in held else wide[key[:2]] * wide[key[2:]] for key in pairs}
-            stage = self._stages[r0, r1] = (win, bb, bbbb)
-        return stage
+            stages.append((win, bb, bbbb))
+        return stages
 
-    def _workspace(self, rows: int) -> _Workspace:
-        """The held chunk buffers, as views on their first rows along axis 0.
+    def _workspace(self) -> list[_Workspace]:
+        """Each chunk's views of the chunk buffers, in the order of self.chunks.
 
-        The buffers are allocated on the first call, for the longest chunk,
-        and again for a longer row range if a caller passes one.  Each view
-        is a contiguous prefix of its buffer, or the window (see _stage) or
+        The buffers are allocated once, for the longest chunk, and a chunk's
+        views lie on their first rows along axis 0.  Each view is a
+        contiguous prefix of its buffer, or the window (see _stage) or
         interior of a prefix of one of two zero-filled full-width buffers.
         Padded to whole 64-byte lines, every buffer starts a view or a window
         on a 64-byte boundary.
         """
-        views = self._views.get(rows)
-        if views is None:
-            n, res = self.n, self.config.resolution
-            pairs = [(a, c) for a in range(n) for c in range(a, n)]
-            shape = (rows,) + tuple(r - 2 for r in res[1:])
-            margin = sum(math.prod(res[a + 1 :]) for a in range(1, n))
-            if self._held is None or len(self._held[1]) < rows:
-                cap = max([rows] + [r1 - r0 for r0, r1 in self.chunks])
-                lines = [-(-cap * math.prod(s[1:]) // 8) * 8 for s in (shape, res)]
-                self._held = (_aligned((n + len(pairs) + 8, lines[0])),
-                              _aligned((cap,) + shape[1:], bool),
-                              _aligned((2, lines[1]), zero=True, lead=margin))
-                self._views = {}
-            floats, flags, wide = self._held
+        n, res, rim = self.n, self.config.resolution, self._rim
+        pairs = [(a, c) for a in range(n) for c in range(a, n)]
+        inner = tuple(r - 2 for r in res[1:])
+        cap = max(r1 - r0 for r0, r1 in self.chunks)
+        lines = [-(-cap * math.prod(s) // 8) * 8 for s in (inner, res[1:])]
+        floats = _aligned((n + len(pairs) + 9, lines[0]))
+        flags = _aligned((cap,) + inner, bool)
+        wide = _aligned((2, lines[1]), zero=True, lead=rim)
+        views = []
+        for r0, r1 in self.chunks:
+            shape = (r1 - r0,) + inner
             buffers = (b[: math.prod(shape)].reshape(shape) for b in floats)
             d1 = [next(buffers) for _ in range(n)]
             d2 = {}
             for a, c in pairs:
                 d2[a, c] = d2[c, a] = next(buffers)
-            acc, tmp, trA, qq, qAq, lower, upper, shifted = buffers
-            size = rows * math.prod(res[1:])
-            diff, twice = (b[margin : size - margin] for b in wide)
-            window = wide[0, :size].reshape((rows,) + res[1:])
-            views = self._views[rows] = _Workspace(
-                d1, d2, acc, tmp, flags[:rows],
-                (trA, qq, qAq, tmp), (flags[:rows], lower, upper), shifted,
+            acc, tmp, trA, qq, qAq, lower, upper, shifted, gap = buffers
+            size = (r1 - r0) * self._row
+            diff, twice = (b[rim : size - rim] for b in wide)
+            window = wide[0, :size].reshape((r1 - r0,) + res[1:])
+            views.append(_Workspace(
+                d1, d2, acc, tmp, flags[: r1 - r0],
+                (trA, qq, qAq, tmp), (flags[: r1 - r0], lower, upper), shifted, gap,
                 diff, twice, window[(slice(None),) + (slice(1, -1),) * (n - 1)],
-            )
+            ))
         return views
 
     def _derivatives(self, u: npt.NDArray, r0: int, r1: int):
-        """trA, |q|^2, q^T A q and A[j, l] at global rows r0..r1-1 (q = Xu, A = X2u).
+        """trA, |q|^2, q^T A q and A[j, l] on the chunk of rows r0..r1-1 (q = Xu, A = X2u).
 
-        u is C-contiguous.  The arrays are views of the engine's held chunk
+        u is C-contiguous.  The arrays are views of the engine's chunk
         workspace: they stay valid until the next call on this engine.
         """
         n, m, nv = self.n, self.m, self.n - self.m
-        win, bb, bbbb = self._stage(r0, r1)
-        w = self._workspace(r1 - r0)
+        win, bb, bbbb, w = self._plans[r0, r1]
         d1, d2, tmp, diff = w.d1, w.d2, w.tmp, w.diff
         flat = u.reshape(-1)
         h = self.h
@@ -625,7 +616,6 @@ class Engine:
         schemes: Sequence[str],
         gap: bool = False,
         out: list[npt.NDArray] | None = None,
-        chunks: Sequence[tuple[int, int]] | None = None,
     ) -> list[npt.NDArray]:
         """Op(u) on the interior for each scheme, from one derivative pass per chunk.
 
@@ -635,9 +625,7 @@ class Engine:
         where q = 0).  The arrays are new unless out, one array of the
         interior shape per result, is given; then they are written and
         returned.  An out array that overlaps u is refused: later chunks read
-        u where earlier chunks would have written.  chunks, a subset of
-        self.chunks, restricts the pass to those rows; the other rows of out
-        are left as they are.
+        u where earlier chunks would have written.
         """
         for scheme in schemes:
             if scheme not in SCHEMES:
@@ -649,40 +637,43 @@ class Engine:
         u = np.ascontiguousarray(u)  # the stencil windows slice it flat
         if out is None:
             out = [_aligned(tuple(r - 2 for r in u.shape)) for _ in range(len(schemes) + gap)]
-        for r0, r1 in self.chunks if chunks is None else chunks:
-            trA, qq, qAq, A = self._derivatives(u, r0, r1)
-            w = self._workspace(r1 - r0)
-            blocks, results = [values[r0 - 1 : r1 - 1] for values in out], {}
-            if gap or "regularized" in schemes:
-                np.add(qq, self.delta2, out=w.shifted)
-            if gap:
-                blocks[-1][...] = 0.0
-                np.multiply(qAq, self.delta2, out=w.acc)
-                np.multiply(qq, w.shifted, out=w.tmp)
-                np.divide(w.acc, w.tmp, out=blocks[-1], where=np.greater(qq, 0.0, out=w.flags))
-            if set(schemes) - {"regularized"}:
-                # with both envelopes requested, _bounds writes into their blocks
-                both = set(SCHEMES[1:]) <= set(schemes)
-                bounds = [blocks[schemes.index(s)] for s in SCHEMES[1:]] if both else w.bounds[1:]
-                bounds = _bounds(trA, qq, qAq, A, self.eps2, out=(w.flags, *bounds, None))
-                results = dict(zip(SCHEMES[1:], bounds))  # envelope_min: lower, envelope_max: upper
-            for block, scheme in zip(blocks, schemes):
-                if scheme not in results:  # regularized
-                    np.divide(qAq, w.shifted, out=w.tmp)
-                    results[scheme] = np.add(np.negative(trA, out=w.acc), w.tmp, out=block)
-                elif results[scheme] is not block:
-                    block[...] = results[scheme]
+        for r0, r1 in self.chunks:
+            self._pass(u, r0, r1, schemes, gap, [values[r0 - 1 : r1 - 1] for values in out])
         return out
 
-    def _euler(self, u: npt.NDArray, dt: float, new: npt.NDArray, rows=None) -> npt.NDArray:
+    def _pass(self, u: npt.NDArray, r0: int, r1: int, schemes: Sequence[str], gap: bool, blocks: list):
+        """The pass of `operators` on the chunk of rows r0..r1-1 of u (C-contiguous), one block per result."""
+        trA, qq, qAq, A = self._derivatives(u, r0, r1)
+        w, results = self._plans[r0, r1][-1], {}
+        if gap or "regularized" in schemes:
+            np.add(qq, self.delta2, out=w.shifted)
+        if gap:
+            blocks[-1][...] = 0.0
+            np.multiply(qAq, self.delta2, out=w.acc)
+            np.multiply(qq, w.shifted, out=w.tmp)
+            np.divide(w.acc, w.tmp, out=blocks[-1], where=np.greater(qq, 0.0, out=w.flags))
+        if set(schemes) - {"regularized"}:
+            # with both envelopes requested, _bounds writes into their blocks
+            both = set(SCHEMES[1:]) <= set(schemes)
+            bounds = [blocks[schemes.index(s)] for s in SCHEMES[1:]] if both else w.bounds[1:]
+            bounds = _bounds(trA, qq, qAq, A, self.eps2, out=(w.flags, *bounds, None))
+            results = dict(zip(SCHEMES[1:], bounds))  # envelope_min: lower, envelope_max: upper
+        for block, scheme in zip(blocks, schemes):
+            if scheme not in results:  # regularized
+                np.divide(qAq, w.shifted, out=w.tmp)
+                results[scheme] = np.add(np.negative(trA, out=w.acc), w.tmp, out=block)
+            elif results[scheme] is not block:
+                block[...] = results[scheme]
+
+    def _euler(self, u: npt.NDArray, dt: float, new: npt.NDArray, rows) -> npt.NDArray:
         """Turn new (C-contiguous), which holds op = Op(u) on its interior,
         into u - dt * op there, in place, over whole rows r0..r1-1 of axis 0
-        (rows = (r0, r1); default all rows).  Boundary nodes on those rows,
-        columns passed over included, then copy their neighbor: row 0 or row
-        N_0 - 1 if the range holds it, then the faces of the other axes.
-        Ranges that tile the rows give the bits of one call over all rows."""
+        (rows = (r0, r1)).  Boundary nodes on those rows, columns passed over
+        included, then copy their neighbor: row 0 or row N_0 - 1 if the
+        range holds it, then the faces of the other axes.  Ranges that tile
+        the rows give the bits of one call over all rows."""
         n, size = u.ndim, u.shape[0]
-        r0, r1 = (0, size) if rows is None else rows
+        r0, r1 = rows
         window = slice(max(r0, 1) * self._row + self._rim, min(r1, size - 1) * self._row - self._rim)
         step = new.reshape(-1)[window]
         np.subtract(u.reshape(-1)[window], np.multiply(step, dt, out=step), out=step)
@@ -701,13 +692,15 @@ class Engine:
         return new
 
     def step(self, u: npt.NDArray, new: npt.NDArray, dt: float, rows, sandwich: bool = False):
-        """The step from u into new (C-contiguous) on rows r0..r1-1 of axis 0,
-        rows = (r0, r1) with each end 0, N_0 or the first row of a later
-        chunk: `operators` over the chunks that start there, `_euler` over
-        the rows and, with sandwich, the envelope bracket on their interior
-        rows.  Returns the rows' max u and min u and the bracket's violation
-        and gap (0.0 without it); calls over a tiling of the rows write the
-        bits of one call over all rows.
+        """The step from u (C-contiguous) into new (C-contiguous) on rows
+        r0..r1-1 of axis 0, rows = (r0, r1) with each end 0, N_0 or the first
+        row of a later chunk.  For each chunk that starts there, in order: the
+        pass of `operators` into the chunk's interior rows of new, `_euler`
+        over the chunk's rows (from r0 for the first chunk, to r1 for the
+        last) and, with sandwich, the envelope bracket on the chunk, from its
+        workspace.  Returns the rows' max u and min u and the bracket's
+        violation and gap (0.0 without it); calls over a tiling of the rows
+        write the bits of one call over all rows.
 
         The sandwich computes the envelope_min / envelope_max updates from
         the same u as the regularized one.  The regularized operator falls
@@ -721,27 +714,29 @@ class Engine:
         delta unless the schemes are out of order, or q = 0 exactly where X2u
         is definite.
         """
+        if not np.shape(u) == np.shape(new) == self.config.resolution or np.may_share_memory(u, new):
+            raise ValueError(f"u and new must not overlap and must have shape {self.config.resolution}")
         r0, r1 = rows
         inner = (slice(1, -1),) * self.n
-        if sandwich and not self._bracket:
-            self._bracket = _mapped(new[inner].shape, 4, mmap.MAP_PRIVATE)
+        base, update = u[inner], new[inner]
         schemes = SCHEMES if sandwich else (self.config.scheme,)
         chunks = [chunk for chunk in self.chunks if r0 <= chunk[0] < r1]
-        self.operators(u, schemes, sandwich, [new[inner], *self._bracket[:3 * sandwich]], chunks)
-        self._euler(u, dt, new, rows)
+        ends = [r0, *(c0 for c0, _ in chunks[1:]), r1]  # the rows of each _euler call
         violation = gap = 0.0
-        if sandwich:
-            own = slice(max(r0, 1) - 1, min(r1, len(new) - 1) - 1)  # the interior rows
-            base, update = u[inner][own], new[inner][own]
-            low, high, shift, limit = (a[own] for a in self._bracket)
-            np.multiply(shift, dt, out=shift)
-            np.subtract(update, shift, out=limit)  # the update with delta -> 0
-            # smallest operator -> largest update
-            hi = np.subtract(base, np.multiply(low, dt, out=low), out=low)
-            lo = np.subtract(base, np.multiply(high, dt, out=high), out=high)
-            violation = max(float(np.max(np.subtract(lo, limit, out=lo), initial=0.0)),
-                            float(np.max(np.subtract(limit, hi, out=hi), initial=0.0)))
-            gap = float(np.max(np.abs(shift, out=shift), initial=0.0))
+        for (c0, c1), part in zip(chunks, zip(ends, ends[1:])):
+            w, own = self._plans[c0, c1][-1], slice(c0 - 1, c1 - 1)  # own: the chunk's interior rows
+            self._pass(u, c0, c1, schemes, sandwich, [update[own], *w.bounds[1:], w.gap][: 1 + 3 * sandwich])
+            self._euler(u, dt, new, part)
+            if sandwich:
+                low, high, shift, limit = *w.bounds[1:], w.gap, w.tmp
+                np.multiply(shift, dt, out=shift)
+                np.subtract(update[own], shift, out=limit)  # the update with delta -> 0
+                # smallest operator -> largest update
+                hi = np.subtract(base[own], np.multiply(low, dt, out=low), out=low)
+                lo = np.subtract(base[own], np.multiply(high, dt, out=high), out=high)
+                violation = max(violation, float(np.max(np.subtract(lo, limit, out=lo), initial=0.0)),
+                                float(np.max(np.subtract(limit, hi, out=hi), initial=0.0)))
+                gap = max(gap, float(np.max(np.abs(shift, out=shift), initial=0.0)))
         return float(np.max(new[r0:r1])), float(np.min(new[r0:r1])), violation, gap
 
 
@@ -763,14 +758,13 @@ def _has_positive_interior(values: npt.NDArray) -> bool:
     return bool(np.max(values[inner]) > 0.0)
 
 
-def _mapped(shape, count: int, flags: int) -> list[npt.NDArray]:
+def _mapped(shape, count: int) -> list[npt.NDArray]:
     """count zero-filled float arrays of the given shape in one anonymous
-    mapping, whose pages take memory only once written: MAP_SHARED, which a
-    forked child reads and writes in common with its parent, or MAP_PRIVATE.
-    The mapping starts on a page boundary and each array on a 64-byte one,
-    as the arrays of _aligned do."""
+    shared mapping, which a forked child reads and writes in common with its
+    parent.  The mapping starts on a page boundary and each array on a
+    64-byte one, as the arrays of _aligned do."""
     nodes, size = math.prod(shape), -(-math.prod(shape) // 8) * 64
-    mem = mmap.mmap(-1, count * size, flags=flags)
+    mem = mmap.mmap(-1, count * size, flags=mmap.MAP_SHARED)
     return [np.frombuffer(mem, float, nodes, k * size).reshape(shape) for k in range(count)]
 
 
@@ -909,7 +903,7 @@ def run(
     t = 0.0
     # each step writes the slab of the pair that u is not; step 0 reads a
     # copy of grid.values, which snapshot 0 holds and no step writes
-    slabs = _mapped(grid.values.shape, 2, mmap.MAP_SHARED)
+    slabs = _mapped(grid.values.shape, 2)
     slabs[1][...] = grid.values
     u = slabs[1]
     size = config.resolution[0]

@@ -28,8 +28,8 @@ PUBLIC = [
     "sq_norm", "sqrt", "sweep", "v_convexity_witness", "validate_spec",
     "write_front_csv", "write_snapshot_csv",
 ]
-# Engine's public attributes: one step is `operators` then `_euler`, so a
-# second step path shows up here
+# Engine's public attributes: one step is `step`, so a second step path
+# shows up here
 ENGINE_PUBLIC = [
     "b", "chunks", "close", "config", "delta2", "dt", "eps2", "h", "m", "n",
     "operators", "step", "symbol_bound",

@@ -134,7 +134,7 @@ def euler_step(eng, u, dt, scheme=None, out=None):
     new = np.zeros(u.shape) if out is None else out
     scheme = eng.config.scheme if scheme is None else scheme
     eng.operators(u, (scheme,), out=[new[(slice(1, -1),) * u.ndim]])
-    return eng._euler(u, dt, new)
+    return eng._euler(u, dt, new, (0, len(new)))
 
 
 def gauge_config(request, group):
@@ -350,38 +350,6 @@ class TestEngine:
         if nv <= 4:
             assert bound <= found * (1.0 + 1e-8)
 
-    @pytest.mark.parametrize("group", ["heisenberg", "m3n5"])
-    def test_derivatives_on_any_row_range_match_the_chunks(self, request, group):
-        # the stencil data is kept per row range, so a range that is not a
-        # chunk (the whole interior, or rows 2..4) must give the same bits
-        if group == "heisenberg":
-            cfg = config(res=32, initial=InitialSpec(preset="gauge_ball"))
-        else:
-            g = request.getfixturevalue("m3n5")
-            cfg = SolverConfig(g, ((-2.0, 2.0),) * 5, (10,) * 5,
-                               initial=InitialSpec(preset="gauge_ball"))
-        u = init(cfg).values
-        u = u + 1e-3 * np.sin(np.arange(u.size)).reshape(u.shape)
-        eng = Engine(cfg)
-        assert len(eng.chunks) > 1
-        rows = cfg.resolution[0] - 2
-
-        def derivatives(r0, r1):
-            # copies: the results are views of the engine's workspace
-            trA, qq, qAq, A = eng._derivatives(u, r0, r1)
-            return trA.copy(), qq.copy(), qAq.copy(), {key: a.copy() for key, a in A.items()}
-
-        whole = derivatives(1, rows + 1)
-        parts = [derivatives(r0, r1) for r0, r1 in eng.chunks]
-        middle = derivatives(2, 5)
-        for i in range(3):
-            np.testing.assert_array_equal(whole[i], np.concatenate([p[i] for p in parts]))
-            np.testing.assert_array_equal(middle[i], whole[i][1:4])
-        assert whole[3].keys() == middle[3].keys()
-        for key in whole[3]:
-            np.testing.assert_array_equal(whole[3][key], np.concatenate([p[3][key] for p in parts]))
-            np.testing.assert_array_equal(middle[3][key], whole[3][key][1:4])
-
     @pytest.mark.parametrize("chunk_nodes", [solver._CHUNK_NODES, 1000])
     @pytest.mark.parametrize("fields", [1, 3])
     @pytest.mark.parametrize("group", ["heisenberg", "m3n5"])
@@ -404,8 +372,8 @@ class TestEngine:
         eng = Engine(cfg)
         assert len(eng.chunks) > 1
         if group == "heisenberg":
-            qq = eng._derivatives(u, 1, cfg.resolution[0] - 1)[1]
-            assert np.count_nonzero(qq <= eng.eps2) > 0
+            qq = [eng._derivatives(u, *chunk)[1].copy() for chunk in eng.chunks]
+            assert sum(np.count_nonzero(q <= eng.eps2) for q in qq) > 0
         for _ in range(fields):
             shared = eng.operators(u, solver.SCHEMES)
             for scheme, op in zip(solver.SCHEMES, shared):
@@ -425,7 +393,8 @@ class TestEngine:
         cfg = SolverConfig(HEIS, BOX, (11, 9, 7), eps_sing=1.0)
         u = np.random.default_rng(9).standard_normal(cfg.resolution)
         eng = Engine(cfg)
-        assert np.count_nonzero(eng._derivatives(u, 1, 10)[1] <= eng.eps2) > 0
+        qq = [eng._derivatives(u, *chunk)[1].copy() for chunk in eng.chunks]
+        assert sum(np.count_nonzero(q <= eng.eps2) for q in qq) > 0
         for gap in (False, True):
             out = [np.full((9, 7, 5), np.nan) for _ in range(len(schemes) + gap)]
             got = eng.operators(u, schemes, gap=gap, out=out)
@@ -566,22 +535,26 @@ class TestEngine:
             np.testing.assert_array_equal(value, ref)
 
     @pytest.mark.parametrize("group", ["heisenberg", "mixed"])
-    def test_frame_operands_take_the_shape_of_their_class(self, group):
+    def test_frame_operands_take_the_shape_of_their_class(self, monkeypatch, group):
         # b_k[j] without an x_0 term, and the product of two, are prefixes of
-        # the blocks the engine holds; any other, the horizontal-only
-        # broadcast shape
+        # the blocks that the plan of a longest chunk holds whole, in every
+        # chunk's plan; any other, the horizontal-only broadcast shape
+        monkeypatch.setattr(solver, "_CHUNK_NODES", 105)  # chunks of two lengths
         g, res = (HEIS, (12, 9, 7)) if group == "heisenberg" else (MIXED, (7, 6, 5, 6))
         eng = Engine(SolverConfig(g, ((-2.0, 2.0),) * g.n, res))
-        eng.operators(np.zeros(res), ("regularized",))
-        cap, held = eng._blocks
-        assert cap == max(r1 - r0 for r0, r1 in eng.chunks)
-        for r0, r1 in eng.chunks:
-            _, bb, bbbb = eng._stage(r0, r1)
-            rows, inner = r1 - r0, tuple(r - 2 for r in res[1:])
+        inner = tuple(r - 2 for r in res[1:])
+        cap = max(r1 - r0 for r0, r1 in eng.chunks)
+        assert len({r1 - r0 for r0, r1 in eng.chunks}) == 2
+        _, bb, bbbb, _ = eng._plans[next(c for c in eng.chunks if c[1] - c[0] == cap)]
+        held = {key: a for key, a in {**bb, **bbbb}.items() if a.shape == (cap,) + inner}
+        assert sorted(held) == [(0, 0), (0, 0, 0, 0)]
+        assert all(block.flags.c_contiguous for block in held.values())
+        for (r0, r1), (_, bb, bbbb, _) in eng._plans.items():
+            rows = r1 - r0
             wide = (rows,) + inner[: g.m - 1] + (1,) * g.nv
-            assert sorted(held) == [(0, 0), (0, 0, 0, 0)]
             for a, block in ((bb[0, 0], held[0, 0]), (bbbb[0, 0, 0, 0], held[0, 0, 0, 0])):
                 assert np.shares_memory(a, block) and a.shape == (rows,) + inner
+                assert a.ctypes.data == block.ctypes.data
             assert bbbb[0, 0, 0, 1].shape == wide
             if group == "heisenberg":
                 assert bb[0, 1].shape == bbbb[0, 1, 0, 1].shape == wide
@@ -621,6 +594,14 @@ class TestEngine:
                 eng.operators(u, solver.SCHEMES[: len(out)], out=out)
         assert u.tobytes() == before.tobytes()
         eng.operators(u, ("regularized",), out=[apart])
+
+    def test_step_refuses_another_shape_and_a_new_that_overlaps_u(self):
+        # later chunks read rows of u that an aliased new would already hold
+        cfg = SolverConfig(HEIS, BOX, (11, 9, 7))
+        eng, u = Engine(cfg), np.zeros(cfg.resolution)
+        for pair in ((np.zeros((11, 9, 8)), u), (u, np.zeros((9, 11, 7))), (u, u), (u, u[:, ::-1])):
+            with pytest.raises(ValueError, match="overlap"):
+                eng.step(*pair, eng.dt, (0, 11))
 
     def test_operator_rejects_unknown_scheme(self):
         with pytest.raises(ValueError, match="scheme"):
@@ -891,19 +872,36 @@ class TestRun:
         assert res.n_steps >= 6 and len(rises) == res.n_steps + 1
         assert max(rises[3:]) < 3 * grid, [round(r / grid, 2) for r in rises]
 
+    @pytest.mark.parametrize("sandwich", [False, True])
+    def test_a_fresh_engines_first_step_allocates_no_workspace(self, request, sandwich):
+        # the engine builds every chunk's plan, workspace and frame blocks
+        # when it is made, so that its first step peaks below one float
+        # array of the longest chunk's interior shape
+        cfg = gauge_config(request, "heisenberg")
+        u, new = init(cfg).values, np.zeros(cfg.resolution)
+        eng = Engine(cfg)
+        rows = max(r1 - r0 for r0, r1 in eng.chunks)
+        chunk = rows * math.prod(r - 2 for r in cfg.resolution[1:]) * 8
+        tracemalloc.start()
+        try:
+            eng.step(u, new, eng.dt, (0, cfg.resolution[0]), sandwich)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < chunk, peak / chunk
+
     @pytest.mark.parametrize("group", ["heisenberg", "m3n5"])
     def test_held_arrays_start_on_64_byte_boundaries(self, request, group):
         # after a plain and a sandwich step: both slabs (read from run's frame
-        # at the end of each step), the engine's sandwich arrays, every float
-        # view of the chunk workspace at each row count, the held frame
-        # blocks and the first element of each flat window lie on a 64-byte
-        # boundary, wherever malloc put them
+        # at the end of each step), every float view of each chunk's
+        # workspace, the gap buffer included, the held frame blocks and the
+        # first element of each flat window lie on a 64-byte boundary,
+        # wherever malloc put them
         held = {}
 
         def recorded(snap):
             frame = run_locals()
             if "u" in frame:  # after a step: u is the slab it wrote
-                held.update((f"bracket[{i}]", a) for i, a in enumerate(frame["eng"]._bracket))
                 held[id(frame["u"])] = frame["u"]
                 held["engine"] = frame["eng"]
 
@@ -914,17 +912,17 @@ class TestRun:
             assert run(cfg, record_sandwich=sandwich, on_snapshot=recorded).n_steps == 3
             eng = held.pop("engine")
             views = {}
-            for rows in range(1, 1 + max(r1 - r0 for r0, r1 in eng.chunks)):
-                w = eng._workspace(rows)
-                views.update({f"d1[{a}] at {rows}": d for a, d in enumerate(w.d1)})
-                views.update({f"d2{key} at {rows}": d for key, d in w.d2.items()})
-                for name in ("acc", "tmp", "flags", "diff", "twice"):
-                    views[f"{name} at {rows}"] = getattr(w, name)
-                views.update({f"contract[{i}] at {rows}": a for i, a in enumerate(w.contract)})
-                views.update({f"bounds[{i}] at {rows}": a for i, a in enumerate(w.bounds)})
-                views[f"shifted at {rows}"] = w.shifted
-            views.update({f"frame block {key}": a for key, a in eng._blocks[1].items()})
-            assert len(held) == (6 if sandwich else 2)
+            for chunk, (_, bb, bbbb, w) in eng._plans.items():
+                views.update({f"d1[{a}] at {chunk}": d for a, d in enumerate(w.d1)})
+                views.update({f"d2{key} at {chunk}": d for key, d in w.d2.items()})
+                for name in ("acc", "tmp", "flags", "diff", "twice", "shifted", "gap"):
+                    views[f"{name} at {chunk}"] = getattr(w, name)
+                views.update({f"contract[{i}] at {chunk}": a for i, a in enumerate(w.contract)})
+                views.update({f"bounds[{i}] at {chunk}": a for i, a in enumerate(w.bounds)})
+                views.update({f"frame block {key} at {chunk}": a for key, a in {**bb, **bbbb}.items()
+                              if a.shape == w.acc.shape})
+            assert len(held) == 2
+            assert any(name.startswith("frame block") for name in views)
             for name, a in list(held.items()) + list(views.items()):
                 assert a.ctypes.data % 64 == 0, name
 
@@ -977,6 +975,16 @@ def make_unstable(monkeypatch):
 
     monkeypatch.setattr(Engine, "__init__", oversized_dt)
     monkeypatch.setattr(solver, "_sample_initial", seeded)
+
+
+def off_center_ball(cfg):
+    """0.25 - |x - (1, 0, ..., 0)|^2 on the grid: a ball whose nodes all lie in
+    the later half of the rows of axis 0."""
+    x = np.meshgrid(*solver._axis_coords(cfg), indexing="ij")
+    u = 0.25 - (x[0] - 1.0) ** 2
+    for xa in x[1:]:
+        u = u - xa ** 2
+    return u
 
 
 def run_locals():
@@ -1037,7 +1045,7 @@ def serial_steps(cfg, sandwich, euler=Engine._euler):
         ops = eng.operators(u, schemes, gap=sandwich)
         new = np.zeros(cfg.resolution)
         new[inner] = ops[0]
-        euler(eng, u, dt, new)
+        euler(eng, u, dt, new, (0, len(new)))
         if sandwich:
             shift = ops[3] * dt
             limit = new[inner] - shift
@@ -1138,14 +1146,14 @@ class TestWorker:
         assert_no_child()
 
     def test_the_workers_exception_reaches_run(self, monkeypatch):
-        parent, operators = os.getpid(), Engine.operators
+        parent, chunk_pass = os.getpid(), Engine._pass
 
         def failing(self, *args, **kwargs):
             if os.getpid() != parent:
                 raise ZeroDivisionError("the worker's share")
-            return operators(self, *args, **kwargs)
+            return chunk_pass(self, *args, **kwargs)
 
-        monkeypatch.setattr(Engine, "operators", failing)
+        monkeypatch.setattr(Engine, "_pass", failing)
         with deadline(20):
             with pytest.raises(RuntimeError, match="ZeroDivisionError: the worker's share"):
                 run(config(res=32))
@@ -1156,16 +1164,14 @@ class TestWorker:
         # one nan at the first step, written by one process into the operator
         # value of a node in its own rows, fails the finiteness check that
         # combines the two processes' maxima and minima
-        parent, operators = os.getpid(), Engine.operators
+        parent, chunk_pass = os.getpid(), Engine._pass
 
-        def poisoned(self, u, schemes, gap=False, out=None, chunks=None):
-            out = operators(self, u, schemes, gap, out, chunks)
+        def poisoned(self, u, r0, r1, schemes, gap, blocks):
+            chunk_pass(self, u, r0, r1, schemes, gap, blocks)
             if (os.getpid() == parent) == (process == "parent"):
-                r0, r1 = chunks[len(chunks) // 2]
-                out[0][(r0 + r1) // 2 - 1, 5, 5] = np.nan
-            return out
+                blocks[0][(r1 - r0) // 2, 5, 5] = np.nan
 
-        monkeypatch.setattr(Engine, "operators", poisoned)
+        monkeypatch.setattr(Engine, "_pass", poisoned)
         pids = counted_forks(monkeypatch)
         with deadline(20):
             with pytest.raises(RuntimeError, match="nonfinite values after step 1 "):
@@ -1178,16 +1184,37 @@ class TestWorker:
         # a ball whose nodes are all in the worker's rows: the run goes
         # extinct when the serial steps do, not when the parent's rows are,
         # and the sandwich maxima, taken where the ball is, are serial's
-        def off_center(cfg):
-            x = np.meshgrid(*solver._axis_coords(cfg), indexing="ij")
-            return 0.25 - (x[0] - 1.0) ** 2 - x[1] ** 2 - x[2] ** 2
-
-        monkeypatch.setattr(solver, "_sample_initial", off_center)
+        monkeypatch.setattr(solver, "_sample_initial", off_center_ball)
         cfg = config(res=32, cfl=0.5, t_end=1.0)
         cut = Engine(cfg).chunks[1][0]
         res, times, _ = run_against_serial_steps(monkeypatch, cfg, sandwich)
         assert res.extinction_time == times[-1] and res.n_steps > 5
         assert max(np.max(snap.values[:cut]) for snap in res.snapshots) < 0.0
+
+    @pytest.mark.parametrize("sandwich", [False, True])
+    @pytest.mark.parametrize("group", ["heisenberg", "m3n5"])
+    def test_several_chunks_per_process_equal_the_serial_steps_bit_for_bit(
+        self, request, monkeypatch, group, sandwich
+    ):
+        # each process steps three or more chunks: its step combines every
+        # chunk's violation and gap, and its first and last chunk's Euler
+        # rows reach row 0 and row N_0 - 1.  The off-centre ball puts the
+        # largest violation and gap in the worker's middle chunks, away from
+        # either process's last chunk
+        monkeypatch.setattr(solver, "_sample_initial", off_center_ball)
+        if group == "heisenberg":
+            monkeypatch.setattr(solver, "_CHUNK_NODES", 3600)  # four rows of 900 nodes
+            cfg = config(res=32, cfl=0.5, t_end=1.0)
+        else:
+            monkeypatch.setattr(solver, "_CHUNK_NODES", 1250)  # two rows of 625 nodes
+            cfg = SolverConfig(request.getfixturevalue("m3n5"), ((-2.0, 2.0),) * 5,
+                               (14, 7, 7, 7, 7), cfl=0.5, t_end=1.0)
+        # chunks of near-equal rows, which run halves between the processes
+        assert len(Engine(cfg).chunks) == (8 if group == "heisenberg" else 6)
+        res, times, _ = run_against_serial_steps(monkeypatch, cfg, sandwich)
+        assert res.extinction_time == times[-1] and res.n_steps > 5
+        if sandwich:
+            assert res.sandwich_max_violation > 0.0 and res.regularization_gap > 0.0
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_unstable_step_leaves_no_child(self, monkeypatch):
