@@ -39,9 +39,11 @@ verify would refuse.  A refused command writes nothing.
 
 evolve writes each snapshot's CSVs in one child process (POSIX os.fork)
 while the run keeps stepping; at most one such child is alive, and the last
-is reaped before evolve returns or raises.  The run itself may fork one
-worker process for half of each step's operator pass (see solver.run), so
-at most two children are alive at a time.
+is reaped before evolve returns or raises.  The writer is the run's
+on_snapshot, so the run keeps no snapshot: evolve holds one snapshot copy at
+a time, the one it forks a writer for, however many the run writes.  The
+run itself may fork one worker process for half of each step's operator
+pass (see solver.run), so at most two children are alive at a time.
 
 Exit codes: 0 all checks pass / run completed; 1 scientific failure or
 instability; 2 unusable config or arguments.

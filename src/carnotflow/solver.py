@@ -745,6 +745,21 @@ class Engine:
 
 @dataclass
 class RunResult:
+    """What run returns.
+
+    snapshots: every snapshot of the run in time order, if run had no
+        on_snapshot.  With on_snapshot, each snapshot went to the callback
+        alone and this list is empty.
+    extinction_time: the time after the step at which no interior node was
+        positive any more (0.0 if none was at the start), or None if the
+        run reached t_end first.
+    dt: the engine's stable step (0.0 if the initial data had no positive
+        interior node); a last step may be shorter, to end at t_end.
+    n_steps: the number of steps taken.
+    sandwich_max_violation, regularization_gap: with record_sandwich, the
+        sandwich's worst violation and gap over the run; else None.
+    """
+
     snapshots: list[GridField]
     extinction_time: float | None
     dt: float
@@ -858,10 +873,15 @@ def run(
     record_sandwich: bool = False,
     on_snapshot: Callable[[GridField], None] | None = None,
 ) -> RunResult:
-    """Evolve to t_end or extinction, collecting snapshots at the cadence.
+    """Evolve to t_end or extinction, emitting snapshots at the cadence.
 
     The initial slab is always the first snapshot, the final slab (at
-    t_end, or at the extinction step) the last.  Every step is `Engine.step`,
+    t_end, or at the extinction step) the last.  Each snapshot goes to
+    one sink: to on_snapshot if given, and run keeps none of them
+    (RunResult.snapshots is empty, and run drops snapshot 0 once the
+    first slab holds its values), else to RunResult.snapshots.  So with a
+    callback that keeps nothing, run holds one snapshot copy at a time,
+    however many it emits.  Every step is `Engine.step`,
     with the sandwich if record_sandwich: then sandwich_max_violation and
     regularization_gap are its worst violation and gap over the run.
 
@@ -883,14 +903,10 @@ def run(
     if record_sandwich and config.scheme != "regularized":
         raise ValueError("sandwich recording reads the regularized trajectory")
     snapshots: list[GridField] = []
-
-    def emit(snap: GridField) -> None:
-        snapshots.append(snap)
-        if on_snapshot is not None:
-            on_snapshot(snap)
-
+    emit = snapshots.append if on_snapshot is None else on_snapshot
     grid = init(config)
     emit(grid)
+    emitted = 0.0  # the time of the last snapshot emitted
     extinct: float | None = None
     violation = gap = 0.0
     steps = 0
@@ -906,6 +922,7 @@ def run(
     slabs = _mapped(grid.values.shape, 2)
     slabs[1][...] = grid.values
     u = slabs[1]
+    del grid  # with on_snapshot, the sink holds snapshot 0 if anything does
     size = config.resolution[0]
     # the parent's rows and the worker's, split at the chunk start where the
     # interior nodes (as many per row in every chunk) come closest to halves
@@ -941,6 +958,7 @@ def run(
                 if next_snap <= t + _TIME_SLOP:  # cadence below dt: skip the passed marks at once
                     next_snap += se * np.floor((t + _TIME_SLOP - next_snap) / se + 1.0)
                 emit(GridField(config.box, u.copy(), t))
+                emitted = t
             # the fill copied interior nodes onto the boundary: the tops are their max
             if not max(tops) > 0.0:
                 extinct = t
@@ -948,7 +966,7 @@ def run(
     finally:
         if worker is not None:
             worker.stop()
-    if snapshots[-1].time < t:  # the final slab, unless the cadence just emitted it
+    if emitted < t:  # the final slab, unless the cadence just emitted it
         emit(GridField(config.box, u.copy(), t))
 
     sandwich = (violation, gap) if record_sandwich else (None, None)

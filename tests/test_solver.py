@@ -817,32 +817,40 @@ class TestRun:
         assert not np.any(inner > 0)
 
     def test_on_snapshot_callback_sees_every_snapshot(self):
+        # each snapshot goes to the callback alone: the times and bits of a
+        # run without one, and run keeps none of them
+        cfg = config(res=10, t_end=0.05)
         seen = []
-        res = run(config(res=10, t_end=0.05), on_snapshot=lambda g: seen.append(g.time))
-        assert seen == [s.time for s in res.snapshots]
+        res = run(cfg, on_snapshot=seen.append)
+        assert res.snapshots == []
+        reference = run(cfg).snapshots
+        assert [g.time for g in seen] == [s.time for s in reference]
+        for g, snap in zip(seen, reference, strict=True):
+            np.testing.assert_array_equal(g.values, snap.values)
 
     @pytest.mark.parametrize("sandwich", [False, True])
     def test_snapshots_own_their_values(self, sandwich):
         # steps write a reused pair of slabs (run's u at the end of a step);
-        # what on_snapshot saw (copied then) is what the run returns, no
-        # snapshot shares memory with another or with a slab, and snapshot 0
-        # keeps the initial data
-        slabs, seen = {}, []
+        # what on_snapshot saw (copied then) is what its snapshots hold when
+        # the run has returned, no snapshot shares memory with another or
+        # with a slab, and snapshot 0 keeps the initial data
+        slabs, seen, snapshots = {}, [], []
 
         def recorded(snap):
             seen.append(snap.values.copy())
+            snapshots.append(snap)
             u = run_locals().get("u")  # unbound before the first step
             if u is not None:
                 slabs[id(u)] = u
 
         cfg = config(res=10, t_end=0.01, snapshot_every=1e-9)
         res = run(cfg, record_sandwich=sandwich, on_snapshot=recorded)
-        assert res.n_steps > 2 and len(res.snapshots) == res.n_steps + 1 == len(seen)
+        assert res.n_steps > 2 and len(snapshots) == res.n_steps + 1 == len(seen)
         assert len(slabs) == 2
-        for values, snap in zip(seen, res.snapshots):
+        for values, snap in zip(seen, snapshots):
             np.testing.assert_array_equal(values, snap.values)
-        np.testing.assert_array_equal(res.snapshots[0].values, init(cfg).values)
-        arrays = [snap.values for snap in res.snapshots] + list(slabs.values())
+        np.testing.assert_array_equal(snapshots[0].values, init(cfg).values)
+        arrays = [snap.values for snap in snapshots] + list(slabs.values())
         for i, a in enumerate(arrays):
             for b in arrays[i + 1 :]:
                 assert not np.shares_memory(a, b)
@@ -871,6 +879,23 @@ class TestRun:
             tracemalloc.stop()
         assert res.n_steps >= 6 and len(rises) == res.n_steps + 1
         assert max(rises[3:]) < 3 * grid, [round(r / grid, 2) for r in rises]
+
+    def test_memory_stays_flat_as_snapshots_are_added(self):
+        # with on_snapshot, run keeps no snapshot: its traced peak on a 16^3
+        # gauge ball with a snapshot after every step moves by less than
+        # one grid between 5 and 40 steps
+        grid = 16 ** 3 * 8
+        cfg = config(res=16, snapshot_every=1e-9, initial=InitialSpec(preset="gauge_ball"))
+        dt, peaks = Engine(cfg).dt, []
+        for steps in (5, 40):
+            tracemalloc.start()
+            try:
+                res = run(dataclasses.replace(cfg, t_end=steps * dt), on_snapshot=lambda snap: None)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert res.n_steps == steps and res.extinction_time is None
+        assert abs(peaks[1] - peaks[0]) < grid, [round(p / grid, 1) for p in peaks]
 
     @pytest.mark.parametrize("sandwich", [False, True])
     def test_a_fresh_engines_first_step_allocates_no_workspace(self, request, sandwich):
@@ -1064,12 +1089,13 @@ def serial_steps(cfg, sandwich, euler=Engine._euler):
 def run_against_serial_steps(monkeypatch, cfg, sandwich):
     """run cfg with a snapshot after every step, which must equal the slab of
     serial_steps bit for bit, with one worker forked; every result field
-    must equal serial_steps' too.  Returns the result, the step times and
-    the last slab of serial_steps."""
+    must equal serial_steps' too.  Returns the result, the step times, the
+    last slab of serial_steps and the snapshots that run emitted."""
     reference = serial_steps(cfg, sandwich)
-    times, slabs = [], []
+    times, slabs, snapshots = [], [], []
 
     def compared(snap):
+        snapshots.append(snap)
         if snap.time > 0.0:
             t, slab = next(reference)
             np.testing.assert_array_equal(snap.values, slab)
@@ -1085,7 +1111,7 @@ def run_against_serial_steps(monkeypatch, cfg, sandwich):
     assert len(pids) == 1
     assert (res.extinction_time, res.dt, res.n_steps,
             res.sandwich_max_violation, res.regularization_gap) == stop.value.value
-    return res, times, slabs[0]
+    return res, times, slabs[0], snapshots
 
 
 class TestWorker:
@@ -1104,12 +1130,12 @@ class TestWorker:
             monkeypatch.setattr(solver, "_CHUNK_NODES", 1120)  # two rows of 560 nodes
         chunks = len(Engine(cfg).chunks)
         assert chunks == (2 if group == "heisenberg" else 3)
-        res, times, slab = run_against_serial_steps(monkeypatch, cfg, sandwich)
+        res, times, slab, snapshots = run_against_serial_steps(monkeypatch, cfg, sandwich)
         assert res.n_steps == len(times) > 5
         assert res.extinction_time == times[-1]
-        assert [snap.time for snap in res.snapshots] == [0.0, *times]
-        np.testing.assert_array_equal(res.snapshots[0].values, init(cfg).values)
-        np.testing.assert_array_equal(res.snapshots[-1].values, slab)
+        assert [snap.time for snap in snapshots] == [0.0, *times]
+        np.testing.assert_array_equal(snapshots[0].values, init(cfg).values)
+        np.testing.assert_array_equal(snapshots[-1].values, slab)
 
     @pytest.mark.parametrize("sandwich", [False, True])
     def test_a_final_shorter_step_equals_the_serial_steps_bit_for_bit(self, request, monkeypatch, sandwich):
@@ -1118,11 +1144,11 @@ class TestWorker:
         cfg = gauge_config(request, "heisenberg")
         dt = Engine(cfg).dt
         cfg = dataclasses.replace(cfg, t_end=5.5 * dt)
-        res, times, slab = run_against_serial_steps(monkeypatch, cfg, sandwich)
+        res, times, slab, snapshots = run_against_serial_steps(monkeypatch, cfg, sandwich)
         assert res.n_steps == len(times) == 6 and res.extinction_time is None
         assert times[-1] - times[-2] == pytest.approx(0.5 * dt, rel=1e-9)
-        assert [snap.time for snap in res.snapshots] == [0.0, *times]
-        np.testing.assert_array_equal(res.snapshots[-1].values, slab)
+        assert [snap.time for snap in snapshots] == [0.0, *times]
+        np.testing.assert_array_equal(snapshots[-1].values, slab)
 
     def test_a_grid_of_one_chunk_forks_nothing(self, monkeypatch):
         cfg = config(res=12)
@@ -1187,9 +1213,9 @@ class TestWorker:
         monkeypatch.setattr(solver, "_sample_initial", off_center_ball)
         cfg = config(res=32, cfl=0.5, t_end=1.0)
         cut = Engine(cfg).chunks[1][0]
-        res, times, _ = run_against_serial_steps(monkeypatch, cfg, sandwich)
+        res, times, _, snapshots = run_against_serial_steps(monkeypatch, cfg, sandwich)
         assert res.extinction_time == times[-1] and res.n_steps > 5
-        assert max(np.max(snap.values[:cut]) for snap in res.snapshots) < 0.0
+        assert max(np.max(snap.values[:cut]) for snap in snapshots) < 0.0
 
     @pytest.mark.parametrize("sandwich", [False, True])
     @pytest.mark.parametrize("group", ["heisenberg", "m3n5"])
@@ -1211,7 +1237,7 @@ class TestWorker:
                                (14, 7, 7, 7, 7), cfl=0.5, t_end=1.0)
         # chunks of near-equal rows, which run halves between the processes
         assert len(Engine(cfg).chunks) == (8 if group == "heisenberg" else 6)
-        res, times, _ = run_against_serial_steps(monkeypatch, cfg, sandwich)
+        res, times, _, _ = run_against_serial_steps(monkeypatch, cfg, sandwich)
         assert res.extinction_time == times[-1] and res.n_steps > 5
         if sandwich:
             assert res.sandwich_max_violation > 0.0 and res.regularization_gap > 0.0
