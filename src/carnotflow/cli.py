@@ -31,7 +31,8 @@ admit the samples.
 Numeric fields, group.m, group.n and the entries of group.B included, take
 JSON numbers only: booleans and numeric strings are refused, and m and n
 must be integers with n > m >= 2.  run.out_dir must be a non-empty string,
-even where --out overrides it.  barrier --lattice must be at least 1.
+even where --out overrides it; an output directory that cannot be created
+is refused under --out or run.out_dir.  barrier --lattice must be >= 1.
 evolve and extinction refuse initial data whose front touches the box or
 that puts no interior node inside {u0 > 0}.  evolve echoes the verify
 section into config_effective.json, so it refuses a verify field that
@@ -40,10 +41,11 @@ verify would refuse.  A refused command writes nothing.
 evolve writes each snapshot's CSVs in one child process (POSIX os.fork)
 while the run keeps stepping; at most one such child is alive, and the last
 is reaped before evolve returns or raises.  The writer is the run's
-on_snapshot, so the run keeps no snapshot: evolve holds one snapshot copy at
-a time, the one it forks a writer for, however many the run writes.  The
-run itself may fork one worker process for half of each step's operator
-pass (see solver.run), so at most two children are alive at a time.
+on_snapshot, and the run keeps no snapshot: evolve holds one snapshot copy
+at a time, the one it forks a writer for, however many the run writes.
+extinction passes no callback, so its run copies no slab.  The run itself
+may fork one worker process for half of each step's operator pass (see
+solver.run), so at most two children are alive at a time.
 
 Exit codes: 0 all checks pass / run completed; 1 scientific failure or
 instability; 2 unusable config or arguments.
@@ -199,6 +201,15 @@ def _out_dir(doc: dict, override: str | None = None) -> str:
     """run.out_dir, checked even where an override replaces it."""
     configured = _get(_section(doc, "run"), "run", "out_dir", "out", _json(str, "a non-empty string"))
     return override or configured
+
+
+def _make_dirs(paths, source: str) -> None:
+    """Create each output directory, or refuse it under source, the option or key that named it."""
+    for path in paths:
+        try:
+            os.makedirs(path, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"{source}: cannot create {path}: {exc.strerror}") from exc
 
 
 def load_config(path: str | None) -> dict:
@@ -692,7 +703,7 @@ def cmd_barrier(args) -> int:
     status = np.where(~in_region, "outside-region", np.where(sign_ok & ~mismatch, "ok", "fail"))
     n_fail = int(np.sum(status == "fail"))
 
-    os.makedirs(out_dir, exist_ok=True)
+    _make_dirs([out_dir], "--out" if args.out else "run.out_dir")
     path = os.path.join(out_dir, f"barrier_{kind}.csv")
     # one row template over plain-Python columns: x1..xn, closed, numeric at 17 digits
     row = "%.17g," * (g.n + 2) + "%s,%s\n"
@@ -719,8 +730,8 @@ def _check_initial(cfg: SolverConfig) -> None:
 
 
 def _write_outputs(cfg: SolverConfig, out_dir: str, effective: dict, sandwich: bool) -> int:
-    """One run with its CSVs and config echo; under run.sandwich, a regularized
-    run also records the sandwich violation.
+    """One run with its CSVs and config echo, into out_dir, which exists;
+    under run.sandwich, a regularized run also records the sandwich violation.
 
     Each snapshot's snap/front CSVs are written by one child process (POSIX
     os.fork) from the slab it inherits, while this process keeps stepping.
@@ -732,7 +743,6 @@ def _write_outputs(cfg: SolverConfig, out_dir: str, effective: dict, sandwich: b
     raise OSError naming the file it could not write and carrying them.
     """
     record = sandwich and cfg.scheme == "regularized"
-    os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "config_effective.json"), "w") as fh:
         json.dump(effective, fh, indent=2)
         fh.write("\n")
@@ -813,6 +823,7 @@ def cmd_evolve(args) -> int:
     # the echoes read run.out_dir and the verify section, refused ahead of the initial data
     echoes = [effective_config_dict(doc, sub, sandwich) for sub, _ in runs]
     _check_initial(cfg)
+    _make_dirs([path for _, path in runs], "--out" if args.out else "run.out_dir")
     for (sub, path), echo in zip(runs, echoes):
         status = _write_outputs(sub, path, echo, sandwich)
         if status != 0:
@@ -824,7 +835,11 @@ def cmd_extinction(args) -> int:
     doc = load_config(args.config)
     cfg = build_solver_config(doc, build_group(doc))
     _check_initial(cfg)
-    result = run(replace(cfg, snapshot_every=0.0))  # snapshots never change the steps
+    try:
+        result = run(cfg)
+    except RuntimeError as exc:
+        print(f"extinction: aborted, {exc}", file=sys.stderr)
+        return 1
     if result.extinction_time is not None:
         print(f"extinction: t={result.extinction_time:.6g}")
     else:

@@ -223,6 +223,8 @@ class SolverConfig:
             raise ValueError("delta_reg must be positive")
         if self.eps_sing is not None and self.eps_sing <= 0.0:
             raise ValueError("eps_sing must be positive")
+        if self.delta_reg_effective ** 2 == 0.0:  # q^T A q / (|q|^2 + delta^2) would be 0/0 at q = 0
+            raise ValueError(f"delta_reg {self.delta_reg_effective:g} is too small: its square is 0")
 
     @property
     def spacing(self) -> npt.NDArray:
@@ -610,33 +612,22 @@ class Engine:
 
         return (*_contract(q, A, out=w.contract), A)
 
-    def operators(
-        self,
-        u: npt.NDArray,
-        schemes: Sequence[str],
-        gap: bool = False,
-        out: list[npt.NDArray] | None = None,
-    ) -> list[npt.NDArray]:
-        """Op(u) on the interior for each scheme, from one derivative pass per chunk.
+    def operators(self, u: npt.NDArray, schemes: Sequence[str], gap: bool = False) -> list[npt.NDArray]:
+        """Op(u) on the interior for each scheme, from one derivative pass per
+        chunk, in new arrays.
 
         With gap, one more array follows from the same derivative pass: F -
         F_delta = delta^2 q^T A q / (|q|^2 (|q|^2 + delta^2)), by which the
         regularized operator falls short of its delta -> 0 limit F(q, A) (0
-        where q = 0).  The arrays are new unless out, one array of the
-        interior shape per result, is given; then they are written and
-        returned.  An out array that overlaps u is refused: later chunks read
-        u where earlier chunks would have written.
+        where q = 0).
         """
         for scheme in schemes:
             if scheme not in SCHEMES:
                 raise ValueError(f"unknown scheme {scheme!r}")
         if np.shape(u) != self.config.resolution:
             raise ValueError(f"u has shape {np.shape(u)}, expected {self.config.resolution}")
-        if out is not None and any(np.may_share_memory(u, values) for values in out):
-            raise ValueError("out must not overlap u")
         u = np.ascontiguousarray(u)  # the stencil windows slice it flat
-        if out is None:
-            out = [_aligned(tuple(r - 2 for r in u.shape)) for _ in range(len(schemes) + gap)]
+        out = [_aligned(tuple(r - 2 for r in u.shape)) for _ in range(len(schemes) + gap)]
         for r0, r1 in self.chunks:
             self._pass(u, r0, r1, schemes, gap, [values[r0 - 1 : r1 - 1] for values in out])
         return out
@@ -745,11 +736,8 @@ class Engine:
 
 @dataclass
 class RunResult:
-    """What run returns.
+    """What run returns; its snapshots go to run's on_snapshot.
 
-    snapshots: every snapshot of the run in time order, if run had no
-        on_snapshot.  With on_snapshot, each snapshot went to the callback
-        alone and this list is empty.
     extinction_time: the time after the step at which no interior node was
         positive any more (0.0 if none was at the start), or None if the
         run reached t_end first.
@@ -760,7 +748,6 @@ class RunResult:
         sandwich's worst violation and gap over the run; else None.
     """
 
-    snapshots: list[GridField]
     extinction_time: float | None
     dt: float
     n_steps: int
@@ -873,15 +860,15 @@ def run(
     record_sandwich: bool = False,
     on_snapshot: Callable[[GridField], None] | None = None,
 ) -> RunResult:
-    """Evolve to t_end or extinction, emitting snapshots at the cadence.
+    """Evolve to t_end or extinction, handing each snapshot to on_snapshot.
 
-    The initial slab is always the first snapshot, the final slab (at
-    t_end, or at the extinction step) the last.  Each snapshot goes to
-    one sink: to on_snapshot if given, and run keeps none of them
-    (RunResult.snapshots is empty, and run drops snapshot 0 once the
-    first slab holds its values), else to RunResult.snapshots.  So with a
-    callback that keeps nothing, run holds one snapshot copy at a time,
-    however many it emits.  Every step is `Engine.step`,
+    The snapshots are the initial slab, the slab after each step that
+    reaches a mark of the cadence snapshot_every, and the final slab (at
+    t_end, or at the extinction step), in time order; each is a GridField
+    that owns its values.  run keeps none of them, and drops snapshot 0
+    once the first slab holds its values, so with a callback that keeps
+    nothing run holds one snapshot copy at a time, however many it emits.
+    Without on_snapshot, run copies no slab.  Every step is `Engine.step`,
     with the sandwich if record_sandwich: then sandwich_max_violation and
     regularization_gap are its worst violation and gap over the run.
 
@@ -902,27 +889,23 @@ def run(
     """
     if record_sandwich and config.scheme != "regularized":
         raise ValueError("sandwich recording reads the regularized trajectory")
-    snapshots: list[GridField] = []
-    emit = snapshots.append if on_snapshot is None else on_snapshot
     grid = init(config)
-    emit(grid)
-    emitted = 0.0  # the time of the last snapshot emitted
+    if on_snapshot is not None:
+        on_snapshot(grid)
+    if not _has_positive_interior(grid.values):
+        return RunResult(0.0, 0.0, 0, *((0.0, 0.0) if record_sandwich else (None, None)))
+
+    eng = Engine(config)
+    emitted = t = 0.0  # emitted: the time of the last snapshot emitted
     extinct: float | None = None
     violation = gap = 0.0
     steps = 0
-
-    if not _has_positive_interior(grid.values):
-        sandwich = (violation, gap) if record_sandwich else (None, None)
-        return RunResult(snapshots, 0.0, 0.0, 0, *sandwich)
-
-    eng = Engine(config)
-    t = 0.0
     # each step writes the slab of the pair that u is not; step 0 reads a
     # copy of grid.values, which snapshot 0 holds and no step writes
     slabs = _mapped(grid.values.shape, 2)
     slabs[1][...] = grid.values
     u = slabs[1]
-    del grid  # with on_snapshot, the sink holds snapshot 0 if anything does
+    del grid  # on_snapshot holds snapshot 0 if anything does
     size = config.resolution[0]
     # the parent's rows and the worker's, split at the chunk start where the
     # interior nodes (as many per row in every chunk) come closest to halves
@@ -931,7 +914,7 @@ def run(
     cut = eng.chunks[split][0] if split < len(rows) else size
     worker = (_Worker(lambda i, dt: eng.step(slabs[i], slabs[1 - i], dt, (cut, size), record_sandwich))
               if cut < size else None)
-    se = config.snapshot_every
+    se = config.snapshot_every if on_snapshot is not None else 0.0  # no callback, no cadence
     next_snap = se if se > 0 else np.inf
     try:
         while t < config.t_end - _TIME_SLOP * max(1.0, config.t_end):
@@ -957,7 +940,7 @@ def run(
                 next_snap += se
                 if next_snap <= t + _TIME_SLOP:  # cadence below dt: skip the passed marks at once
                     next_snap += se * np.floor((t + _TIME_SLOP - next_snap) / se + 1.0)
-                emit(GridField(config.box, u.copy(), t))
+                on_snapshot(GridField(config.box, u.copy(), t))
                 emitted = t
             # the fill copied interior nodes onto the boundary: the tops are their max
             if not max(tops) > 0.0:
@@ -966,11 +949,11 @@ def run(
     finally:
         if worker is not None:
             worker.stop()
-    if emitted < t:  # the final slab, unless the cadence just emitted it
-        emit(GridField(config.box, u.copy(), t))
+    if on_snapshot is not None and emitted < t:  # the final slab, unless the cadence just emitted it
+        on_snapshot(GridField(config.box, u.copy(), t))
 
     sandwich = (violation, gap) if record_sandwich else (None, None)
-    return RunResult(snapshots, extinct, eng.dt, steps, *sandwich)
+    return RunResult(extinct, eng.dt, steps, *sandwich)
 
 
 # --------------------------------------------------------- front geometry ---

@@ -112,12 +112,13 @@ def test_criterion_05_change_of_variables(capsys, heis):
 def test_criterion_06_extinction_reproduction(capsys):
     t0 = time.perf_counter()
     cfg = SolverConfig(HEIS, BOX, (64,) * 3, cfl=0.5, t_end=0.6, snapshot_every=0.05)
-    res = run(cfg)
+    snaps = []
+    res = run(cfg, on_snapshot=snaps.append)
     elapsed = time.perf_counter() - t0
 
     ext_ok = res.extinction_time is not None and abs(res.extinction_time - 0.5) <= 0.05
     worst_rel = 0.0
-    for snap in res.snapshots:
+    for snap in snaps:
         if snap.time > 0.4 + res.dt:
             continue
         pts = extract_front(snap).points
@@ -161,11 +162,13 @@ def test_criterion_08_relabel_invariance(capsys):
     base = SolverConfig(HEIS, BOX, (32,) * 3, t_end=0.3, snapshot_every=0.1)
     relab = SolverConfig(HEIS, BOX, (32,) * 3, t_end=0.3, snapshot_every=0.1,
                          initial=InitialSpec(relabel="cubic"))
-    ra, rb = run(base), run(relab)
+    snaps_a, snaps_b = [], []
+    run(base, on_snapshot=snaps_a.append)
+    run(relab, on_snapshot=snaps_b.append)
     h = float(np.max(base.spacing))
     worst = 0.0
-    assert len(ra.snapshots) == len(rb.snapshots) == 4
-    for sa, sb in zip(ra.snapshots, rb.snapshots):
+    assert len(snaps_a) == len(snaps_b) == 4
+    for sa, sb in zip(snaps_a, snaps_b):
         pa, pb = extract_front(sa).points, extract_front(sb).points
         d = max(
             float(np.max(cKDTree(pb).query(pa)[0])),

@@ -1,5 +1,6 @@
 """The package's public surface: one name for each thing the modules export."""
 
+import dataclasses
 import inspect
 
 import carnotflow
@@ -34,6 +35,11 @@ ENGINE_PUBLIC = [
     "b", "chunks", "close", "config", "delta2", "dt", "eps2", "h", "m", "n",
     "operators", "step", "symbol_bound",
 ]
+# RunResult's fields: run hands every snapshot to on_snapshot, so a second
+# snapshot path shows up here
+RUN_RESULT_FIELDS = [
+    "extinction_time", "dt", "n_steps", "sandwich_max_violation", "regularization_gap",
+]
 CLI_PUBLIC = [
     "ConfigError", "SUITES", "build_group", "build_solver_config", "load_config",
     "main", "suite_barriers", "suite_change_of_variables", "suite_envelopes",
@@ -51,6 +57,10 @@ def test_engine_surface_is_pinned():
     assert ENGINE_PUBLIC == sorted(ENGINE_PUBLIC)
     engine = solver.Engine(solver.SolverConfig(groups.heisenberg(), ((-1.0, 1.0),) * 3, (4, 4, 4)))
     assert [name for name in dir(engine) if not name.startswith("_")] == ENGINE_PUBLIC
+
+
+def test_run_result_fields_are_pinned():
+    assert [f.name for f in dataclasses.fields(solver.RunResult)] == RUN_RESULT_FIELDS
 
 
 def test_package_reexports_exactly_the_module_apis():

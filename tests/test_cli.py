@@ -35,6 +35,43 @@ SMALL_RUN = {
 }
 
 
+# with make_unstable, a run of this turns nonfinite within a few steps
+UNSTABLE = {
+    "domain": {"box": [[-2, 2]] * 3, "resolution": [10, 10, 10]},
+    "initial": {"r": -1.0},
+    "run": {"t_end": 500.0},
+}
+
+
+def make_unstable(monkeypatch):
+    """A step 1000 times the stable dt on data with a checkerboard bump of 1e3."""
+    orig_engine_init = Engine.__init__
+    orig_sample = solver._sample_initial
+
+    def oversized_dt(self, cfg):
+        orig_engine_init(self, cfg)
+        self.dt *= 1000.0
+
+    def seeded(cfg):
+        vals = orig_sample(cfg)
+        idx = np.indices(vals.shape).sum(axis=0)
+        vals[1:-1, 1:-1, 1:-1] += 1e3 * np.where(idx % 2 == 0, 1.0, -1.0)[1:-1, 1:-1, 1:-1]
+        return vals
+
+    monkeypatch.setattr(Engine, "__init__", oversized_dt)
+    monkeypatch.setattr(solver, "_sample_initial", seeded)
+
+
+def unmakable_out(tmp_path, doc, flag):
+    """A file, and the argv tail and config document that name, through
+    --out (flag) or run.out_dir, an output directory at it or under it."""
+    blocker = tmp_path / "file"
+    blocker.write_text("kept")
+    if flag:
+        return blocker, doc, ["--out", str(blocker)]
+    return blocker, {**doc, "run": {**doc.get("run", {}), "out_dir": str(blocker / "sub")}}, []
+
+
 class TestConfigErrors:
     def test_malformed_json_reports_position(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -90,6 +127,7 @@ class TestConfigErrors:
             ("run", "snapshot_every", -0.01, "snapshot_every must be nonnegative"),
             ("scheme", "delta_reg", 0.0, "delta_reg must be positive"),
             ("scheme", "delta_reg", -1e-6, "delta_reg must be positive"),
+            ("scheme", "delta_reg", 1e-200, "delta_reg 1e-200 is too small: its square is 0"),
             ("scheme", "eps_sing", 0.0, "eps_sing must be positive"),
             ("scheme", "eps_sing", -1.0, "eps_sing must be positive"),
             ("domain", "box", [[-2, 2], [2, -2], [-2, 2]], "degenerate box side (2.0, -2.0)"),
@@ -494,6 +532,13 @@ def write_inline(snapshots, directory):
         solver.write_front_csv(solver.extract_front(snap), directory / f"front_{i:04d}.csv")
 
 
+def snapshots_of(cfg):
+    """Every snapshot of a run of cfg, as its on_snapshot receives them."""
+    snaps = []
+    solver.run(cfg, on_snapshot=snaps.append)
+    return snaps
+
+
 def csv_bytes(directory, pattern="*.csv"):
     """{path relative to directory: bytes} of every file under it that
     matches pattern (every CSV file by default)."""
@@ -559,28 +604,9 @@ class TestEvolve:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_instability_exits_one_with_partial_outputs(self, tmp_path, capsys, monkeypatch):
-        orig_engine_init = Engine.__init__
-        orig_sample = solver._sample_initial
-
-        def oversized_dt(self, cfg):
-            orig_engine_init(self, cfg)
-            self.dt *= 1000.0
-
-        def seeded(cfg):
-            vals = orig_sample(cfg)
-            idx = np.indices(vals.shape).sum(axis=0)
-            vals[1:-1, 1:-1, 1:-1] += 1e3 * np.where(idx % 2 == 0, 1.0, -1.0)[1:-1, 1:-1, 1:-1]
-            return vals
-
-        monkeypatch.setattr(Engine, "__init__", oversized_dt)
-        monkeypatch.setattr(solver, "_sample_initial", seeded)
-        doc = {
-            "domain": {"box": [[-2, 2]] * 3, "resolution": [10, 10, 10]},
-            "initial": {"r": -1.0},
-            "run": {"t_end": 500.0},
-        }
+        make_unstable(monkeypatch)
         out = tmp_path / "run"
-        cfg = write_config(tmp_path, doc)
+        cfg = write_config(tmp_path, UNSTABLE)
         with np.errstate(all="ignore"):
             assert main(["evolve", "--config", cfg, "--out", str(out)]) == 1
         err = capsys.readouterr().err
@@ -594,10 +620,10 @@ class TestEvolve:
         assert main(["evolve", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
         cfg = cli.build_solver_config(doc, cli.build_group(doc))
         ref = tmp_path / "ref"
-        write_inline(solver.run(cfg).snapshots, ref)
+        write_inline(snapshots_of(cfg), ref)
         if sandwich:
             for scheme in ("envelope_min", "envelope_max"):
-                write_inline(solver.run(replace(cfg, scheme=scheme)).snapshots, ref / scheme)
+                write_inline(snapshots_of(replace(cfg, scheme=scheme)), ref / scheme)
         expected = csv_bytes(ref)
         assert len(expected) == (24 if sandwich else 8)
         assert csv_bytes(out) == expected
@@ -633,7 +659,7 @@ class TestEvolve:
         assert_no_child()
         assert "IsADirectoryError" in capfd.readouterr().err  # the writer's traceback
         ref = tmp_path / "ref"
-        write_inline(solver.run(cli.build_solver_config(SMALL_RUN, heisenberg())).snapshots[:1], ref)
+        write_inline(snapshots_of(cli.build_solver_config(SMALL_RUN, heisenberg()))[:1], ref)
         assert {k: v for k, v in csv_bytes(out).items() if k.endswith("_0000.csv")} == csv_bytes(ref)
 
     def test_failed_write_carries_the_writers_error(self, tmp_path, monkeypatch):
@@ -703,6 +729,28 @@ class TestEvolve:
         out = capsys.readouterr().out
         assert "extinction at t=" in out
 
+    @pytest.mark.parametrize("flag", [True, False], ids=["--out", "run.out_dir"])
+    def test_an_out_dir_that_cannot_be_created_is_refused(self, tmp_path, capsys, flag):
+        blocker, doc, tail = unmakable_out(tmp_path, SMALL_RUN, flag)
+        assert main(["evolve", "--config", write_config(tmp_path, doc)] + tail) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"carnotflow: {'--out' if flag else 'run.out_dir'}: cannot create")
+        assert "Traceback" not in err
+        assert blocker.read_text() == "kept"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "file"]
+
+    def test_every_run_directory_is_created_before_the_first_run(self, tmp_path, capsys):
+        # with the sandwich, a companion directory that cannot be created is
+        # refused before the first run writes a file
+        doc = {**SMALL_RUN, "run": {**SMALL_RUN["run"], "sandwich": True}}
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "envelope_max").write_text("kept")
+        assert main(["evolve", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+        assert "carnotflow: --out: cannot create" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["envelope_max", "envelope_min"]
+        assert not any((out / "envelope_min").iterdir())
+
 
 class TestBarrier:
     def test_table_written_with_verdicts(self, tmp_path, capsys):
@@ -763,6 +811,16 @@ class TestBarrier:
         assert f"carnotflow: --lattice: must be at least 1, got {lattice}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", [True, False], ids=["--out", "run.out_dir"])
+    def test_an_out_dir_that_cannot_be_created_is_refused(self, tmp_path, capsys, flag):
+        blocker, doc, tail = unmakable_out(tmp_path, {}, flag)
+        argv = ["barrier", "--kind", "gauge", "--lattice", "3", "--config", write_config(tmp_path, doc)]
+        assert main(argv + tail) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"carnotflow: {'--out' if flag else 'run.out_dir'}: cannot create")
+        assert "Traceback" not in err
+        assert blocker.read_text() == "kept"
+
     def test_one_point_lattice(self, tmp_path, capsys):
         out = tmp_path / "o"
         assert main(["barrier", "--kind", "gauge", "--lattice", "1", "--out", str(out)]) == 0
@@ -798,10 +856,11 @@ class TestExtinction:
         assert "none before t_end" in capsys.readouterr().out
 
     def test_runs_without_snapshots(self, tmp_path, capsys, monkeypatch):
-        # the command reads only the extinction time, so it runs at cadence 0
-        # whatever the config asks: at a cadence below dt every step would
-        # hold a copy of the slab.  Snapshots never change the steps, so the
-        # printed line is the one the configured cadence gives.
+        # the command reads only the extinction time, so it passes the
+        # configured cadence and no callback, and run copies no slab: at a
+        # cadence below dt every step would hold a copy of the slab.
+        # Snapshots never change the steps, so the printed line is the one a
+        # run that hands out every snapshot gives.
         doc = {
             "domain": {"box": [[-2, 2]] * 3, "resolution": [10, 10, 10]},
             "run": {"t_end": 1.0, "snapshot_every": 1e-9},
@@ -809,17 +868,27 @@ class TestExtinction:
         results = []
 
         def spy(cfg, *args, **kwargs):
-            results.append((cfg, solver.run(cfg, *args, **kwargs)))
-            return results[-1][1]
+            results.append((cfg, args, kwargs, solver.run(cfg, *args, **kwargs)))
+            return results[-1][-1]
 
         monkeypatch.setattr(cli, "run", spy)
         assert main(["extinction", "--config", write_config(tmp_path, doc)]) == 0
-        [(cfg, result)] = results
-        assert cfg.snapshot_every == 0.0 and len(result.snapshots) == 2
-        configured = solver.run(replace(cfg, snapshot_every=1e-9))
-        assert len(configured.snapshots) == configured.n_steps + 1
-        assert result.extinction_time == configured.extinction_time is not None
+        [(cfg, args, kwargs, result)] = results
+        assert cfg.snapshot_every == 1e-9 and args == () and kwargs == {}
+        snaps = []
+        configured = solver.run(cfg, on_snapshot=snaps.append)
+        assert len(snaps) == configured.n_steps + 1
+        assert result == configured and result.extinction_time is not None
         assert capsys.readouterr().out == f"extinction: t={configured.extinction_time:.6g}\n"
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_instability_exits_one_without_a_traceback(self, tmp_path, capsys, monkeypatch):
+        make_unstable(monkeypatch)
+        with np.errstate(all="ignore"):
+            assert main(["extinction", "--config", write_config(tmp_path, UNSTABLE)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("extinction: aborted, nonfinite values after step")
+        assert captured.out == ""
 
 
 def test_console_entry_point_subprocess(tmp_path):
@@ -894,7 +963,11 @@ FIELDS = {
         st.sampled_from(["upwind", ["regularized"], 0.0]),
         "scheme",
     ),
-    ("scheme", "delta_reg"): (st.floats(1e-8, 1.0), st.sampled_from(NONFINITE + NOT_NUMBERS), "delta_reg"),
+    ("scheme", "delta_reg"): (
+        st.floats(1e-8, 1.0),
+        st.sampled_from(NONFINITE + NOT_NUMBERS + [1e-200]),
+        "delta_reg",
+    ),
     ("scheme", "eps_sing"): (st.floats(1e-8, 1.0), st.sampled_from(NONFINITE + NOT_NUMBERS), "eps_sing"),
     ("scheme", "cfl"): (st.floats(0.1, 1.0), st.sampled_from(NONFINITE + NOT_NUMBERS), "cfl"),
     # dt is 0.002-0.36 on these grids: runs of up to ~130 steps, most of

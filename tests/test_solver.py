@@ -133,7 +133,7 @@ def euler_step(eng, u, dt, scheme=None, out=None):
     then the Euler update and boundary fill in place."""
     new = np.zeros(u.shape) if out is None else out
     scheme = eng.config.scheme if scheme is None else scheme
-    eng.operators(u, (scheme,), out=[new[(slice(1, -1),) * u.ndim]])
+    new[(slice(1, -1),) * u.ndim] = eng.operators(u, (scheme,))[0]
     return eng._euler(u, dt, new, (0, len(new)))
 
 
@@ -209,6 +209,14 @@ class TestSolverConfig:
     def test_nonfinite_values_rejected(self, field, build):
         with pytest.raises(ValueError, match=f"{field}.* must be finite"):
             build()
+
+    @pytest.mark.parametrize("box, delta", [(BOX, 1e-200), (((-1e-160, 1e-160),) * 3, None)])
+    def test_a_delta_reg_whose_square_is_zero_is_refused(self, box, delta):
+        # delta^2 = 0 would make the regularized quotient 0/0 at q = 0; the
+        # default 1e-6 * diameter of a tiny box underflows there too
+        with pytest.raises(ValueError, match="delta_reg .* its square is 0"):
+            SolverConfig(HEIS, box, (12,) * 3, delta_reg=delta)
+        assert SolverConfig(HEIS, BOX, (12,) * 3, delta_reg=1e-100).delta_reg_effective == 1e-100
 
     def test_default_regularization_scales_with_box(self):
         cfg = config()
@@ -395,10 +403,11 @@ class TestEngine:
         eng = Engine(cfg)
         qq = [eng._derivatives(u, *chunk)[1].copy() for chunk in eng.chunks]
         assert sum(np.count_nonzero(q <= eng.eps2) for q in qq) > 0
+        monkeypatch.setattr(solver, "_aligned", lambda shape: np.full(shape, np.nan))
         for gap in (False, True):
-            out = [np.full((9, 7, 5), np.nan) for _ in range(len(schemes) + gap)]
-            got = eng.operators(u, schemes, gap=gap, out=out)
-            assert all(a is b for a, b in zip(got, out))
+            got = eng.operators(u, schemes, gap=gap)
+            assert len(got) == len(schemes) + gap
+            assert not any(np.isnan(op).any() for op in got)
             for scheme, op in zip(schemes, got):
                 np.testing.assert_array_equal(op, eng.operators(u, (scheme,))[0])
             if gap:
@@ -580,21 +589,6 @@ class TestEngine:
             with pytest.raises(ValueError, match="shape"):
                 eng.operators(np.zeros(shape), ("regularized",))
 
-    def test_operators_refuse_an_out_that_overlaps_u(self):
-        # later chunks read rows of u that an aliased out would already hold
-        # results in; u stays untouched by the refused call
-        cfg = SolverConfig(HEIS, BOX, (11, 9, 7))
-        u = np.random.default_rng(4).standard_normal(cfg.resolution)
-        before = u.copy()
-        eng = Engine(cfg)
-        inner = u[1:-1, 1:-1, 1:-1]
-        apart = np.zeros(inner.shape)
-        for out in ([inner], [apart, inner], [u.reshape(-1)[: inner.size].reshape(inner.shape)]):
-            with pytest.raises(ValueError, match="overlap"):
-                eng.operators(u, solver.SCHEMES[: len(out)], out=out)
-        assert u.tobytes() == before.tobytes()
-        eng.operators(u, ("regularized",), out=[apart])
-
     def test_step_refuses_another_shape_and_a_new_that_overlaps_u(self):
         # later chunks read rows of u that an aliased new would already hold
         cfg = SolverConfig(HEIS, BOX, (11, 9, 7))
@@ -711,7 +705,7 @@ class TestStepExactness:
             warnings.simplefilter("error")
             for u in (first, euler_step(eng, first, eng.dt)):
                 expected = np.zeros(cfg.resolution)
-                eng.operators(u, (cfg.scheme,), out=[expected[inner]])
+                expected[inner] = eng.operators(u, (cfg.scheme,))[0]
                 interior_view_euler(u, eng.dt, expected)
                 out = np.full(cfg.resolution, np.nan)
                 out.reshape(-1)[::3] = np.inf
@@ -770,60 +764,84 @@ class TestSchemeSandwich:
             run(config(scheme="envelope_min"), record_sandwich=True)
 
 
+def assert_flat_peak(on_snapshot):
+    """The traced peak of a run of a 16^3 gauge ball with a snapshot due
+    after every step moves by less than one grid between 5 and 40 steps."""
+    grid = 16 ** 3 * 8
+    cfg = config(res=16, snapshot_every=1e-9, initial=InitialSpec(preset="gauge_ball"))
+    dt, peaks = Engine(cfg).dt, []
+    for steps in (5, 40):
+        tracemalloc.start()
+        try:
+            res = run(dataclasses.replace(cfg, t_end=steps * dt), on_snapshot=on_snapshot)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert res.n_steps == steps and res.extinction_time is None
+    assert abs(peaks[1] - peaks[0]) < grid, [round(p / grid, 1) for p in peaks]
+
+
 class TestRun:
     def test_snapshot_cadence(self):
-        res = run(config(res=10, t_end=0.3, snapshot_every=0.1))
-        assert len(res.snapshots) == 4
-        assert res.snapshots[0].time == 0.0
-        for snap, target in zip(res.snapshots[1:], (0.1, 0.2, 0.3)):
+        snaps = []
+        res = run(config(res=10, t_end=0.3, snapshot_every=0.1), on_snapshot=snaps.append)
+        assert len(snaps) == 4
+        assert snaps[0].time == 0.0
+        for snap, target in zip(snaps[1:], (0.1, 0.2, 0.3)):
             assert abs(snap.time - target) <= res.dt
-        assert res.snapshots[-1].time == pytest.approx(0.3, abs=1e-9)
+        assert snaps[-1].time == pytest.approx(0.3, abs=1e-9)
 
     def test_cadence_below_dt_snapshots_every_step(self):
         # a cadence far below dt must not walk through its marks one by one
         def too_slow(signum, frame):
             raise TimeoutError("run did not return within 20 s")
 
+        snaps = []
         previous = signal.signal(signal.SIGALRM, too_slow)
         signal.alarm(20)
         try:
-            res = run(config(res=6, t_end=0.03, snapshot_every=1e-20))
+            res = run(config(res=6, t_end=0.03, snapshot_every=1e-20), on_snapshot=snaps.append)
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
         assert res.n_steps > 1
-        assert len(res.snapshots) == res.n_steps + 1
+        assert len(snaps) == res.n_steps + 1
         np.testing.assert_allclose(
-            [s.time for s in res.snapshots[1:-1]], res.dt * np.arange(1, res.n_steps), rtol=1e-12
+            [s.time for s in snaps[1:-1]], res.dt * np.arange(1, res.n_steps), rtol=1e-12
         )
 
     def test_final_slab_without_cadence(self):
-        res = run(config(res=10, t_end=0.05))
-        assert len(res.snapshots) == 2
-        assert res.snapshots[-1].time == pytest.approx(0.05, abs=1e-9)
+        snaps = []
+        run(config(res=10, t_end=0.05), on_snapshot=snaps.append)
+        assert len(snaps) == 2
+        assert snaps[-1].time == pytest.approx(0.05, abs=1e-9)
 
     def test_stationary_negative_data_extinct_at_zero(self):
-        res = run(config(initial=InitialSpec(r=-0.5)))
+        snaps = []
+        res = run(config(initial=InitialSpec(r=-0.5)), on_snapshot=snaps.append)
         assert res.extinction_time == 0.0
-        assert res.n_steps == 0 and len(res.snapshots) == 1
+        assert res.n_steps == 0 and len(snaps) == 1
 
     def test_extinction_emits_final_slab(self):
         cfg = config(res=12, t_end=1.0)
-        res = run(cfg)
+        snaps = []
+        res = run(cfg, on_snapshot=snaps.append)
         assert res.extinction_time is not None
         assert 0.3 < res.extinction_time < 0.6  # exact value is 0.5
-        assert res.snapshots[-1].time == pytest.approx(res.extinction_time)
-        inner = res.snapshots[-1].values[1:-1, 1:-1, 1:-1]
+        assert snaps[-1].time == pytest.approx(res.extinction_time)
+        inner = snaps[-1].values[1:-1, 1:-1, 1:-1]
         assert not np.any(inner > 0)
 
     def test_on_snapshot_callback_sees_every_snapshot(self):
-        # each snapshot goes to the callback alone: the times and bits of a
-        # run without one, and run keeps none of them
+        # the callback sees the initial data and the final slab, and a
+        # second run's callback the same times and bits; the result holds
+        # no snapshot (see test_api's pin of its fields)
         cfg = config(res=10, t_end=0.05)
-        seen = []
-        res = run(cfg, on_snapshot=seen.append)
-        assert res.snapshots == []
-        reference = run(cfg).snapshots
+        seen, reference = [], []
+        run(cfg, on_snapshot=seen.append)
+        run(cfg, on_snapshot=reference.append)
+        np.testing.assert_array_equal(seen[0].values, init(cfg).values)
+        assert seen[-1].time == pytest.approx(0.05, abs=1e-9)
         assert [g.time for g in seen] == [s.time for s in reference]
         for g, snap in zip(seen, reference, strict=True):
             np.testing.assert_array_equal(g.values, snap.values)
@@ -884,18 +902,12 @@ class TestRun:
         # with on_snapshot, run keeps no snapshot: its traced peak on a 16^3
         # gauge ball with a snapshot after every step moves by less than
         # one grid between 5 and 40 steps
-        grid = 16 ** 3 * 8
-        cfg = config(res=16, snapshot_every=1e-9, initial=InitialSpec(preset="gauge_ball"))
-        dt, peaks = Engine(cfg).dt, []
-        for steps in (5, 40):
-            tracemalloc.start()
-            try:
-                res = run(dataclasses.replace(cfg, t_end=steps * dt), on_snapshot=lambda snap: None)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-            assert res.n_steps == steps and res.extinction_time is None
-        assert abs(peaks[1] - peaks[0]) < grid, [round(p / grid, 1) for p in peaks]
+        assert_flat_peak(lambda snap: None)
+
+    def test_a_run_without_a_callback_copies_no_slab(self):
+        # without on_snapshot, run builds no snapshot whatever the cadence:
+        # the same flat peak with a snapshot due after every step
+        assert_flat_peak(None)
 
     @pytest.mark.parametrize("sandwich", [False, True])
     def test_a_fresh_engines_first_step_allocates_no_workspace(self, request, sandwich):
@@ -1267,7 +1279,8 @@ class TestWorker:
             assert cli.main(["evolve", "--config", str(path), "--out", str(tmp_path / "run")]) == 0
         monkeypatch.undo()
         assert_no_child()
-        snapshots = run(cli.build_solver_config(doc, heisenberg())).snapshots
+        snapshots = []
+        run(cli.build_solver_config(doc, heisenberg()), on_snapshot=snapshots.append)
         assert len(pids) == 1 + len(snapshots) > 5
         for i, snap in enumerate(snapshots):
             write_snapshot_csv(snap, tmp_path / "ref.csv")
@@ -1314,9 +1327,10 @@ class TestIndicators:
     def test_no_gap_along_a_generic_run(self):
         # the indicators of {u >= 0} and {u > 0} differ exactly on nodes
         # where u == 0; after t = 0 a generic run has none
-        res = run(config(res=10, t_end=0.05, snapshot_every=0.02))
-        assert len(res.snapshots) > 2
-        for snap in res.snapshots[1:]:
+        snaps = []
+        run(config(res=10, t_end=0.05, snapshot_every=0.02), on_snapshot=snaps.append)
+        assert len(snaps) > 2
+        for snap in snaps[1:]:
             assert np.count_nonzero(snap.values == 0.0) == 0, snap.time
 
 
