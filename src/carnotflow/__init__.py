@@ -2,7 +2,7 @@
 
 The package has five layers:
 
-    groups     group law, dilations, gauge, frame, translation Jacobians
+    groups     group law, dilations, gauge, frame
     calculus   exact jets, horizontal gradient/Hessian, the operator F and
                its semicontinuous envelopes
     barriers   closed-form sub/supersolutions with classifications and

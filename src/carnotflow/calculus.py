@@ -77,8 +77,11 @@ class Jet:
 #
 # Each node evaluates at points x of shape (P, n) and time t (a number or
 # one per point) to (value, grad, hess, dt), broadcastable to (P,), (P, n),
-# (P, n, n) and (P,).  Only the handful of forms the closed-form fields need
-# is implemented: constants, coordinates, time, sums, products, powers.
+# (P, n, n) and (P,).  A grad or hess that vanishes identically is None:
+# the rules skip every term with a None operand, which leaves each finite
+# value as the full rule gives it but possibly the sign of a zero, and only
+# ScalarField.jet makes zero arrays.  Only the forms the closed-form fields
+# need are implemented: constants, coordinates, time, sums, products, powers.
 # --------------------------------------------------------------------------
 
 
@@ -86,6 +89,13 @@ class Expr:
     """Base expression node; combine with +, -, *, ** and sqrt()."""
 
     def eval(self, x: npt.NDArray, t) -> tuple:
+        """(value, grad, hess, dt) at points x (P, n) and time t.
+
+        The parts broadcast to (P,), (P, n), (P, n, n) and (P,) and may share
+        memory with the operands'.  grad or hess is None where it vanishes
+        identically; the rules skip each term with a None operand, which
+        changes no finite value but possibly the sign of a zero.
+        """
         raise NotImplementedError
 
     # -- operator sugar ----------------------------------------------------
@@ -122,10 +132,20 @@ def _wrap(v) -> Expr:
     raise TypeError(f"cannot use {type(v).__name__} in an expression")
 
 
-def _zeros(x: npt.NDArray):
-    """Zero gradient and Hessian, broadcastable over the batch of x."""
-    n = x.shape[-1]
-    return np.zeros((1, n)), np.zeros((1, n, n))
+def _add(*terms):
+    """The sum of the terms that are not None, left to right; None if all are."""
+    terms = [a for a in terms if a is not None]
+    return sum(terms[1:], terms[0]) if terms else None
+
+
+def _mul(a, b):
+    """a * b, or None when either is None."""
+    return None if a is None or b is None else a * b
+
+
+def _outer(a, b):
+    """The outer product of a and b at each point, or None when either is None."""
+    return None if a is None or b is None else a[..., :, None] * b[..., None, :]
 
 
 class Const(Expr):
@@ -135,7 +155,7 @@ class Const(Expr):
         self.c = np.asarray(c, dtype=float)
 
     def eval(self, x, t):
-        return (self.c, *_zeros(x), 0.0)
+        return self.c, None, None, 0.0
 
 
 class Coord(Expr):
@@ -145,16 +165,14 @@ class Coord(Expr):
         self.i = int(i)
 
     def eval(self, x, t):
-        g, H = _zeros(x)
-        g[0, self.i] = 1.0
-        return x[:, self.i], g, H, 0.0
+        return x[:, self.i], np.eye(1, x.shape[-1], self.i), None, 0.0
 
 
 class TimeVar(Expr):
     """The time variable t."""
 
     def eval(self, x, t):
-        return (t, *_zeros(x), 1.0)
+        return t, None, None, 1.0
 
 
 class Sum(Expr):
@@ -162,24 +180,20 @@ class Sum(Expr):
         self.terms = terms
 
     def eval(self, x, t):
-        v, g, H, dt = (0.0, *_zeros(x), 0.0)
+        v, g, H, dt = 0.0, None, None, 0.0
         for term in self.terms:
             tv, tg, tH, tdt = term.eval(x, t)
-            v, g, H, dt = v + tv, g + tg, H + tH, dt + tdt
+            v, g, H, dt = v + tv, _add(g, tg), _add(H, tH), dt + tdt
         return v, g, H, dt
-
-
-def _outer(a: npt.NDArray, b: npt.NDArray) -> npt.NDArray:
-    return a[..., :, None] * b[..., None, :]
 
 
 class Product(Expr):
     """a * b by the product rule.
 
-    When a factor is a Const c (one number or one per point), the jet is c
-    times the other factor's value, gradient, Hessian and dt: the product
-    rule's other terms carry the Const's zero derivatives, and skipping them
-    leaves every value as it was but possibly the sign of a zero.
+    Terms with a None (identically zero) derivative are skipped, so when a
+    factor is a Const c (one number or one per point), the jet is c times the
+    other factor's value, gradient, Hessian and dt.  Skipping leaves every
+    finite value as the full rule gives it but possibly the sign of a zero.
     """
 
     def __init__(self, a: Expr, b: Expr):
@@ -190,13 +204,13 @@ class Product(Expr):
             const, other = (self.a, self.b) if isinstance(self.a, Const) else (self.b, self.a)
             c = const.c
             v, g, H, dt = other.eval(x, t)
-            return c * v, c[..., None] * g, c[..., None, None] * H, c * dt
+            return c * v, _mul(c[..., None], g), _mul(c[..., None, None], H), c * dt
         av, ag, aH, adt = self.a.eval(x, t)
         bv, bg, bH, bdt = self.b.eval(x, t)
         v = av * bv
         av, bv = np.asarray(av)[..., None], np.asarray(bv)[..., None]
-        g = av * bg + bv * ag
-        H = av[..., None] * bH + bv[..., None] * aH + _outer(ag, bg) + _outer(bg, ag)
+        g = _add(_mul(av, bg), _mul(bv, ag))
+        H = _add(_mul(av[..., None], bH), _mul(bv[..., None], aH), _outer(ag, bg), _outer(bg, ag))
         dt = av[..., 0] * bdt + bv[..., 0] * adt
         return v, g, H, dt
 
@@ -218,7 +232,7 @@ class Power(Expr):
     def eval(self, x, t):
         p = self.p
         if p == 0.0:
-            return (1.0, *_zeros(x), 0.0)
+            return 1.0, None, None, 0.0
         uv, ug, uH, udt = self.base.eval(x, t)
         uv = np.asarray(uv)
         if p != round(p):
@@ -227,9 +241,9 @@ class Power(Expr):
             refuse_points(x, uv == 0.0, f"power {p} undefined at base 0")
         v = uv ** p
         du = p * uv ** (p - 1)
-        d2u = p * (p - 1) * uv ** (p - 2) if p != 1.0 else np.zeros_like(uv)
-        g = du[..., None] * ug
-        H = du[..., None, None] * uH + d2u[..., None, None] * _outer(ug, ug)
+        d2u = (p * (p - 1) * uv ** (p - 2))[..., None, None] if p != 1.0 else None
+        g = _mul(du[..., None], ug)
+        H = _add(_mul(du[..., None, None], uH), _mul(d2u, _outer(ug, ug)))
         return v, g, H, du * udt
 
 
@@ -273,7 +287,8 @@ class ScalarField:
         X = x.reshape(-1, n)
         shapes = ((len(X),), (len(X), n), (len(X), n, n), (len(X),))
         out = self.expr.eval(X, np.asarray(t, dtype=float))
-        v, g, H, dt = (np.array(np.broadcast_to(a, s)) for a, s in zip(out, shapes))
+        v, g, H, dt = (np.zeros(s) if a is None else np.array(np.broadcast_to(a, s))
+                       for a, s in zip(out, shapes))
         H = 0.5 * (H + np.swapaxes(H, -1, -2))
         if x.ndim == 1:
             return Jet(value=float(v[0]), grad=g[0], hess=H[0], dt=float(dt[0]))

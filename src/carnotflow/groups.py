@@ -17,9 +17,9 @@ left-invariant gauge distance.
 
 Points are float arrays whose trailing axis has length n; a single point is
 shape (n,), a batch of P points shape (P, n), and every operation below
-except the translation Jacobians acts on each point of a batch.  The
-(m, n-m) split lives on the :class:`GroupSpec`.  Everything here is
-immutable and pure, so all operations are safe for concurrent use.
+acts on each point of a batch.  The (m, n-m) split lives on the
+:class:`GroupSpec`.  Everything here is immutable and pure, so all
+operations are safe for concurrent use.
 """
 from __future__ import annotations
 
@@ -43,8 +43,6 @@ __all__ = [
     "gauge",
     "homogeneous_norm",
     "gauge_distance",
-    "left_translation_jacobian",
-    "right_translation_jacobian",
 ]
 
 SKEW_TOL = 1e-12
@@ -231,21 +229,3 @@ def gauge_distance(g: GroupSpec, x: npt.NDArray, y: npt.NDArray):
     -(x^{-1} o y) and the gauge is even.
     """
     return homogeneous_norm(g, compose(g, inverse(x), y))
-
-
-def left_translation_jacobian(g: GroupSpec, alpha: npt.NDArray) -> npt.NDArray:
-    """Jacobian of x -> alpha o x, an n x n block lower-triangular matrix.
-
-    Both diagonal blocks are identities; lower-left row k equals
-    t(B^(k) alpha_h), the derivative of x_h -> <B alpha_h, x_h>.
-    """
-    J = np.eye(g.n)
-    J[g.m:, : g.m] = sigma(g, alpha)[g.m:]
-    return J
-
-
-def right_translation_jacobian(g: GroupSpec, alpha: npt.NDArray) -> npt.NDArray:
-    """Jacobian of x -> x o alpha; lower-left row k equals t(-B^(k) alpha_h)."""
-    J = np.eye(g.n)
-    J[g.m:, : g.m] = -sigma(g, alpha)[g.m:]
-    return J

@@ -21,11 +21,11 @@ PUBLIC = [
     "extinction_time", "extract_front", "gauge", "gauge_distance",
     "gauge_profile_hgrad", "gauge_profile_hhess", "gauge_profile_value",
     "heisenberg", "homogeneous_norm", "horizontal_gradient", "horizontal_hessian",
-    "init", "inverse", "is_heisenberg_like", "left_translation_jacobian", "m3n5",
+    "init", "inverse", "is_heisenberg_like", "m3n5",
     "make_barrier", "make_cylinder", "make_euclid_ball", "make_gauge",
     "make_sqrt_gauge", "operator_bounds", "psi_identity", "psi_s_plus_s3",
     "psi_sqrt", "psi_square", "require_heisenberg_like", "residual_on_exact",
-    "restricted_test_class_filter", "right_translation_jacobian", "run", "sigma",
+    "restricted_test_class_filter", "run", "sigma",
     "sq_norm", "sqrt", "sweep", "v_convexity_witness", "validate_spec",
     "write_front_csv", "write_snapshot_csv",
 ]

@@ -5,12 +5,17 @@ central-difference oracle (independent of the propagation rules), and the
 horizontal quantities against hand values for the homogeneous-norm field
 N = |x_h|^4 + |x_v|^2.  Batched evaluation over (P, n) arrays is checked
 row by row against the single-point path for every closed-form family the
-suites use.
+suites use.  The evaluator, which skips identically zero derivatives, is
+checked against a dense reference evaluator that carries every zero, on
+random trees and on the bytes that `verify` and `barrier` write.
 """
+
+import contextlib
+import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from carnotflow import (
@@ -18,8 +23,10 @@ from carnotflow import (
     Const,
     Coord,
     Jet,
+    Power,
     Product,
     ScalarField,
+    Sum,
     TimeVar,
     heisenberg,
     horizontal_gradient,
@@ -30,7 +37,8 @@ from carnotflow import (
     sq_norm,
     sqrt,
 )
-from carnotflow.cli import _cov_families
+from carnotflow.calculus import refuse_points
+from carnotflow.cli import _cov_families, main
 from carnotflow.verdicts import _norm_expr, _quartic_distance_expr
 
 HEIS = heisenberg()
@@ -317,9 +325,12 @@ def test_batched_regions_match_per_point():
 
 def general_product(a, b):
     """The product rule with every term, on the (value, grad, Hessian, dt)
-    tuples of two evaluated factors."""
+    tuples of two evaluated factors; a None derivative is made zeros first."""
     av, ag, aH, adt = a
     bv, bg, bH, bdt = b
+    n = (bg if ag is None else ag).shape[-1]
+    ag, bg = (np.zeros((1, n)) if d is None else d for d in (ag, bg))
+    aH, bH = (np.zeros((1, n, n)) if d is None else d for d in (aH, bH))
     v = av * bv
     av, bv = np.asarray(av)[..., None], np.asarray(bv)[..., None]
     g = av * bg + bv * ag
@@ -358,3 +369,162 @@ def test_product_with_a_const_equals_the_general_product_rule(g, data):
         ):
             for got, ref, shape in zip(product.eval(x, t), want, shapes):
                 assert np.array_equal(np.broadcast_to(got, shape), np.broadcast_to(ref, shape))
+
+
+# ---------------------------------------------------------------------------
+# the reference evaluator: every derivative a dense array, zeros included
+# ---------------------------------------------------------------------------
+
+
+def dense_zeros(x):
+    n = x.shape[-1]
+    return np.zeros((1, n)), np.zeros((1, n, n))
+
+
+def dense_outer(a, b):
+    return a[..., :, None] * b[..., None, :]
+
+
+def dense_const(self, x, t):
+    return (self.c, *dense_zeros(x), 0.0)
+
+
+def dense_coord(self, x, t):
+    g, H = dense_zeros(x)
+    g[0, self.i] = 1.0
+    return x[:, self.i], g, H, 0.0
+
+
+def dense_time(self, x, t):
+    return (t, *dense_zeros(x), 1.0)
+
+
+def dense_sum(self, x, t):
+    v, g, H, dt = (0.0, *dense_zeros(x), 0.0)
+    for term in self.terms:
+        tv, tg, tH, tdt = term.eval(x, t)
+        v, g, H, dt = v + tv, g + tg, H + tH, dt + tdt
+    return v, g, H, dt
+
+
+def dense_product(self, x, t):
+    if isinstance(self.a, Const) or isinstance(self.b, Const):
+        const, other = (self.a, self.b) if isinstance(self.a, Const) else (self.b, self.a)
+        c = const.c
+        v, g, H, dt = other.eval(x, t)
+        return c * v, c[..., None] * g, c[..., None, None] * H, c * dt
+    av, ag, aH, adt = self.a.eval(x, t)
+    bv, bg, bH, bdt = self.b.eval(x, t)
+    v = av * bv
+    av, bv = np.asarray(av)[..., None], np.asarray(bv)[..., None]
+    g = av * bg + bv * ag
+    H = av[..., None] * bH + bv[..., None] * aH + dense_outer(ag, bg) + dense_outer(bg, ag)
+    dt = av[..., 0] * bdt + bv[..., 0] * adt
+    return v, g, H, dt
+
+
+def dense_power(self, x, t):
+    p = self.p
+    if p == 0.0:
+        return (1.0, *dense_zeros(x), 0.0)
+    uv, ug, uH, udt = self.base.eval(x, t)
+    uv = np.asarray(uv)
+    if p != round(p):
+        refuse_points(x, uv <= 0.0, f"fractional power {p} of a non-positive base")
+    elif p < 2 and p != 1.0:
+        refuse_points(x, uv == 0.0, f"power {p} undefined at base 0")
+    v = uv ** p
+    du = p * uv ** (p - 1)
+    d2u = p * (p - 1) * uv ** (p - 2) if p != 1.0 else np.zeros_like(uv)
+    g = du[..., None] * ug
+    H = du[..., None, None] * uH + d2u[..., None, None] * dense_outer(ug, ug)
+    return v, g, H, du * udt
+
+
+DENSE_EVAL = {
+    Const: dense_const, Coord: dense_coord, TimeVar: dense_time,
+    Sum: dense_sum, Product: dense_product, Power: dense_power,
+}
+
+
+@contextlib.contextmanager
+def reference_evaluator():
+    """Every expression node evaluates through DENSE_EVAL while open."""
+    with pytest.MonkeyPatch.context() as patch:
+        for node, dense in DENSE_EVAL.items():
+            patch.setattr(node, "eval", dense)
+        assert Const(0.0).eval(np.zeros((1, 3)), 0.0)[1] is not None
+        yield
+
+
+def expr_trees(n, P):
+    """Trees of every node type over n coordinates, with per-point Consts of length P."""
+    number = st.floats(-2.0, 2.0, allow_nan=False)
+    leaves = st.one_of(
+        number.map(Const),
+        arrays(np.float64, P, elements=number).map(Const),
+        st.integers(0, n - 1).map(Coord),
+        st.builds(TimeVar),
+    )
+
+    def nodes(children):
+        return st.one_of(
+            st.lists(children, max_size=3).map(lambda terms: Sum(*terms)),
+            st.tuples(children, children).map(lambda ab: Product(*ab)),
+            st.tuples(children, st.sampled_from([0.0, 1.0, 2.0, 3.0, 0.5])).map(lambda bp: Power(*bp)),
+        )
+
+    return st.recursive(leaves, nodes, max_leaves=8)
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_jets_equal_the_dense_reference_evaluators(data):
+    """Skipping zero derivatives changes no jet entry but possibly the sign of
+    a zero, which np.array_equal does not see; each part is a full-shape,
+    writable array that owns its memory."""
+    P = data.draw(st.integers(1, 4))
+    field = ScalarField(data.draw(expr_trees(HEIS.n, P)), HEIS)
+    x = data.draw(arrays(np.float64, (P, HEIS.n), elements=coord))
+    t = data.draw(st.floats(0.0, 1.0) | arrays(np.float64, P, elements=st.floats(0.0, 1.0)))
+    try:
+        with reference_evaluator(), np.errstate(all="ignore"):
+            want = field.jet(x, t)
+    except ValueError:
+        with pytest.raises(ValueError):
+            field.jet(x, t)
+        return
+    parts = ("value", "grad", "hess", "dt")
+    # a dense zero term is nan where its factor overflows, and a skipped one is not
+    assume(all(np.isfinite(getattr(want, part)).all() for part in parts))
+    got = field.jet(x, t)
+    for part, shape in zip(parts, ((P,), (P, HEIS.n), (P, HEIS.n, HEIS.n), (P,))):
+        a = getattr(got, part)
+        assert a.shape == shape and a.flags.writeable and a.flags.owndata, part
+        assert np.array_equal(a, getattr(want, part)), part
+
+
+def test_outputs_are_the_dense_reference_evaluators_bytes(tmp_path, capsys):
+    """verify (Heisenberg and m3n5, two seeds) and barrier (every kind) print
+    and write the same bytes as under the reference evaluator."""
+    for preset in ("heisenberg", "m3n5"):
+        for seed in (0, 1):
+            doc = {"group": {"preset": preset}, "verify": {"seed": seed, "samples": 40}}
+            (tmp_path / f"{preset}{seed}.json").write_text(json.dumps(doc))
+
+    def outputs():
+        got = []
+        for preset in ("heisenberg", "m3n5"):
+            for seed in (0, 1):
+                assert main(["verify", "--config", str(tmp_path / f"{preset}{seed}.json")]) == 0
+                got.append(capsys.readouterr().out)
+        out = tmp_path / "out"
+        for kind in BARRIER_KINDS:
+            assert main(["barrier", "--kind", kind, "--lattice", "5", "--out", str(out)]) == 0
+            got += [capsys.readouterr().out, (out / f"barrier_{kind}.csv").read_bytes()]
+        return got
+
+    shipped = outputs()
+    with reference_evaluator():
+        reference = outputs()
+    assert shipped == reference

@@ -19,9 +19,7 @@ from carnotflow import (
     homogeneous_norm,
     inverse,
     is_heisenberg_like,
-    left_translation_jacobian,
     m3n5,
-    right_translation_jacobian,
     sigma,
     validate_spec,
 )
@@ -229,6 +227,24 @@ def test_sigma_m3n5_shape_and_rows():
     np.testing.assert_allclose(s[:3], np.eye(3), atol=0)
     np.testing.assert_allclose(s[3], M3N5.B[0] @ x[:3], atol=0)
     np.testing.assert_allclose(s[4], M3N5.B[1] @ x[:3], atol=0)
+
+
+def left_translation_jacobian(g, alpha):
+    """Jacobian of x -> alpha o x, an n x n block lower-triangular matrix.
+
+    Both diagonal blocks are identities; lower-left row k equals
+    t(B^(k) alpha_h), the derivative of x_h -> <B alpha_h, x_h>.
+    """
+    J = np.eye(g.n)
+    J[g.m:, : g.m] = sigma(g, alpha)[g.m:]
+    return J
+
+
+def right_translation_jacobian(g, alpha):
+    """Jacobian of x -> x o alpha; lower-left row k equals t(-B^(k) alpha_h)."""
+    J = np.eye(g.n)
+    J[g.m:, : g.m] = -sigma(g, alpha)[g.m:]
+    return J
 
 
 @pytest.mark.parametrize("g", [HEIS, M3N5], ids=["heis", "m3n5"])
