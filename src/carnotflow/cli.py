@@ -38,14 +38,14 @@ that puts no interior node inside {u0 > 0}.  evolve echoes the verify
 section into config_effective.json, so it refuses a verify field that
 verify would refuse.  A refused command writes nothing.
 
-evolve writes each snapshot's CSVs in one child process (POSIX os.fork)
-while the run keeps stepping; at most one such child is alive, and the last
-is reaped before evolve returns or raises.  The writer is the run's
-on_snapshot, and the run keeps no snapshot: evolve holds one snapshot copy
-at a time, the one it forks a writer for, however many the run writes.
-extinction passes no callback, so its run copies no slab.  The run itself
-may fork one worker process for half of each step's operator pass (see
-solver.run), so at most two children are alive at a time.
+evolve writes each snapshot's CSVs in one child process, a solver._Child
+like the run's worker, while the run keeps stepping; at most one such
+child is alive, and the last is reaped before evolve returns or raises.
+The writer is the run's on_snapshot, and the run keeps no snapshot: evolve
+holds one snapshot copy at a time, the one it forks a writer for.
+extinction passes no callback, so its run copies no slab.  The run's own
+worker steps half of each step's rows (see solver.run), so at most two
+children are alive at a time.
 
 Exit codes: 0 all checks pass / run completed; 1 scientific failure or
 instability; 2 unusable config or arguments.
@@ -57,7 +57,6 @@ import errno
 import json
 import math
 import os
-import select
 import sys
 from dataclasses import asdict, dataclass, replace
 
@@ -89,8 +88,8 @@ from .groups import (
 from .solver import (
     InitialSpec,
     SolverConfig,
+    _Child,
     _has_positive_interior,
-    _report,
     extract_front,
     init,
     run,
@@ -733,64 +732,37 @@ def _write_outputs(cfg: SolverConfig, out_dir: str, effective: dict, sandwich: b
     """One run with its CSVs and config echo, into out_dir, which exists;
     under run.sandwich, a regularized run also records the sandwich violation.
 
-    Each snapshot's snap/front CSVs are written by one child process (POSIX
-    os.fork) from the slab it inherits, while this process keeps stepping.
-    At most one child is alive: the next snapshot first reaps the previous
-    child, and the last one is reaped before this function returns or
-    raises, so every file is complete when the summary or the partial-outputs
-    line is printed.  A child that fails sends the type and message of its
-    exception through a pipe, prints its traceback, and makes this process
-    raise OSError naming the file it could not write and carrying them.
+    Each snapshot's snap/front CSVs are written by one _Child from the slab
+    it inherits, while this process keeps stepping: its first step writes
+    the snap CSV, its second the front CSV.  At most one child is alive: the
+    next snapshot first reaps the previous child, and the last one is
+    reaped before this function returns or raises, so every file is
+    complete when the summary or the partial-outputs line is printed.  A
+    child that exits with k != 0 makes this process raise OSError naming
+    the k-th file (the snap CSV if a signal ended it) and carrying the
+    child's report, the type and message of its exception.
     """
     record = sandwich and cfg.scheme == "regularized"
     with open(os.path.join(out_dir, "config_effective.json"), "w") as fh:
         json.dump(effective, fh, indent=2)
         fh.write("\n")
 
-    child = {"i": 0, "pid": 0, "paths": (), "reply": -1}
+    files: list[tuple[str, str]] = []  # each snapshot's snap and front CSV, in order
+    alive: list[_Child] = []  # the writer of the last snapshot, until it is reaped
 
     def reap():
-        if child["pid"]:
-            _, status = os.waitpid(child["pid"], 0)
-            child["pid"] = 0
-            try:  # the child has exited: its report, if any, is in the pipe
-                error = os.read(child["reply"], select.PIPE_BUF).decode(errors="replace")
-            finally:
-                os.close(child["reply"])
-            code = os.waitstatus_to_exitcode(status)
-            if code:
-                path = child["paths"][code - 1 if 0 < code <= 2 else 0]
-                raise OSError(errno.EIO, f"snapshot writer exited {code}: {error or 'no report'}", path)
+        if alive:
+            code, report = alive.pop().reap()
+            if code:  # k names the k-th file, a signal the first
+                path = files[-1][code - 1 if 0 < code <= 2 else 0]
+                raise OSError(errno.EIO, f"snapshot writer exited {code}: {report or 'no report'}", path)
 
     def writer(snap):
         reap()
-        i = child["i"]
-        paths = child["paths"] = tuple(os.path.join(out_dir, f"{k}_{i:04d}.csv") for k in ("snap", "front"))
-        child["i"] = i + 1
-        reply, report = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:
-            os.close(reply)
-            os.close(report)
-            raise
-        if pid == 0:  # the child leaves through os._exit, never through the parent's code
-            code = 1  # 1: the snapshot failed, 2: the front
-            try:
-                write_snapshot_csv(snap, paths[0])
-                code = 2
-                write_front_csv(extract_front(snap), paths[1])
-                code = 0
-            except BaseException as exc:
-                _report(report, exc)
-                import traceback  # only a failed writer needs it
-
-                traceback.print_exc()
-                sys.stderr.flush()
-            finally:
-                os._exit(code)
-        os.close(report)
-        child["pid"], child["reply"] = pid, reply
+        snap_path, front_path = (os.path.join(out_dir, f"{k}_{len(files):04d}.csv") for k in ("snap", "front"))
+        files.append((snap_path, front_path))
+        alive.append(_Child(lambda go, reply: write_snapshot_csv(snap, snap_path),
+                            lambda go, reply: write_front_csv(extract_front(snap), front_path)))
 
     try:
         try:
@@ -801,7 +773,7 @@ def _write_outputs(cfg: SolverConfig, out_dir: str, effective: dict, sandwich: b
         print(f"evolve: aborted, {exc}", file=sys.stderr)
         print(f"evolve: partial outputs in {out_dir}", file=sys.stderr)
         return 1
-    print(f"evolve: {child['i']} snapshots, dt={result.dt:.6g}, steps={result.n_steps}")
+    print(f"evolve: {len(files)} snapshots, dt={result.dt:.6g}, steps={result.n_steps}")
     if result.extinction_time is not None:
         print(f"evolve: extinction at t={result.extinction_time:.6g}")
     else:

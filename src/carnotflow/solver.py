@@ -49,19 +49,21 @@ no arrays of a chunk's size: every ufunc writes into a held buffer (out=),
 in the order the expressions state.  Held arrays start on 64-byte
 boundaries, so that step time does not depend on where malloc put them.
 
-On a grid of two or more chunks, `run` forks one worker process (POSIX
-os.fork) that steps the later rows of axis 0, about half the interior
-nodes, while the parent steps the earlier ones.  Each process runs
-Engine.step on its rows, which fills the boundary faces on them too (row 0
-is the parent's, row N_0 - 1 the worker's); the worker writes its own copy
-of the engine's workspace.  The two slabs live in one anonymous
-shared mapping, so each process writes its rows where the other reads them
-at the next step.  A go message on a pipe carries the slab that is u and
-dt; the reply on a second pipe carries the worker's max u, min u, violation
-and gap, from which the parent decides finiteness, extinction and the
-sandwich maxima.  The arithmetic per node is fixed, whichever process runs
-it, so outputs are bit-identical from run to run, with or without the
-worker, and across processes.
+On a grid of two or more chunks, `run` forks one worker process that
+steps the later rows of axis 0, about half the interior nodes, while the
+parent steps the earlier ones.  Each process runs Engine.step on its rows,
+which fills the boundary faces on them too (row 0 is the parent's, row
+N_0 - 1 the worker's); the worker writes its own copy of the engine's
+workspace.  The two slabs live in one anonymous shared mapping, so each
+process writes its rows where the other reads them at the next step.  Each
+step tells the worker which slab is u and dt, and the worker replies with
+its rows' max u, min u, violation and gap, from which the parent decides
+finiteness, extinction and the sandwich maxima.  The worker is a _Child,
+the package's one fork primitive (cli's snapshot writer is the other):
+_Child owns the pipes, the fork, the child's exit and the reaping.  The
+arithmetic per node is fixed, whichever process runs it, so outputs are
+bit-identical from run to run, with or without the worker, and across
+processes.
 """
 from __future__ import annotations
 
@@ -72,6 +74,7 @@ import operator
 import os
 import select
 import struct
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
@@ -770,89 +773,66 @@ def _mapped(shape, count: int) -> list[npt.NDArray]:
     return [np.frombuffer(mem, float, nodes, k * size).reshape(shape) for k in range(count)]
 
 
-def _report(fd: int, exc: BaseException) -> None:
-    """In a forked child that failed: write the type and message of exc to
-    fd, the write end of a pipe to its parent, in one write that the pipe
-    delivers whole."""
-    try:
-        os.write(fd, f"{type(exc).__name__}: {exc}".encode(errors="replace")[: select.PIPE_BUF])
-    except OSError:
-        pass  # the parent no longer reads
+class _Child:
+    """One forked process that runs steps in turn, each as step(go, reply)
+    with its ends of two pipes: it reads the go pipe and writes the reply
+    pipe, whose other ends, .go and .reply, stay with the parent.
 
-
-_QUIT = b"q"
-_GO = struct.Struct("=Bd")  # the slab that is u, and dt
-_REPLY = struct.Struct("=c4d")  # a zero byte, then body's max u, min u, violation, gap
-
-
-class _Worker:
-    """One forked process that runs body(i, dt) each time its parent sends it
-    the go message (i, dt), and replies with a zero byte and the four floats
-    body returns, in one write that the pipe delivers whole.
-
-    wait() returns those floats.  It raises RuntimeError, carrying the type
-    and message of the child's exception, if body raised or the process
-    ended without a reply.  stop() sends a quit byte and reaps the process:
-    end of file alone would not stop it, since a child forked by the parent
-    meanwhile (a snapshot writer) holds copies of the parent's pipe ends.
-    The child leaves only through os._exit, never through its parent's code.
+    The child leaves only through os._exit, never through its parent's code:
+    with 0 when every step returned, or with k when step k raised, after it
+    writes "Type: message" of the exception to the reply pipe, in one write
+    of at most PIPE_BUF bytes that the pipe delivers whole, and prints its
+    traceback.  If os.fork raises, the four ends are closed and the error
+    propagates.  reap() must be called once, after which the ends are closed.
     """
 
-    def __init__(self, body: Callable[[int, float], tuple[float, ...]]):
-        go, self._go = os.pipe()
-        self._done, done = os.pipe()
+    def __init__(self, *steps: Callable[[int, int], object]):
+        go, self.go = os.pipe()
+        self.reply, reply = os.pipe()
         try:
             self.pid = os.fork()
         except OSError:
-            for fd in (go, self._go, self._done, done):
+            for fd in (go, self.go, self.reply, reply):
                 os.close(fd)
             raise
         if self.pid == 0:
             code = 1
             try:
-                os.close(self._go)
-                os.close(self._done)
-                while len(message := os.read(go, _GO.size)) == _GO.size:
-                    os.write(done, _REPLY.pack(b"\0", *body(*_GO.unpack(message))))
+                os.close(self.go)
+                os.close(self.reply)
+                for code, step in enumerate(steps, 1):
+                    step(go, reply)
                 code = 0
             except BaseException as exc:
-                _report(done, exc)
+                try:
+                    os.write(reply, f"{type(exc).__name__}: {exc}".encode(errors="replace")[: select.PIPE_BUF])
+                except OSError:
+                    pass  # the parent no longer reads
+                import traceback  # only a failed child needs it
+
+                traceback.print_exc()
+                sys.stderr.flush()
             finally:
                 os._exit(code)
         os.close(go)
-        os.close(done)
+        os.close(reply)
 
-    def start(self, i: int, dt: float) -> None:
+    def reap(self) -> tuple[int, str]:
+        """Wait for the child to end, close this process's ends of the pipes,
+        and return the child's exit code (-N for signal N) and what is left
+        in the reply pipe: its report, if it failed and no reply read it."""
         try:
-            os.write(self._go, _GO.pack(i, dt))
-        except BrokenPipeError:  # the worker has ended
-            raise self._ended(b"") from None
-
-    def wait(self) -> tuple[float, ...]:
-        reply = os.read(self._done, select.PIPE_BUF)
-        if len(reply) != _REPLY.size or reply[:1] != b"\0":
-            raise self._ended(reply)
-        return _REPLY.unpack(reply)[1:]
-
-    def _ended(self, reply: bytes) -> RuntimeError:
-        _, status = os.waitpid(self.pid, 0)
-        self.pid = 0
-        code = os.waitstatus_to_exitcode(status)
-        why = reply.decode(errors="replace") or f"it ended with status {code} and no reply"
-        return RuntimeError(f"solver worker failed: {why}")
-
-    def stop(self) -> None:
-        try:
-            if self.pid:
-                try:
-                    os.write(self._go, _QUIT)
-                except BrokenPipeError:
-                    pass
-                os.waitpid(self.pid, 0)
-                self.pid = 0
+            _, status = os.waitpid(self.pid, 0)
+            report = os.read(self.reply, select.PIPE_BUF)
         finally:
-            os.close(self._go)
-            os.close(self._done)
+            os.close(self.go)
+            os.close(self.reply)
+        return os.waitstatus_to_exitcode(status), report.decode(errors="replace")
+
+
+_QUIT = b"q"
+_GO = struct.Struct("=Bd")  # the slab that is u, and dt
+_REPLY = struct.Struct("=c4d")  # a zero byte, then the step's max u, min u, violation, gap
 
 
 def run(
@@ -872,20 +852,21 @@ def run(
     with the sandwich if record_sandwich: then sandwich_max_violation and
     regularization_gap are its worst violation and gap over the run.
 
-    On a grid of two or more chunks, one worker process forked here steps
-    the later rows of axis 0 while this process steps the earlier ones (see
-    the module docstring): each updates, fills and brackets its own rows
-    and returns their max u, min u, violation and gap.  A one-chunk grid
-    runs the same step over all rows and forks nothing.  The slab is
-    finite if each part's max and min are, and has gone extinct if the
-    larger max is not positive.  The worker is stopped and reaped before
-    run returns or raises.
+    On a grid of two or more chunks, one worker (a _Child) forked here
+    steps the later rows of axis 0 while this process steps the earlier
+    ones (see the module docstring): each updates, fills and brackets its
+    own rows and returns their max u, min u, violation and gap.  A
+    one-chunk grid runs the same step over all rows and forks nothing.  The
+    slab is finite if each part's max and min are, and has gone extinct if
+    the larger max is not positive.  The worker is stopped and reaped
+    before run returns or raises.
 
     Raises:
         RuntimeError: if values become nonfinite (CFL violated or data
             outside the scheme's stability envelope), or if the worker
             fails or ends; the message then carries the type and message
             of the worker's exception.
+        OSError: if the worker cannot be forked.
     """
     if record_sandwich and config.scheme != "regularized":
         raise ValueError("sandwich recording reads the regularized trajectory")
@@ -912,8 +893,14 @@ def run(
     rows = [r1 - r0 for r0, r1 in eng.chunks]
     split = min(range(1, len(rows) + 1), key=lambda k: abs(2 * sum(rows[:k]) - sum(rows)))
     cut = eng.chunks[split][0] if split < len(rows) else size
-    worker = (_Worker(lambda i, dt: eng.step(slabs[i], slabs[1 - i], dt, (cut, size), record_sandwich))
-              if cut < size else None)
+
+    def serve(go: int, reply: int) -> None:  # the worker's body: a reply per go message, until the quit byte
+        while len(message := os.read(go, _GO.size)) == _GO.size:
+            i, dt = _GO.unpack(message)
+            part = eng.step(slabs[i], slabs[1 - i], dt, (cut, size), record_sandwich)
+            os.write(reply, _REPLY.pack(b"\0", *part))
+
+    worker = _Child(serve) if cut < size else None
     se = config.snapshot_every if on_snapshot is not None else 0.0  # no callback, no cadence
     next_snap = se if se > 0 else np.inf
     try:
@@ -921,10 +908,19 @@ def run(
             dt = min(eng.dt, config.t_end - t)
             i = 1 - steps % 2  # the slab that is u
             if worker is not None:
-                worker.start(i, dt)
+                try:
+                    os.write(worker.go, _GO.pack(i, dt))
+                except BrokenPipeError:  # the worker has ended: its reply pipe is at end of file
+                    pass
             parts = [eng.step(slabs[i], slabs[1 - i], dt, (0, cut), record_sandwich)]
             if worker is not None:
-                parts.append(worker.wait())
+                reply = os.read(worker.reply, select.PIPE_BUF)
+                if len(reply) != _REPLY.size or reply[:1] != b"\0":
+                    code, report = worker.reap()
+                    worker = None
+                    why = reply.decode(errors="replace") + report or f"it ended with status {code} and no reply"
+                    raise RuntimeError(f"solver worker failed: {why}")
+                parts.append(_REPLY.unpack(reply)[1:])
             u = slabs[1 - i]
             t += dt
             steps += 1
@@ -948,7 +944,13 @@ def run(
                 break
     finally:
         if worker is not None:
-            worker.stop()
+            # a quit byte: end of file alone would not stop the worker, since
+            # a snapshot writer forked meanwhile holds a copy of the go pipe
+            try:
+                os.write(worker.go, _QUIT)
+            except BrokenPipeError:  # the worker has ended
+                pass
+            worker.reap()
     if on_snapshot is not None and emitted < t:  # the final slab, unless the cadence just emitted it
         on_snapshot(GridField(config.box, u.copy(), t))
 

@@ -26,3 +26,27 @@ def no_child_process_left():
     except ChildProcessError:
         return
     pytest.fail(f"a child process is left after the test (waitpid gave pid {pid}, status {status})")
+
+
+def open_descriptors() -> dict[str, str]:
+    """{descriptor: what it refers to} of every descriptor open in this
+    process.  The listing's own descriptor is closed by the time it returns,
+    so a descriptor whose link no longer reads is left out."""
+    found = {}
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            found[fd] = os.readlink(f"/proc/self/fd/{fd}")
+        except FileNotFoundError:
+            pass
+    return found
+
+
+@pytest.fixture(autouse=True)
+def no_descriptor_left():
+    """Fail a test after which this process holds a descriptor it did not
+    hold before: a pipe end of a forked child that was never closed, say."""
+    before = open_descriptors()
+    yield
+    left = {fd: link for fd, link in open_descriptors().items() if before.get(fd) != link}
+    if left:
+        pytest.fail(f"descriptors are left open after the test: {left}")

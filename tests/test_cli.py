@@ -1,6 +1,7 @@
 """Command-line interface: configs, exit codes, and output files."""
 
 import contextlib
+import errno
 import io
 import json
 import os
@@ -671,6 +672,49 @@ class TestEvolve:
         with pytest.raises(OSError, match="exited 1: IsADirectoryError: .*snap_0001.csv") as info:
             main(["evolve", "--config", write_config(tmp_path, SMALL_RUN), "--out", str(out)])
         assert info.value.filename == str(out / "snap_0001.csv")
+        assert_no_child()
+
+    @pytest.mark.parametrize("fault", ["front", "kill"])
+    def test_a_failed_front_or_a_killed_writer_names_its_file(self, tmp_path, monkeypatch, capfd, fault):
+        # the writer's exit code names the file: 2 the front CSV that its
+        # second step could not write, a signal the snapshot CSV
+        if fault == "front":
+            extract = cli.extract_front
+
+            def broken(snap):
+                if snap.time > 0.0:
+                    raise MemoryError("no room for the front")
+                return extract(snap)
+
+            monkeypatch.setattr(cli, "extract_front", broken)
+            path, error = "front_0001.csv", "exited 2: MemoryError: no room for the front"
+        else:
+            write = cli.write_snapshot_csv
+
+            def killed(snap, path):
+                if snap.time > 0.0:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                write(snap, path)
+
+            monkeypatch.setattr(cli, "write_snapshot_csv", killed)
+            path, error = "snap_0001.csv", "exited -9: no report"
+        out = tmp_path / "run"
+        with pytest.raises(OSError, match=error) as info:
+            main(["evolve", "--config", write_config(tmp_path, SMALL_RUN), "--out", str(out)])
+        assert info.value.filename == str(out / path)
+        assert_no_child()
+        if fault == "front":
+            assert "MemoryError: no room for the front" in capfd.readouterr().err  # the writer's traceback
+
+    def test_a_failed_fork_propagates_and_leaves_nothing_open(self, tmp_path, monkeypatch):
+        # the first fork is snapshot 0's writer; no descriptor is left open
+        # either, which the no_descriptor_left fixture checks
+        def failing():
+            raise OSError(errno.EAGAIN, "no process to spare")
+
+        monkeypatch.setattr(os, "fork", failing)
+        with pytest.raises(OSError, match="no process to spare"):
+            main(["evolve", "--config", write_config(tmp_path, SMALL_RUN), "--out", str(tmp_path / "run")])
         assert_no_child()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import errno
 import functools
 import json
 import math
@@ -1183,7 +1184,7 @@ class TestWorker:
         assert pids == []
         assert_no_child()
 
-    def test_the_workers_exception_reaches_run(self, monkeypatch):
+    def test_the_workers_exception_reaches_run(self, monkeypatch, capfd):
         parent, chunk_pass = os.getpid(), Engine._pass
 
         def failing(self, *args, **kwargs):
@@ -1195,6 +1196,20 @@ class TestWorker:
         with deadline(20):
             with pytest.raises(RuntimeError, match="ZeroDivisionError: the worker's share"):
                 run(config(res=32))
+        assert_no_child()
+        assert "ZeroDivisionError: the worker's share" in capfd.readouterr().err  # the worker's traceback
+
+    def test_a_failed_fork_propagates_and_leaves_nothing_open(self, monkeypatch):
+        # no descriptor is left open either, which the no_descriptor_left
+        # fixture checks
+        def failing():
+            raise OSError(errno.EAGAIN, "no process to spare")
+
+        monkeypatch.setattr(os, "fork", failing)
+        cfg = config(res=32)
+        assert len(Engine(cfg).chunks) == 2
+        with pytest.raises(OSError, match="no process to spare"):
+            run(cfg)
         assert_no_child()
 
     @pytest.mark.parametrize("process", ["worker", "parent"])
