@@ -456,17 +456,24 @@ def change_of_variables_check(
             at U(x); the message names the first such point.
     """
     x = np.asarray(x, dtype=float)
+    return _relabel_residuals(g, U, [psi], np.zeros(x.shape[:-1], dtype=int), x, t)
+
+
+def _relabel_residuals(g: GroupSpec, U: ScalarField, maps, which, x, t: float = 0.0):
+    """change_of_variables_check at x, point p relabeled by maps[which[p]], in one pass."""
     j = U.jet(x, t)
     q = horizontal_gradient(g, j, x)
     A = horizontal_hessian(g, j, x)
     F = operator_bounds(q, A)
     refuse_points(x, ~F.regular, "change-of-variables check needs a noncharacteristic point")
-    zero = np.zeros(np.shape(j.value))
-    d1 = psi.d1(j.value) + zero
+    value = np.asarray(j.value)
+    d1, d2 = np.empty(value.shape), np.empty(value.shape)
+    for k, psi in enumerate(maps):  # a map enters only through psi'(U) and psi''(U)
+        sel = which == k
+        d1[sel], d2[sel] = psi.d1(value[sel]), psi.d2(value[sel])
     refuse_points(x, ~(d1 > 0.0), "psi must be increasing at U(x)")
-    d2 = (psi.d2(j.value) + zero)[..., None, None]
     # second-order propagation through psi o U
-    AW = d1[..., None, None] * A + d2 * np.einsum("...i,...j->...ij", q, q)
+    AW = d1[..., None, None] * A + d2[..., None, None] * np.einsum("...i,...j->...ij", q, q)
     lhs = operator_bounds(d1[..., None] * q, AW).lower
     rhs = d1 * F.lower
     return (np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs)))[()]

@@ -133,8 +133,9 @@ class SweepReport:
         x, regime = np.atleast_2d(v.x), np.atleast_1d(v.regime)
         sub, sup = np.atleast_1d(v.sub_residual), np.atleast_1d(v.super_residual)
         self.n_points += len(regime)
-        for name in regime.tolist():
-            self.regime_counts[name] = self.regime_counts.get(name, 0) + 1
+        names, first, counts = np.unique(regime, return_index=True, return_counts=True)
+        for _, name, count in sorted(zip(first.tolist(), names.tolist(), counts.tolist())):
+            self.regime_counts[name] = self.regime_counts.get(name, 0) + count
         i, k = int(np.argmax(sub)), int(np.argmin(sup))
         if sub[i] > self.worst_sub:
             self.worst_sub, self.worst_sub_at = float(sub[i]), x[i]

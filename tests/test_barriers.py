@@ -231,6 +231,22 @@ class TestChangeOfVariables:
         for x in sample_points(rng, count=25, min_horizontal=0.1):
             assert change_of_variables_check(HEIS, self.GAUGE, psi, x) < 1e-10
 
+    @pytest.mark.parametrize("group_fixture", ["heis", "m3n5"])
+    def test_one_point_is_a_batch_of_one(self, group_fixture, request):
+        # psi' and psi'' see numpy values at one point as in a batch, so the
+        # residual at a point does not depend on how it was passed
+        g = request.getfixturevalue(group_fixture)
+        hsq, full = sq_norm(range(g.m)), sq_norm(range(g.n))
+        fields = [hsq, full, hsq ** 2 + 4.0 * sq_norm(range(g.m, g.n)), hsq + 0.5 * full]
+        x = np.random.default_rng(5).uniform(-1.5, 1.5, size=(40, g.n))
+        x = x[np.linalg.norm(x[:, : g.m], axis=1) >= 1e-2]
+        for expr in fields:
+            U = ScalarField(expr, g)
+            for psi in (psi_identity, psi_square, psi_sqrt, psi_s_plus_s3):
+                batch = change_of_variables_check(g, U, psi, x)
+                single = [change_of_variables_check(g, U, psi, p) for p in x]
+                np.testing.assert_array_equal(single, batch)
+
     def test_characteristic_point_rejected(self):
         with pytest.raises(ValueError, match="noncharacteristic"):
             change_of_variables_check(HEIS, self.GAUGE, psi_identity, np.array([0.0, 0.0, 1.0]))

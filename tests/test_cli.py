@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import carnotflow.cli as cli
 import carnotflow.solver as solver
-from carnotflow import Engine, ScalarField, heisenberg, make_barrier
+from carnotflow import Engine, ScalarField, change_of_variables_check, heisenberg, make_barrier
 from carnotflow.cli import main
 
 
@@ -517,6 +518,64 @@ class TestVerify:
                 quad, trA = np.einsum("ij,jk,ik->i", dirs, a, dirs), np.trace(a)
                 assert abs(low - (-trA + np.min(quad))) <= 1e-15
                 assert abs(high - (-trA + np.max(quad))) <= 1e-15
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("count", [1, 5, 7])
+    def test_sampled_envelopes_of_a_partial_block_match_the_reference(self, m, count):
+        # 1, 5 and 7 matrices leave the last block of _ENVELOPE_BLOCK partly filled
+        assert count % cli._ENVELOPE_BLOCK != 0
+        dirs = cli._sphere_directions(m, 10_000)
+        raw = np.random.default_rng(10 * m + count).normal(size=(count, m, m))
+        A = (raw + np.swapaxes(raw, 1, 2)) / 2.0
+        A /= np.linalg.norm(A, axis=(1, 2))[:, None, None]
+        lo, hi = cli._sampled_envelopes(dirs, A)
+        assert lo.shape == hi.shape == (count,)
+        for a, low, high in zip(A, lo, hi):
+            quad, trA = np.einsum("ij,jk,ik->i", dirs, a, dirs), np.trace(a)
+            assert abs(low - (-trA + np.min(quad))) <= 1e-15
+            assert abs(high - (-trA + np.max(quad))) <= 1e-15
+
+    def test_sampled_envelopes_hold_no_directions_by_matrices_block(self):
+        # one product over all 100 matrices would hold 100 x 10^4 doubles (8 MB)
+        dirs = cli._sphere_directions(3, 10_000)
+        raw = np.random.default_rng(3).normal(size=(100, 3, 3))
+        A = (raw + np.swapaxes(raw, 1, 2)) / 2.0
+        tracemalloc.start()
+        try:
+            cli._sampled_envelopes(dirs, A)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+
+    @pytest.mark.parametrize("group", ["heis", "m3n5"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_relabel_worst_is_the_worst_per_field_and_map_check(
+        self, monkeypatch, request, group, seed
+    ):
+        g = request.getfixturevalue(group)
+        calls = []
+        per_field = cli._relabel_residuals
+
+        def recorded(g, U, maps, which, x):
+            calls.append((U, maps, which, x, per_field(g, U, maps, which, x)))
+            return calls[-1][-1]
+
+        monkeypatch.setattr(cli, "_relabel_residuals", recorded)
+        suite = cli.suite_change_of_variables(g, seed=seed)
+        assert len(calls) == 5 and sum(len(x) for _, _, _, x, _ in calls) == 200
+        worst = max(float(np.max(res)) for *_, res in calls)
+        reference, pairs = 0.0, 0
+        for U, maps, which, x, _ in calls:
+            for k, psi in enumerate(maps):
+                sel = which == k
+                if np.any(sel):
+                    pairs += 1
+                    check = change_of_variables_check(g, U, psi, x[sel])
+                    reference = max(reference, float(np.max(check)))
+        assert pairs == 15
+        assert worst == reference
+        assert suite.lines == [f"relabeling identity: worst relative residual {reference:.3e}"]
 
     def test_m3n5_group_runs_group_suites(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"group": {"preset": "m3n5"}})

@@ -5,10 +5,12 @@ import pytest
 
 from carnotflow import (
     Const,
+    PointVerdict,
     REGIME_CHAR_ENVELOPE,
     REGIME_CHAR_NULL,
     REGIME_REGULAR,
     ScalarField,
+    SweepReport,
     TimeVar,
     check_norm_lemma,
     check_point,
@@ -165,6 +167,33 @@ class TestSweep:
         batch = check_point(HEIS, f, x, t)
         np.testing.assert_array_equal(batch.regime, [v.regime for v in single])
         np.testing.assert_allclose(batch.sub_residual, subs, rtol=1e-13, atol=1e-13)
+
+    def test_regime_counts_follow_first_appearance_across_adds(self):
+        # the first batch meets R before N, against their sorted order; the
+        # second meets them the other way round and brings E; the last
+        # verdict is a batch of one
+        rng = np.random.default_rng(21)
+        E, N, R = REGIME_CHAR_ENVELOPE, REGIME_CHAR_NULL, REGIME_REGULAR
+
+        def verdict(regimes):
+            P = len(regimes)
+            return PointVerdict(rng.uniform(-1.5, 1.5, size=(P, 3)), 0.0, np.array(regimes),
+                                rng.normal(size=P), rng.normal(size=P), None, None)
+
+        verdicts = [verdict([R, N, R, N, R]), verdict([N, E, R, N, E, R]),
+                    PointVerdict(np.zeros(3), 0.0, R, 0.5, -0.5, None, None)]
+        rep, per_point, counts = SweepReport("solution", 1e-9), SweepReport("solution", 1e-9), {}
+        for v in verdicts:
+            rep.add(v)
+            for x, name, sub, sup in zip(np.atleast_2d(v.x), np.atleast_1d(v.regime).tolist(),
+                                         np.atleast_1d(v.sub_residual), np.atleast_1d(v.super_residual)):
+                counts[name] = counts.get(name, 0) + 1
+                per_point.add(PointVerdict(x, 0.0, name, float(sub), float(sup), None, None))
+        assert list(counts.items()) == [(R, 6), (N, 4), (E, 2)]
+        assert list(rep.regime_counts.items()) == list(counts.items())
+        assert list(per_point.regime_counts.items()) == list(counts.items())
+        assert all(type(name) is str and type(c) is int for name, c in rep.regime_counts.items())
+        assert rep.summary() == per_point.summary() and rep.n_points == 12
 
     def test_expect_validated(self):
         with pytest.raises(ValueError, match="classification"):
